@@ -3,7 +3,8 @@
 Runs are fully determined by (game, mode, seed, parameters): outputs are CSV
 trajectories, loss histories, network checkpoints, histogram-ready plot data,
 and a manifest carrying the echoed configuration plus a content hash of every
-emitted byte. Exit codes: 0 ok, 2 configuration, 3 data, 4 training.
+emitted byte. Exit codes: 0 ok, 2 configuration (including game parameters
+out of range), 3 data, 4 training divergence or a non-finite integration step.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .games import meeting as meeting_mod
 from .games import sir as sir_mod
 from .mfg import TrainingConfig, TrainingDivergence, write_history_csv
 from .nets import save_checkpoint
+from .sde import IntegrationError
 
 __all__ = ["main", "run_experiment", "emit_histogram", "ConfigError"]
 
@@ -157,9 +159,18 @@ def emit_histogram(path, per_turn_values: list[np.ndarray]) -> None:
                 writer.writerow([turn, repr(float(v)), repr(w)])
 
 
+def _config(cls, **kwargs):
+    """Build a game or training config; its validation failures are config errors."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{cls.__name__}: {err}") from None
+
+
 def _training_config(args, params, game: str) -> TrainingConfig:
     epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS[game]
-    return TrainingConfig(
+    return _config(
+        TrainingConfig,
         epochs=int(epochs),
         games_per_epoch=int(params.get("games_per_epoch", 10)),
         seed=args.seed,
@@ -168,7 +179,8 @@ def _training_config(args, params, game: str) -> TrainingConfig:
 
 
 def _run_meeting(args, params, out: Path) -> list[Path]:
-    config = meeting_mod.MeetingConfig(
+    config = _config(
+        meeting_mod.MeetingConfig,
         scheduled=params["scheduled"], quorum=params["quorum"],
         n_agents=params["agents"], noise_std=params["noise_std"],
         turns=params["turns"], init_mean=params["init_mean"],
@@ -200,7 +212,8 @@ def _run_meeting(args, params, out: Path) -> list[Path]:
 
 
 def _run_elfarol(args, params, out: Path) -> list[Path]:
-    config = elfarol_mod.BarConfig(
+    config = _config(
+        elfarol_mod.BarConfig,
         threshold=params["threshold"], n_agents=params["agents"],
         turns=params["turns"], drift_gain=params["drift_gain"],
     )
@@ -227,11 +240,14 @@ def _run_elfarol(args, params, out: Path) -> list[Path]:
 def _run_sir(args, params, out: Path) -> list[Path]:
     if not args.data:
         raise ConfigError("sir requires --data FILE")
+    if params["population"] < 1:
+        raise ConfigError("population must be positive")
     dataset = sir_mod.ingest_csv(args.data, population=params["population"])
     window = min(params["window"], len(dataset))
     rates, _warn = sir_mod.estimate_rates(dataset, window=window)
     epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS["sir"]
-    cfg = sir_mod.SIRTrainingConfig(
+    cfg = _config(
+        sir_mod.SIRTrainingConfig,
         epochs=int(epochs), trajectories=params["trajectories"],
         batch=params["batch"], lr=params["lr"], seed=args.seed,
         window=window, hidden_layers=params["layers"], hidden_width=params["width"],
@@ -254,13 +270,8 @@ def _run_sir(args, params, out: Path) -> list[Path]:
         for date, row in zip(dataset.dates, traj):
             writer.writerow([date.isoformat()] + [repr(float(x)) for x in row] + ["predicted"])
     written = [rates_path, forecast_path]
-    hist_path = out / "loss_history.csv"
-    with open(hist_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "game_cost", "data_loss", "total"])
-        for epoch, gc, dl, total in history:
-            writer.writerow([epoch, repr(gc), repr(dl), repr(total)])
-    written.append(hist_path)
+    write_history_csv(out / "loss_history.csv", history)
+    written.append(out / "loss_history.csv")
     for name, net in (("drift", model.drift_net), ("diffusion", model.diffusion_net)):
         if net is not None:
             p = out / f"checkpoint_{name}.json"
@@ -271,20 +282,26 @@ def _run_sir(args, params, out: Path) -> list[Path]:
 
 def _run_dice(args, params, out: Path) -> list[Path]:
     faces = params["faces"]
-    theta = (
-        tuple(float(x) for x in params["theta"].split(","))
-        if params["theta"]
-        else (1.0 / faces,) * faces
-    )
+    try:
+        theta = (
+            tuple(float(x) for x in params["theta"].split(","))
+            if params["theta"]
+            else (1.0 / faces,) * faces
+        )
+    except ValueError:
+        raise ConfigError(f"theta must be comma-separated numbers: {params['theta']!r}") from None
     if len(theta) != faces:
         raise ConfigError(f"theta must list {faces} probabilities")
-    config = dice_mod.DiceConfig(
+    config = _config(
+        dice_mod.DiceConfig,
         n_players=params["players"], dice_per_player=params["dice"], n_faces=faces,
         theta=theta, likelihood=params["likelihood"], bluff0=params["lambda0"],
     )
     rounds_per_game = params["rounds_per_game"]
+    if rounds_per_game < 1:
+        raise ConfigError("rounds_per_game must be positive")
     games = max(1, params["rounds"] // rounds_per_game)
-    training = TrainingConfig(epochs=1, seed=args.seed, lr=params["lr"])
+    training = _config(TrainingConfig, epochs=1, seed=args.seed, lr=params["lr"])
     net, records = dice_mod.train_dice(
         config, training, games=games, rounds_per_game=rounds_per_game,
         neural=(args.mode == "neural"),
@@ -405,7 +422,7 @@ def main(argv=None) -> int:
     except (sir_mod.DataError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
-    except TrainingDivergence as err:
+    except (TrainingDivergence, IntegrationError) as err:
         print(f"training error: {err}", file=sys.stderr)
         return 4
 

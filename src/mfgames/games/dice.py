@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autodiff import Tape, Value, max0, square
+from ..autodiff import Tape, max0, square
 from ..mfg import TrainingConfig
 from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 
@@ -159,6 +159,8 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
     q = 1.0 - p
     n = others_count
     term = q**n
+    if term == 0.0:
+        return _binomial_tail_log_space(need, n, p)
     total = 0.0
     cumulative = 0.0
     for k in range(0, n + 1):
@@ -169,6 +171,21 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
         term *= (n - k) / (k + 1) * (p / q)
     norm = total + cumulative
     return total / norm if norm > 0 else 0.0
+
+
+def _binomial_tail_log_space(need: int, n: int, p: float) -> float:
+    """P[X >= need] for X ~ Binomial(n, p), from log-space terms.
+
+    Used once q**n underflows (about 3,900 unseen dice at p = 1/6), where the
+    direct recurrence would start from a zero term and return 0. The log
+    terms follow the same recurrence, shifted by their maximum before
+    exponentiating.
+    """
+    k = np.arange(n)
+    steps = np.log((n - k) / (k + 1.0)) + math.log(p / (1.0 - p))
+    log_terms = np.concatenate(([0.0], np.cumsum(steps)))
+    w = np.exp(log_terms - log_terms.max())
+    return float(w[need:].sum() / w.sum())
 
 
 def player_turn(state: PlayerState, prev_bid: Bid, config: DiceConfig, rng):
@@ -292,6 +309,7 @@ def _neural_round_update(players, target, outcome, config: DiceConfig,
                          net: MLP, opt: AdaBelief) -> None:
     """One training step: belief MSE plus the bluff-rate surrogate terms.
 
+    All players go through the network as one (players, 2 faces + 2) batch.
     The safety penalty rewards larger expected raises (gradient through the
     Poisson mean), while a correct challenge ending the round penalizes the
     bluff level; their balance moves lam up from timid starts and caps it once
@@ -301,42 +319,30 @@ def _neural_round_update(players, target, outcome, config: DiceConfig,
     bound = net.bind(tape)
     correct = 1.0 if outcome.challenge_correct else 0.0
     last_bid = outcome.bids[-1]
-    loss = None
-    new_beliefs = []
-    new_lams = []
-    for pl in players:
-        feats = (
-            [float(x) for x in pl.theta_hat]
-            + [c / config.dice_per_player for c in pl.dice]
-            + [last_bid.face / config.n_faces, last_bid.quantity / config.total_dice]
-        )
-        out = bound.forward(feats)
-        th_nodes = []
-        for c in range(config.n_faces):
-            base = pl.theta_hat[c] + config.belief_rate * (target[c] - pl.theta_hat[c])
-            raw = out[c] * _RESIDUAL_SCALE + base
-            th_nodes.append(max0(raw - config.belief_floor) + config.belief_floor)
-        total = th_nodes[0]
-        for tn in th_nodes[1:]:
-            total = total + tn
-        th_nodes = [tn / total for tn in th_nodes]
-        lam_new = max0(out[config.n_faces] * _RESIDUAL_SCALE + pl.lam)
+    nf = config.n_faces
+    theta = np.array([pl.theta_hat for pl in players])
+    lam = np.array([pl.lam for pl in players])
+    feats = np.concatenate([
+        theta,
+        np.array([pl.dice for pl in players]) / config.dice_per_player,
+        np.tile([last_bid.face / nf, last_bid.quantity / config.total_dice],
+                (len(players), 1)),
+    ], axis=1)
+    out = bound.forward(feats)  # one (players, faces + 1) pass
+    base = theta + config.belief_rate * (target - theta)
+    raw = out[:, :nf] * _RESIDUAL_SCALE + base
+    th = max0(raw - config.belief_floor) + config.belief_floor
+    th = th / th.sum(axis=1, keepdims=True)
+    lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
 
-        pl_loss = None
-        for c in range(config.n_faces):
-            e = square(th_nodes[c] - target[c])
-            pl_loss = e if pl_loss is None else pl_loss + e
-        pl_loss = pl_loss + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
-        if correct:
-            pl_loss = pl_loss + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
-        loss = pl_loss if loss is None else loss + pl_loss
-        new_beliefs.append(np.array([tn.v for tn in th_nodes]))
-        new_lams.append(lam_new.v)
-    tape.backward(loss)
+    per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
+    if correct:
+        per_player = per_player + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
+    tape.backward(per_player.sum())
     opt.step(bound.grad_arrays())
-    for pl, th, lam in zip(players, new_beliefs, new_lams):
-        pl.theta_hat = th / th.sum()
-        pl.lam = lam
+    for pl, row, lam_i in zip(players, th.v, lam_new.v):
+        pl.theta_hat = row / row.sum()
+        pl.lam = float(lam_i)
 
 
 def train_dice(config: DiceConfig, training: TrainingConfig, games: int = 100,

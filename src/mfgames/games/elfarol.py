@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import Tape, Value, clip01, max0, square
+from ..autodiff import Tape, Value, clip01, max0, square, stack
 from ..mfg import GameInstance, TrainingConfig, train
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
@@ -62,18 +62,15 @@ class BarState:
     a: float
 
 
-def bar_cost(p_i, a: float, c: float, went: bool):
-    """Selective terminal cost g1 + g2 + g3 for one agent.
+def bar_cost(p_i, a, c: float, went):
+    """Selective terminal cost g1 + g2 + g3, per agent (elementwise on arrays).
 
     g1 (missed a good evening) hits non-attendees when the bar was quiet,
     g2 (crowding) hits attendees when it was full, g3 is peer pressure.
     """
-    cost = square(p_i - a)
-    if not went and a < c:
-        cost = cost + max0(c - p_i)
-    elif went and a >= c:
-        cost = cost + max0(p_i - c)
-    return cost
+    missed = np.logical_and(np.logical_not(went), np.less(a, c))
+    crowded = np.logical_and(went, np.greater_equal(a, c))
+    return square(p_i - a) + max0(c - p_i) * missed + max0(p_i - c) * crowded
 
 
 def expected_bar_cost(p_i, a: float, c: float):
@@ -87,7 +84,7 @@ def expected_bar_cost(p_i, a: float, c: float):
     return cost
 
 
-def response_target(a: float, c: float) -> float:
+def response_target(a, c: float):
     """Intention minimizing the expected cost given the current attendance.
 
     For a quiet bar the expected cost (1-p)(c-p) + (p-a)^2 is quadratic with
@@ -96,9 +93,7 @@ def response_target(a: float, c: float) -> float:
     threshold itself. The target is continuous in a, so the population never
     gets slammed when the realized attendance crosses the threshold.
     """
-    if a < c:
-        return min((1.0 + c + 2.0 * a) / 4.0, c)
-    return c
+    return np.where(np.less(a, c), np.minimum((1.0 + c + 2.0 * a) / 4.0, c), c)
 
 
 def best_response_drift(p_i, a: float, c: float, gain: float):
@@ -197,43 +192,34 @@ class BarGame(GameInstance):
     def nets(self) -> dict[str, MLP]:
         return self._nets
 
-    def episode_losses(self, tape: Tape, bound, episode_seed):
+    def episode_losses(self, tape: Tape, bound, episode_seeds):
+        """Roll all episodes as one (games, agents) batch; losses averaged over both."""
         c = self.config
-        rng = np.random.default_rng(np.asarray(episode_seed, dtype=np.uint64))
         n = c.n_agents
-        series = self.observations[int(episode_seed[-1]) % self.observations.shape[0]]
-        p = [tape.value(v) for v in rng.uniform(0.0, c.init_high, n)]
-        went, a = None, None
+        rngs = [np.random.default_rng(np.asarray(seed, dtype=np.uint64))
+                for seed in episode_seeds]
+        series = self.observations[
+            [int(seed[-1]) % self.observations.shape[0] for seed in episode_seeds]
+        ]
+        p = tape.value(np.array([rng.uniform(0.0, c.init_high, n) for rng in rngs]))
         attendance: list[Value] = []
         for turn in range(c.turns):
-            went, a = sample_attendance(np.array([pi.v for pi in p]), rng)
-            inv = 1.0 / n
-            mean_p = p[0] * inv
-            for pi in p[1:]:
-                mean_p = mean_p + pi * inv
-            attendance.append(mean_p)
+            draws = [sample_attendance(row, rng) for row, rng in zip(p.v, rngs)]
+            went = np.array([bits for bits, _a in draws])
+            a = np.array([[a_g] for _bits, a_g in draws])
+            attendance.append(p.mean(axis=1))
             if turn == c.turns - 1:
                 break
             t = turn + 1.0
-            new = []
-            for i in range(n):
-                b = best_response_drift(p[i], a, c.threshold, c.drift_gain)
-                mu = bound["drift"].forward([t / c.turns, p[i], a, float(went[i])])[0]
-                new.append(clip01(p[i] + b + mu))
-            p = new
+            b = best_response_drift(p, a, c.threshold, c.drift_gain)
+            mu = bound["drift"].forward([t / c.turns, p, a, went * 1.0])[..., 0]
+            p = clip01(p + b + mu)
 
-        inv = 1.0 / n
-        game_cost = None
-        for i in range(n):
-            c_i = bar_cost(p[i], a, c.threshold, bool(went[i])) * inv
-            game_cost = c_i if game_cost is None else game_cost + c_i
+        game_cost = bar_cost(p, a, c.threshold, went).mean()
         # observed rate series aligned with the final monitored turns, so the
         # data pull and the terminal game cost act on the same stretch
-        k = min(len(series), len(attendance))
-        data_loss = None
-        for pred, target in zip(attendance[-k:], series[-k:]):
-            d_i = square(pred - float(target)) * (1.0 / k)
-            data_loss = d_i if data_loss is None else data_loss + d_i
+        k = min(series.shape[1], len(attendance))
+        data_loss = square(stack(attendance[-k:]) - series[:, -k:]).mean()
         return game_cost, data_loss
 
 

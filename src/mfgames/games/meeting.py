@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import Tape, Value, absval, max0, sigmoid, square
+from ..autodiff import Tape, Value, absval, max0, sigmoid, square, stack, take_along_axis, where
 from ..mfg import GameInstance, HistoryRow, TrainingConfig, train
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 from ..sde import BrownianPath, SDEProblem, TimeGrid, integrate
@@ -99,12 +99,9 @@ def best_response_drift(tau_tilde, s, ts, gain: float, smoothing: float):
     subgradient.
     """
     if smoothing == 0.0:
-        if isinstance(tau_tilde, np.ndarray):
-            g = (tau_tilde > s).astype(float) + 2.0 * (tau_tilde > ts) - 1.0
-            return -gain * g
         tt = tau_tilde.v if isinstance(tau_tilde, Value) else tau_tilde
         ts_v = ts.v if isinstance(ts, Value) else ts
-        return -gain * ((1.0 if tt > s else 0.0) + (2.0 if tt > ts_v else 0.0) - 1.0)
+        return -gain * (np.greater(tt, s) + 2.0 * np.greater(tt, ts_v) - 1.0)
     if isinstance(tau_tilde, np.ndarray):
         z1 = (tau_tilde - s) / smoothing
         z2 = (tau_tilde - ts) / smoothing
@@ -193,53 +190,45 @@ class MeetingGame(GameInstance):
         c = self.config
         return [t / c.turns, (tau - c.scheduled) * 0.2, (ts - c.scheduled) * 0.2]
 
-    def episode_losses(self, tape: Tape, bound, episode_seed):
+    def episode_losses(self, tape: Tape, bound, episode_seeds):
+        """Roll all episodes as one (games, agents) batch; losses averaged over both."""
         c = self.config
-        seed_tuple = np.asarray(episode_seed, dtype=np.uint64)
-        rng = np.random.default_rng(seed_tuple)
         n = c.n_agents
-        tau0 = rng.normal(c.init_mean, c.init_std, n)
-        eps = rng.normal(0.0, c.noise_std, n)
         grid = _grid(c)
-        dB = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))
-        obs = self.observations[int(episode_seed[-1]) % len(self.observations)]
+        tau0, eps, dB, targets = [], [], [], []
+        for seed in episode_seeds:
+            rng = np.random.default_rng(np.asarray(seed, dtype=np.uint64))
+            tau0.append(rng.normal(c.init_mean, c.init_std, n))
+            eps.append(rng.normal(0.0, c.noise_std, n))
+            dB.append(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n)))
+            obs = self.observations[int(seed[-1]) % len(self.observations)]
+            targets.append(np.quantile(obs, (np.arange(n) + 0.5) / n))
+        eps = np.array(eps)
+        dB = np.stack(dB, axis=1)  # (steps, games, agents)
+        k = int(math.ceil(c.quorum * n))
 
-        taus = [tape.value(t) for t in tau0]
-
-        def start_node(states):
-            tts = [tau + e for tau, e in zip(states, eps)]
-            k = int(math.ceil(c.quorum * n))
-            kth = sorted(tts, key=lambda v: v.v)[k - 1]
+        def start_node(x):
+            tts = x + eps
+            order = np.argsort(tts.v, axis=1, kind="stable")
+            kth = take_along_axis(tts, order[:, k - 1:k], axis=1)
             # max(s, kth): value-exact branch; the subgradient picks the
             # quorum agent only when it is the binding side
-            ts = kth if kth.v > c.scheduled else tape.value(c.scheduled)
-            return ts, tts
+            return where(kth.v > c.scheduled, kth, c.scheduled), tts
 
-        x = taus
+        x = tape.value(np.array(tau0))
         times = grid.times()
-        for k in range(grid.n_steps):
-            t = times[k]
+        for step in range(grid.n_steps):
             ts, tts = start_node(x)
-            new = []
-            for i in range(n):
-                feats = self._features(t, x[i], ts)
-                b = best_response_drift(tts[i], c.scheduled, ts, c.drift_gain, c.smoothing)
-                mu = bound["drift"].forward(feats)[0]
-                sig = bound["diffusion"].forward(feats)[0]
-                new.append(x[i] + (b + mu) * grid.dt + absval(sig) * dB[k, i])
-            x = new
+            feats = stack(self._features(times[step], x, ts))
+            b = best_response_drift(tts, c.scheduled, ts, c.drift_gain, c.smoothing)
+            mu = bound["drift"].forward(feats)[..., 0]
+            sig = bound["diffusion"].forward(feats)[..., 0]
+            x = x + (b + mu) * grid.dt + absval(sig) * dB[step]
 
         ts_T, tts_T = start_node(x)
-        inv = 1.0 / n
-        game_cost = None
-        for tt in tts_T:
-            c_i = terminal_cost(tt, c.scheduled, ts_T) * inv
-            game_cost = c_i if game_cost is None else game_cost + c_i
-        targets = np.quantile(obs, (np.arange(n) + 0.5) / n)
-        data_loss = None
-        for tt, target in zip(sorted(tts_T, key=lambda v: v.v), targets):
-            d_i = square(tt - target) * inv
-            data_loss = d_i if data_loss is None else data_loss + d_i
+        game_cost = terminal_cost(tts_T, c.scheduled, ts_T).mean()
+        ranked = take_along_axis(tts_T, np.argsort(tts_T.v, axis=1, kind="stable"), axis=1)
+        data_loss = square(ranked - np.array(targets)).mean()
         return game_cost, data_loss
 
 

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from ..autodiff import Tape, Value, max0, square
-from ..mfg import TrainingDivergence
+from ..autodiff import Tape, absval, max0, square, stack, where
+from ..mfg import HistoryRow, TrainingDivergence
 from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -127,15 +127,19 @@ def neural_drift_np(m: np.ndarray, rates: RateVector, v, net: MLP) -> np.ndarray
 
 
 def _neural_drift_tape(m, rates: RateVector, v, bound):
-    """Tape-recorded counterpart of :func:`neural_drift_np`."""
+    """Tape-recorded counterpart of :func:`neural_drift_np`.
+
+    ``m`` holds the three compartment columns of a batch of states, each a
+    Value of shape (batch,); returns the three drift columns.
+    """
     out = bound.forward(_net_inputs(m, rates, v))
-    g = max0(out[0] + rates.gamma)
-    r = max0(out[1] + rates.rho)
-    p = max0(out[2] + rates.pi)
-    mean_resid = (out[3] + out[4] + out[5]) * (1.0 / 3.0)
-    r0 = out[3] - mean_resid
-    r1 = out[4] - mean_resid
-    r2 = out[5] - mean_resid
+    g = max0(out[..., 0] + rates.gamma)
+    r = max0(out[..., 1] + rates.rho)
+    p = max0(out[..., 2] + rates.pi)
+    mean_resid = (out[..., 3] + out[..., 4] + out[..., 5]) * (1.0 / 3.0)
+    r0 = out[..., 3] - mean_resid
+    r1 = out[..., 4] - mean_resid
+    r2 = out[..., 5] - mean_resid
     t_si = g * m[0] * m[1]
     t_rec = r * m[1]
     t_vac = p * m[0]
@@ -429,10 +433,11 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
     """Fit the learned dynamics to daily population observations.
 
     Per epoch a small batch of noise-augmented target trajectories is visited
-    round-robin; each rollout integrates one day per step from the dataset's
-    first row, the running cost is the mean squared discrepancy between
-    simulated and observed fractions (no terminal cost), and one AdaBelief
-    step follows per network.
+    round-robin and rolled as one (batch, 3) rollout that integrates one day
+    per step from the dataset's first row. The running cost is the mean
+    squared discrepancy between simulated and observed fractions (no terminal
+    cost), and one AdaBelief step follows per network. Returns the model and
+    one :class:`HistoryRow` per epoch (game cost 0, data loss = total).
     """
     if warm_rates is None:
         warm_rates = estimate_rates(dataset, window=min(config.window, len(dataset)))[0]
@@ -443,10 +448,10 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
     )
     diffusion_net = mlp_init(MLPConfig(13, 3, config.hidden_layers, config.hidden_width,
                                        seed=config.seed + 1))
-    targets = [
+    targets = np.array([
         augment_noise(dataset, config.noise_sigma, seed=config.seed + 1000 + k).states
         for k in range(config.trajectories)
-    ]
+    ])
     opts = {}
     if drift_net is not None:
         opts["drift"] = AdaBelief(drift_net.parameters(), lr=config.lr)
@@ -459,40 +464,31 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
         bound_drift = drift_net.bind(tape) if drift_net is not None else None
         bound_diff = diffusion_net.bind(tape)
         rng = np.random.default_rng(np.asarray((config.seed, epoch), dtype=np.uint64))
-        batch_losses = []
-        for j in range(config.batch):
-            idx = (epoch * config.batch + j) % config.trajectories
-            target = targets[idx]
-            dB = rng.normal(0.0, 1.0, size=(n_days, 3))
-            m = [tape.value(x) for x in dataset.states[0]]
-            sq_sum = None
-            for k in range(n_days):
-                rv = _rates_for_day(warm_rates, k)
-                v = dataset.measures[k]
-                if bound_drift is not None:
-                    dm = _neural_drift_tape(m, rv, v, bound_drift)
-                else:
-                    dm = kolmogorov_drift(m, rv)
-                sig = bound_diff.forward(_net_inputs(m, rv, v))
-                noise = []
-                for c in range(3):
-                    noise.append((max0(sig[c]) + max0(-sig[c])) * dB[k, c])
-                nmean = (noise[0] + noise[1] + noise[2]) * (1.0 / 3.0)
-                m = [m[c] + dm[c] + noise[c] - nmean for c in range(3)]
-                if min(mc.v for mc in m) < 0.0:
-                    m = [max0(mc) for mc in m]
-                    total = m[0] + m[1] + m[2]
-                    m = [mc / total for mc in m]
-                err = None
-                for c in range(3):
-                    e = square(m[c] - target[k + 1, c])
-                    err = e if err is None else err + e
-                sq_sum = err if sq_sum is None else sq_sum + err
-            batch_losses.append(sq_sum * (0.5 / n_days))
-        inv = 1.0 / config.batch
-        loss = batch_losses[0] * inv
-        for bl in batch_losses[1:]:
-            loss = loss + bl * inv
+        rows = [(epoch * config.batch + j) % config.trajectories for j in range(config.batch)]
+        target = targets[rows]
+        # one (days, 3) draw per trajectory, in batch order
+        dB = rng.normal(0.0, 1.0, size=(config.batch, n_days, 3))
+        m = tape.value(np.tile(dataset.states[0], (config.batch, 1)))
+        sq_sum = 0.0
+        for k in range(n_days):
+            rv = _rates_for_day(warm_rates, k)
+            v = dataset.measures[k]
+            cols = [m[:, c] for c in range(3)]
+            if bound_drift is not None:
+                dm = _neural_drift_tape(cols, rv, v, bound_drift)
+            else:
+                dm = kolmogorov_drift(cols, rv)
+            sig = bound_diff.forward(_net_inputs(cols, rv, v))
+            noise = absval(sig) * dB[:, k]
+            nmean = noise.sum(axis=-1, keepdims=True) * (1.0 / 3.0)
+            m = m + stack(dm) + noise - nmean
+            clamp = np.any(m.v < 0.0, axis=-1, keepdims=True)
+            if clamp.any():
+                # rows that left the simplex are clamped and renormalised
+                pos = max0(m)
+                m = where(clamp, pos / pos.sum(axis=-1, keepdims=True), m)
+            sq_sum = sq_sum + square(m - target[:, k + 1])
+        loss = sq_sum.sum() * (0.5 / n_days) * (1.0 / config.batch)
         if not math.isfinite(loss.v):
             raise TrainingDivergence(f"non-finite loss at epoch {epoch}", epoch)
         if loss.v > config.abort_threshold:
@@ -501,7 +497,7 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
         if bound_drift is not None:
             opts["drift"].step(bound_drift.grad_arrays())
         opts["diffusion"].step(bound_diff.grad_arrays())
-        history.append((epoch, 0.0, loss.v, loss.v))
+        history.append(HistoryRow(epoch, 0.0, loss.v, loss.v))
 
     model = SIRModel(drift_net, diffusion_net, warm_rates,
                      dataset.measures.copy(), dataset.states[0].copy())

@@ -1,10 +1,11 @@
 """Population-level orchestration: mean fields, costs, training, Nash probes.
 
-A game exposes episode rollouts that return a game cost (the agents' own
-objective) and a data discrepancy (distance between simulated states and
-observations). Training minimizes their weighted sum by backpropagating
-through the unrolled solver and applying AdaBelief updates to the shared
-networks -- one network per game, never per agent.
+A game exposes a batched rollout of all of an epoch's episodes that returns
+a game cost (the agents' own objective) and a data discrepancy (distance
+between simulated states and observations), both averaged over episodes.
+Training minimizes their weighted sum by backpropagating through the
+unrolled solver and applying AdaBelief updates to the shared networks --
+one network per game, never per agent.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "combined_loss",
     "train",
     "nash_gap",
+    "HistoryRow",
     "write_history_csv",
 ]
 
@@ -125,33 +127,45 @@ class GameInstance:
     """Interface a game implements to be trainable by :func:`train`.
 
     ``nets`` maps names to the shared networks being optimized.
-    ``episode_losses`` simulates one game on the tape and returns
-    ``(game_cost, data_loss)`` as Value nodes.
+    ``episode_losses`` rolls every episode of one epoch at once, one per
+    entry of ``episode_seeds``, as a single batched rollout on the tape
+    (arrays with a leading episode axis). It returns ``(game_cost,
+    data_loss)`` as 0-d Value nodes, each already averaged over episodes and
+    agents. Episode ``g`` must draw from its own RNG stream seeded with
+    ``episode_seeds[g]``, so results do not depend on the batch size.
     """
 
     def nets(self) -> dict[str, MLP]:
         raise NotImplementedError
 
     def episode_losses(self, tape: Tape, bound: dict[str, BoundMLP],
-                       episode_seed) -> tuple[Value, Value]:
+                       episode_seeds: list[tuple]) -> tuple[Value, Value]:
         raise NotImplementedError
 
 
 @dataclass
 class HistoryRow:
+    """One epoch's loss terms, stored as plain Python floats."""
+
     epoch: int
     game_cost: float
     data_loss: float
     total: float
 
+    def __post_init__(self):
+        self.epoch = int(self.epoch)
+        self.game_cost = float(self.game_cost)
+        self.data_loss = float(self.data_loss)
+        self.total = float(self.total)
+
 
 def train(game: GameInstance, config: TrainingConfig):
     """Optimize the game's shared networks on the combined loss.
 
-    Per epoch: roll ``games_per_epoch`` episodes on a fresh tape, average the
-    two loss terms over episodes (each episode already averages over its
-    agents), backpropagate once, and take a single AdaBelief step per network.
-    Episodes use deterministic per-(seed, epoch, game) RNG streams.
+    Per epoch: roll the ``games_per_epoch`` episodes as one batch on a fresh
+    tape, take the episode-averaged loss terms, backpropagate once, and take
+    a single AdaBelief step per network. Episodes use deterministic
+    per-(seed, epoch, game) RNG streams.
     """
     nets = game.nets()
     opts = {
@@ -161,18 +175,8 @@ def train(game: GameInstance, config: TrainingConfig):
     for epoch in range(config.epochs):
         tape = Tape()
         bound = {name: net.bind(tape) for name, net in nets.items()}
-        game_costs, data_losses = [], []
-        for g in range(config.games_per_epoch):
-            gc, dl = game.episode_losses(tape, bound, (config.seed, epoch, g))
-            game_costs.append(gc)
-            data_losses.append(dl)
-        inv = 1.0 / config.games_per_epoch
-        game_cost = game_costs[0] * inv
-        for gc in game_costs[1:]:
-            game_cost = game_cost + gc * inv
-        data_loss = data_losses[0] * inv
-        for dl in data_losses[1:]:
-            data_loss = data_loss + dl * inv
+        seeds = [(config.seed, epoch, g) for g in range(config.games_per_epoch)]
+        game_cost, data_loss = game.episode_losses(tape, bound, seeds)
         total = combined_loss(game_cost, data_loss, config.data_loss_weight)
         if not math.isfinite(total.v):
             raise TrainingDivergence(f"non-finite loss at epoch {epoch}", epoch)

@@ -3,7 +3,9 @@
 The networks play the role of learned drift and diffusion residuals. They are
 deliberately tiny (a handful of hidden layers, 8-32 units) because they are
 applied at every step of an unrolled differential-equation solve, which
-multiplies their effective capacity.
+multiplies their effective capacity. On the tape a network is one leaf per
+weight matrix and per bias vector, and a forward pass over a whole batch of
+agents or trajectories is one affine node plus one LipSwish node per layer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Value, lipswish
+from .autodiff import Tape, Value, affine, lipswish, stack
 
 __all__ = [
     "MLPConfig",
@@ -48,7 +50,7 @@ class MLP:
     """Affine layers with LipSwish hidden activations and a linear output.
 
     Parameters live in numpy arrays; tape-recorded evaluation goes through
-    :class:`BoundMLP`, which registers every parameter as a leaf node.
+    :class:`BoundMLP`, which registers every parameter array as a leaf node.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], config: MLPConfig):
@@ -92,7 +94,7 @@ def mlp_init(config: MLPConfig) -> MLP:
 
 
 class BoundMLP:
-    """A network's parameters registered as leaves of one tape.
+    """A network's parameter arrays registered as leaves of one tape.
 
     Binding once per training step lets several forward evaluations share the
     same parameter nodes, so ``backward`` accumulates their gradients in one
@@ -102,37 +104,38 @@ class BoundMLP:
     def __init__(self, net: MLP, tape: Tape):
         self.net = net
         self.tape = tape
-        self.wnodes = [
-            [[tape.value(w) for w in row] for row in layer] for layer in net.weights
-        ]
-        self.bnodes = [[tape.value(b) for b in layer] for layer in net.biases]
+        self.wnodes = [tape.value(w) for w in net.weights]
+        self.bnodes = [tape.value(b) for b in net.biases]
 
-    def forward(self, xs) -> list[Value]:
-        """Evaluate the network on a list of Value/float inputs."""
-        tape = self.tape
-        if len(xs) != self.net.config.input_dim:
+    def forward(self, xs) -> Value:
+        """Evaluate the network on inputs of shape (..., input_dim).
+
+        ``xs`` is a Value or an ndarray; a list of Values and floats is first
+        stacked along a new last axis. Returns a Value of shape (..., output_dim).
+        """
+        x = stack(xs) if isinstance(xs, (list, tuple)) else xs
+        shape = x.shape if isinstance(x, Value) else np.shape(x)
+        if not shape or shape[-1] != self.net.config.input_dim:
             raise ValueError(
-                f"expected {self.net.config.input_dim} inputs, got {len(xs)}"
+                f"expected {self.net.config.input_dim} inputs, got shape {shape}"
             )
-        acts = [tape.lift(x) for x in xs]
         last = len(self.wnodes) - 1
-        for li, (wl, bl) in enumerate(zip(self.wnodes, self.bnodes)):
-            nxt = [tape.affine(wrow, acts, b) for wrow, b in zip(wl, bl)]
+        for li, (w, b) in enumerate(zip(self.wnodes, self.bnodes)):
+            x = affine(x, w, b)
             if li != last:
-                nxt = [lipswish(h) for h in nxt]
-            acts = nxt
-        return acts
+                x = lipswish(x)
+        return x
 
     def grad_arrays(self) -> list[np.ndarray]:
         """Gradients in the same order/shape as ``MLP.parameters()``."""
         out = []
-        for wl, bl in zip(self.wnodes, self.bnodes):
-            out.append(np.array([[n.g for n in row] for row in wl]))
-            out.append(np.array([n.g for n in bl]))
+        for w, b in zip(self.wnodes, self.bnodes):
+            out.append(np.zeros(w.shape) + w.g)
+            out.append(np.zeros(b.shape) + b.g)
         return out
 
 
-def mlp_forward(net: MLP, xs, tape: Tape) -> list[Value]:
+def mlp_forward(net: MLP, xs, tape: Tape) -> Value:
     """One-shot tape-recorded forward pass (binds the parameters first)."""
     return net.bind(tape).forward(xs)
 

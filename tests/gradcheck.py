@@ -93,3 +93,28 @@ def gradcheck_program(prog, xs, h=1e-5):
 
     fd = [central_diff(as_float, xs, i, h) for i in range(len(xs))]
     return grads, fd
+
+
+def array_gradcheck(f, arrays, h=1e-6):
+    """Return (reverse-mode grads, finite-difference grads) of ``f`` per input array.
+
+    ``f`` maps its inputs to a scalar using only ops that are generic over
+    Value and ndarray, so the same function gives the tape gradient (on
+    leaves) and the float values the central differences are taken from.
+    """
+    arrays = [np.array(a, dtype=float) for a in arrays]
+    tape = ad.Tape()
+    leaves = [tape.value(a) for a in arrays]
+    tape.backward(f(*leaves))
+    grads = [np.zeros(leaf.shape) + leaf.g for leaf in leaves]
+    fds = []
+    for k, a in enumerate(arrays):
+        fd = np.zeros(a.shape)
+        for idx in np.ndindex(a.shape):
+            up = [x.copy() for x in arrays]
+            dn = [x.copy() for x in arrays]
+            up[k][idx] += h
+            dn[k][idx] -= h
+            fd[idx] = (float(f(*up)) - float(f(*dn))) / (2.0 * h)
+        fds.append(fd)
+    return grads, fds

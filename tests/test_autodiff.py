@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from mfgames import autodiff as ad
-from gradcheck import central_diff, eval_program, gradcheck_program, random_program, well_conditioned
+from gradcheck import (
+    array_gradcheck,
+    central_diff,
+    eval_program,
+    gradcheck_program,
+    random_program,
+    well_conditioned,
+)
 
 
 def test_square_via_mul():
@@ -170,27 +177,33 @@ def test_domain_errors():
 
 
 def test_affine_matches_scalar_built_dot():
+    # one batched affine node against the same dot products built from 0-d nodes
     rng = np.random.default_rng(3)
-    ws = rng.uniform(-1, 1, 5)
+    ws = rng.uniform(-1, 1, (2, 5))
     xs = rng.uniform(-1, 1, 5)
-    b = 0.37
+    bs = [0.37, -0.2]
 
     t1 = ad.Tape()
-    wn = [t1.value(w) for w in ws]
-    xn = [t1.value(x) for x in xs]
-    out1 = t1.affine(wn, xn, t1.value(b))
-    t1.backward(out1)
-    g1 = [n.g for n in wn + xn]
+    w, x, b = t1.value(ws), t1.value(xs), t1.value(bs)
+    out1 = ad.affine(x, w, b)
+    t1.backward(out1.sum())
 
     t2 = ad.Tape()
-    wn2 = [t2.value(w) for w in ws]
-    xn2 = [t2.value(x) for x in xs]
-    out2 = ad.vdot(wn2, xn2) + t2.value(b)
-    t2.backward(out2)
-    g2 = [n.g for n in wn2 + xn2]
+    wn = [[t2.value(v) for v in row] for row in ws]
+    xn = [t2.value(v) for v in xs]
+    bn = [t2.value(v) for v in bs]
+    outs = []
+    for row, bias in zip(wn, bn):
+        acc = bias
+        for wi, xi in zip(row, xn):
+            acc = acc + wi * xi
+        outs.append(acc)
+    t2.backward(outs[0] + outs[1])
 
-    assert out1.v == pytest.approx(out2.v, rel=1e-15)
-    assert g1 == pytest.approx(g2, rel=1e-12)
+    np.testing.assert_allclose(out1.v, [o.v for o in outs], rtol=1e-15)
+    np.testing.assert_allclose(w.g, [[n.g for n in row] for row in wn], rtol=1e-12)
+    np.testing.assert_allclose(x.g, [n.g for n in xn], rtol=1e-12)
+    np.testing.assert_allclose(b.g, [n.g for n in bn], rtol=1e-12)
 
 
 def test_absval_from_max0():
@@ -219,3 +232,67 @@ def test_float_fallbacks_match_node_values():
         x = float(rng.uniform(-2, 2))
         tape = ad.Tape()
         assert fn(x) == fn(tape.value(x)).v
+
+
+# -- array ops ---------------------------------------------------------------
+
+_RNG = np.random.default_rng(31)
+_ORDER = np.argsort(_RNG.uniform(size=(3, 5)), axis=1)
+_MASK = _RNG.uniform(size=(3, 4)) < 0.5
+
+ARRAY_CASES = {
+    # weights (2, 4), biases (2,), inputs (3, 4): one batched affine node
+    "affine": (lambda w, b, x: ad.tanh(ad.affine(x, w, b)).sum(),
+               [(2, 4), (2,), (3, 4)]),
+    "affine_4d_input": (lambda w, b, x: ad.square(ad.affine(x, w, b)).sum(),
+                        [(2, 4), (2,), (2, 3, 4)]),
+    # (3, 1) column against a (4,) row and a 0-d scalar
+    "broadcast_add": (lambda a, b, c: ad.sigmoid(a + b + c).sum(), [(3, 1), (4,), ()]),
+    "broadcast_mul": (lambda a, b, c: (a * b * c - b / (ad.square(a) + 1.0)).sum(),
+                      [(3, 1), (4,), ()]),
+    "sum_axis": (lambda x: ad.square(x.sum(axis=1)).sum() + ad.tanh(x.mean(axis=0)).sum(),
+                 [(3, 4)]),
+    "sum_keepdims": (lambda x: (x / x.sum(axis=1, keepdims=True)).sum()
+                     + ad.square(x).mean(), [(3, 4)]),
+    # gather by a row-wise permutation, then a single picked column per row
+    "take_along_axis": (lambda x: (ad.take_along_axis(x, _ORDER, axis=1)
+                                   * np.arange(5.0)).sum()
+                        + ad.square(ad.take_along_axis(x, _ORDER[:, 2:3], axis=1)).sum(),
+                        [(3, 5)]),
+    "take_repeated_index": (lambda x: ad.square(
+        ad.take_along_axis(x, np.array([[0, 0, 2]]), axis=1)).sum(), [(1, 4)]),
+    "where_mask": (lambda a, b: ad.square(ad.where(_MASK, a, b * 2.0)).sum(), [(3, 4), (3, 4)]),
+    "where_broadcast": (lambda a: ad.tanh(ad.where(_MASK, a, 0.5)).sum(), [(3, 1)]),
+    "stack": (lambda a, b: ad.square(ad.stack([a, b, 0.3]) * np.arange(1.0, 4.0)).sum(),
+              [(2, 3), (3,)]),
+    "getitem": (lambda x: (ad.square(x[:, 1:]) * x[..., 0:1]).sum(), [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_array_op_gradients_match_finite_differences(name):
+    f, shapes = ARRAY_CASES[name]
+    rng = np.random.default_rng(sorted(ARRAY_CASES).index(name))
+    arrays = [rng.uniform(0.2, 1.5, size=s) for s in shapes]
+    grads, fds = array_gradcheck(f, arrays)
+    for g, fd in zip(grads, fds):
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+
+def test_array_domain_checks_cover_every_element():
+    tape = ad.Tape()
+    with pytest.raises(ValueError):
+        ad.log(tape.value([1.0, 2.0, -1e-300]))
+    with pytest.raises(ZeroDivisionError):
+        tape.value([1.0, 2.0]) / tape.value([3.0, 0.0])
+    with pytest.raises(ZeroDivisionError):
+        tape.value([1.0, 2.0]) / np.array([3.0, 0.0])
+    with pytest.raises(ZeroDivisionError):
+        1.0 / tape.value([0.0, 1.0])
+
+
+def test_batched_ops_are_one_node_each():
+    tape = ad.Tape()
+    x = tape.value(np.ones((10, 64)))
+    y = ad.lipswish(x * 2.0 + 1.0).sum()
+    assert len(tape) == 5 and y.shape == ()

@@ -91,12 +91,13 @@ class QuadraticToy(GameInstance):
     def nets(self):
         return self._nets
 
-    def episode_losses(self, tape, bound, episode_seed):
-        x = tape.value(0.0)
+    def episode_losses(self, tape, bound, episode_seeds):
+        # one state per episode, rolled as a batch; the toy is noiseless
+        x = tape.value(np.zeros(len(episode_seeds)))
         for k in range(self.n_steps):
-            mu = bound["drift"].forward([k * self.dt, x])[0]
+            mu = bound["drift"].forward([k * self.dt, x])[..., 0]
             x = x + mu * self.dt
-        return ad.square(x - 1.0), tape.value(0.0)
+        return ad.square(x - 1.0).mean(), tape.value(0.0)
 
     def terminal_state(self):
         tape = ad.Tape()
@@ -122,6 +123,15 @@ def test_train_quadratic_toy_reaches_target():
     _, history = train(game, TrainingConfig(epochs=500, games_per_epoch=1))
     assert abs(game.terminal_state() - 1.0) < 0.05
     assert history[-1].total < history[0].total
+
+
+def test_train_batches_episodes_and_records_plain_floats():
+    # identical noiseless episodes: the batch average equals one episode
+    one = train(QuadraticToy(seed=2), TrainingConfig(epochs=3, games_per_epoch=1))[1]
+    many = train(QuadraticToy(seed=2), TrainingConfig(epochs=3, games_per_epoch=4))[1]
+    for a, b in zip(one, many):
+        assert b.total == pytest.approx(a.total, rel=1e-12)
+        assert all(type(v) is float for v in (b.game_cost, b.data_loss, b.total))
 
 
 def test_train_divergence_abort():
