@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .games import dice as dice_mod
 from .games import elfarol as elfarol_mod
 from .games import meeting as meeting_mod
 from .games import sir as sir_mod
-from .mfg import TrainingConfig, TrainingDivergence, write_history_csv
+from .mfg import TrainingConfig, TrainingDivergence, float_cells, write_csv, write_history_csv
 from .nets import save_checkpoint
 from .sde import IntegrationError
 
@@ -144,19 +144,20 @@ def _sha256(path: Path) -> str:
 
 
 def emit_histogram(path, per_turn_values: list[np.ndarray]) -> None:
-    """Long-format plot data ``turn,value,weight``; weights per turn sum to 1."""
+    """Long-format plot data ``turn,value,weight``; weights per turn sum to 1.
+
+    Values and weights are ``repr`` floats and rows end in ``\\r\\n``; see
+    :func:`mfgames.mfg.write_csv`, which writes one turn at a time.
+    """
     if not per_turn_values:
         raise ValueError("no trajectories to emit")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["turn", "value", "weight"])
-        for turn, values in enumerate(per_turn_values, start=1):
-            values = np.asarray(values, dtype=float)
-            if values.size == 0:
-                raise ValueError(f"turn {turn} has no values")
-            w = 1.0 / values.size
-            for v in values:
-                writer.writerow([turn, repr(float(v)), repr(w)])
+    for turn, values in enumerate(per_turn_values, start=1):
+        if np.size(values) == 0:
+            raise ValueError(f"turn {turn} has no values")
+    write_csv(path, ["turn", "value", "weight"], (
+        zip(repeat(str(turn)), float_cells(values), repeat(repr(1.0 / np.size(values))))
+        for turn, values in enumerate(per_turn_values, start=1)
+    ))
 
 
 def _config(cls, **kwargs):
@@ -245,39 +246,40 @@ def _run_sir(args, params, out: Path) -> list[Path]:
     dataset = sir_mod.ingest_csv(args.data, population=params["population"])
     window = min(params["window"], len(dataset))
     rates, _warn = sir_mod.estimate_rates(dataset, window=window)
-    epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS["sir"]
-    cfg = _config(
-        sir_mod.SIRTrainingConfig,
-        epochs=int(epochs), trajectories=params["trajectories"],
-        batch=params["batch"], lr=params["lr"], seed=args.seed,
-        window=window, hidden_layers=params["layers"], hidden_width=params["width"],
-    )
-    model, history = sir_mod.train_sir(dataset, cfg, warm_rates=rates)
-    traj = sir_mod.forecast(model, dataset.states[0], len(dataset) - 1, dataset.measures)
+    days = len(dataset) - 1
+    written = []
+    if args.mode == "standard":
+        # the pure rate equation driven by the daily fitted rates
+        traj = sir_mod.integrate_kolmogorov(dataset.states[0], rates, days)
+    else:
+        epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS["sir"]
+        cfg = _config(
+            sir_mod.SIRTrainingConfig,
+            epochs=int(epochs), trajectories=params["trajectories"],
+            batch=params["batch"], lr=params["lr"], seed=args.seed,
+            window=window, hidden_layers=params["layers"], hidden_width=params["width"],
+        )
+        model, history = sir_mod.train_sir(dataset, cfg, warm_rates=rates)
+        traj = sir_mod.forecast(model, dataset.states[0], days, dataset.measures)
+        write_history_csv(out / "loss_history.csv", history)
+        written.append(out / "loss_history.csv")
+        for name, net in (("drift", model.drift_net), ("diffusion", model.diffusion_net)):
+            if net is not None:
+                p = out / f"checkpoint_{name}.json"
+                save_checkpoint(net, p)
+                written.append(p)
 
+    dates = [date.isoformat() for date in dataset.dates]
     rates_path = out / "rates.csv"
-    with open(rates_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "gamma", "rho", "pi"])
-        for date, rv in zip(dataset.dates, rates):
-            writer.writerow([date.isoformat(), repr(rv.gamma), repr(rv.rho), repr(rv.pi)])
+    write_csv(rates_path, ["date", "gamma", "rho", "pi"], [
+        [(d, repr(rv.gamma), repr(rv.rho), repr(rv.pi)) for d, rv in zip(dates, rates)]
+    ])
     forecast_path = out / "forecast.csv"
-    with open(forecast_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "m_S", "m_I", "m_R", "source"])
-        for date, row in zip(dataset.dates, dataset.states):
-            writer.writerow([date.isoformat()] + [repr(float(x)) for x in row] + ["observed"])
-        for date, row in zip(dataset.dates, traj):
-            writer.writerow([date.isoformat()] + [repr(float(x)) for x in row] + ["predicted"])
-    written = [rates_path, forecast_path]
-    write_history_csv(out / "loss_history.csv", history)
-    written.append(out / "loss_history.csv")
-    for name, net in (("drift", model.drift_net), ("diffusion", model.diffusion_net)):
-        if net is not None:
-            p = out / f"checkpoint_{name}.json"
-            save_checkpoint(net, p)
-            written.append(p)
-    return written
+    write_csv(forecast_path, ["date", "m_S", "m_I", "m_R", "source"], [
+        [(d, *float_cells(row), source) for d, row in zip(dates, states)]
+        for states, source in ((dataset.states, "observed"), (traj, "predicted"))
+    ])
+    return [rates_path, forecast_path] + written
 
 
 def _run_dice(args, params, out: Path) -> list[Path]:

@@ -11,7 +11,7 @@ bluff rate and is updated once per round.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..autodiff import Tape, max0, square
-from ..mfg import TrainingConfig
+from ..mfg import TrainingConfig, write_csv
 from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "estimate_occurrences",
     "bid_probability",
     "player_turn",
+    "deal",
     "play_round",
     "round_cost",
     "is_legal_successor",
@@ -143,8 +144,9 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
                     theta_hat: np.ndarray, others_count: int) -> float:
     """P[total occurrences >= quantity]; unseen dice ~ Binomial(others, belief).
 
-    Exact binomial tail accumulated with the term recurrence, so no special
-    functions are required.
+    Exact binomial tail from the term recurrence of :func:`_binomial_terms`,
+    so no special functions are required: the tail terms summed in order of
+    k, divided by that sum plus the running sum of the terms below ``need``.
     """
     need = quantity - int(own_counts[face - 1])
     if need <= 0:
@@ -156,21 +158,35 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
         return 0.0
     if p >= 1.0:
         return 1.0
-    q = 1.0 - p
-    n = others_count
-    term = q**n
-    if term == 0.0:
-        return _binomial_tail_log_space(need, n, p)
-    total = 0.0
-    cumulative = 0.0
-    for k in range(0, n + 1):
-        if k >= need:
-            total += term
-        else:
-            cumulative += term
-        term *= (n - k) / (k + 1) * (p / q)
-    norm = total + cumulative
+    terms = _binomial_terms(others_count, p)
+    if terms is None:
+        return _binomial_tail_log_space(need, others_count, p)
+    terms, running = terms
+    total = float(terms[need:].cumsum()[-1])
+    norm = total + float(running[need - 1])
     return total / norm if norm > 0 else 0.0
+
+
+@functools.lru_cache(maxsize=256)
+def _binomial_terms(n: int, p: float):
+    """The n + 1 terms of Binomial(n, p) and their running sums, or None.
+
+    term 0 is q**n and term k + 1 is term k times (n - k) / (k + 1) * (p / q).
+    Both come from sequential ``cumprod``/``cumsum`` (not pairwise sums), so
+    they equal a loop that multiplies and adds one term at a time, bit for
+    bit. None when q**n underflows to zero. Within a round every player
+    asks about the same few (n, p); the cache is bounded because neural
+    players each hold their own beliefs.
+    """
+    q = 1.0 - p
+    first = q**n
+    if first == 0.0:
+        return None
+    k = np.arange(n)
+    terms = np.cumprod(np.concatenate(([first], (n - k) / (k + 1.0) * (p / q))))
+    running = np.cumsum(terms)
+    terms.flags.writeable = running.flags.writeable = False  # shared by every caller
+    return terms, running
 
 
 def _binomial_tail_log_space(need: int, n: int, p: float) -> float:
@@ -213,16 +229,27 @@ def player_turn(state: PlayerState, prev_bid: Bid, config: DiceConfig, rng):
     return Bid(face, quantity)
 
 
+def deal(n_players: int, config: DiceConfig, rng) -> np.ndarray:
+    """Face counts of every player's roll, shape (players, faces).
+
+    One ``rng.random((players, dice))`` draw mapped through the face CDF: the
+    same dice, and the same generator state afterwards, as one
+    ``rng.choice(faces, dice, p=theta)`` call per player in turn.
+    """
+    cdf = np.asarray(config.theta, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    faces = cdf.searchsorted(rng.random((n_players, config.dice_per_player)), side="right")
+    return (faces[..., None] == np.arange(config.n_faces)).sum(axis=1)
+
+
 def play_round(players: list[PlayerState], config: DiceConfig, rng) -> RoundOutcome:
     """Deal dice, rotate turns from player 0's opening bid until a challenge."""
     if len(players) < 2:
         raise ValueError("a round needs at least two players")
-    faces = np.arange(1, config.n_faces + 1)
-    theta = np.asarray(config.theta, dtype=float)
-    for pl in players:
-        rolls = rng.choice(faces, size=config.dice_per_player, p=theta)
-        pl.dice = np.bincount(rolls, minlength=config.n_faces + 1)[1:]
-    revealed = np.sum([pl.dice for pl in players], axis=0)
+    counts = deal(len(players), config, rng)
+    for pl, row in zip(players, counts):
+        pl.dice = row
+    revealed = counts.sum(axis=0)
 
     others = config.total_dice - config.dice_per_player
     est = estimate_occurrences(1, players[0].dice, players[0].theta_hat, others)
@@ -299,10 +326,12 @@ def _pooled_target(pooled_counts: np.ndarray, config: DiceConfig) -> np.ndarray:
 
 def _mfg_belief_update(players: list[PlayerState], target: np.ndarray,
                        config: DiceConfig) -> None:
-    for pl in players:
-        th = pl.theta_hat + config.belief_rate * (target - pl.theta_hat)
-        th = np.clip(th, config.belief_floor, None)
-        pl.theta_hat = th / th.sum()
+    """Pull every belief towards the target as one (players, faces) array."""
+    theta = np.array([pl.theta_hat for pl in players])
+    th = np.clip(theta + config.belief_rate * (target - theta), config.belief_floor, None)
+    th /= th.sum(axis=1, keepdims=True)
+    for pl, row in zip(players, th):
+        pl.theta_hat = row
 
 
 def _neural_round_update(players, target, outcome, config: DiceConfig,
@@ -424,29 +453,31 @@ def analyze(records: list[RoundRecord]) -> dict:
 
 
 def write_round_history(path, records: list[RoundRecord]) -> None:
-    """CSV ``round,player,turn,face,quantity,action`` over all recorded rounds."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "player", "turn", "face", "quantity", "action"])
-        idx = 0
-        for rec in records:
-            for turn, (player, action) in enumerate(rec.outcome.turns):
-                if isinstance(action, Bid):
-                    writer.writerow([idx, player, turn, action.face, action.quantity, "bid"])
-                else:
-                    writer.writerow([idx, player, turn, "", "", "challenge"])
-            idx += 1
+    """CSV ``round,player,turn,face,quantity,action`` over all recorded rounds.
+
+    A challenge leaves ``face`` and ``quantity`` empty; rows end in
+    ``\\r\\n`` (see :func:`mfgames.mfg.write_csv`, one round per write).
+    """
+    def rows(idx, rec):
+        for turn, (player, action) in enumerate(rec.outcome.turns):
+            if isinstance(action, Bid):
+                yield (str(idx), str(player), str(turn), str(action.face),
+                       str(action.quantity), "bid")
+            else:
+                yield str(idx), str(player), str(turn), "", "", "challenge"
+
+    write_csv(path, ["round", "player", "turn", "face", "quantity", "action"],
+              (rows(idx, rec) for idx, rec in enumerate(records)))
 
 
 def write_analysis_csv(path, summary: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "key", "mean", "std"])
-        writer.writerow(["game_length", "", repr(summary["game_length_mean"]),
-                         repr(summary["game_length_std"])])
-        writer.writerow(["challenge_correct_ratio", "",
-                         repr(summary["challenge_correct_ratio"]), repr(0.0)])
-        writer.writerow(["lambda_final", "", repr(summary["lam_final_mean"]),
-                         repr(summary["lam_final_std"])])
-        for dice, (mean, std) in summary["kl_by_dice"].items():
-            writer.writerow(["kl_at_dice", dice, repr(mean), repr(std)])
+    """CSV ``metric,key,mean,std`` of :func:`analyze`; ``repr`` floats, ``\\r\\n`` rows."""
+    rows = [
+        ("game_length", "", repr(summary["game_length_mean"]),
+         repr(summary["game_length_std"])),
+        ("challenge_correct_ratio", "", repr(summary["challenge_correct_ratio"]), repr(0.0)),
+        ("lambda_final", "", repr(summary["lam_final_mean"]), repr(summary["lam_final_std"])),
+    ]
+    rows += [("kl_at_dice", str(dice), repr(mean), repr(std))
+             for dice, (mean, std) in summary["kl_by_dice"].items()]
+    write_csv(path, ["metric", "key", "mean", "std"], [rows])

@@ -10,13 +10,13 @@ observed attendance-rate series and develops more heterogeneous strategies.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from ..autodiff import Tape, Value, clip01, max0, square, stack
-from ..mfg import GameInstance, TrainingConfig, train
+from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -255,10 +255,14 @@ def simulate_neural(config: BarConfig, nets: dict[str, MLP],
 
 
 def write_history(path, states: list[BarState]) -> None:
-    """CSV ``turn,agent,p,went`` with turns numbered from 1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["turn", "agent", "p", "went"])
-        for turn, st in enumerate(states, start=1):
-            for agent, (pi, wi) in enumerate(zip(st.p, st.went)):
-                writer.writerow([turn, agent, repr(float(pi)), int(wi)])
+    """CSV ``turn,agent,p,went`` with turns numbered from 1.
+
+    ``p`` is a ``repr`` float, ``went`` is 0 or 1, and rows end in
+    ``\\r\\n``; see :func:`mfgames.mfg.write_csv`, which writes one turn at
+    a time.
+    """
+    write_csv(path, ["turn", "agent", "p", "went"], (
+        zip(repeat(str(turn)), map(str, range(len(st.p))), float_cells(st.p),
+            map(str, np.asarray(st.went, dtype=int).tolist()))
+        for turn, st in enumerate(states, start=1)
+    ))

@@ -12,14 +12,14 @@ samples.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from ..autodiff import Tape, Value, absval, max0, sigmoid, square, stack, take_along_axis, where
-from ..mfg import GameInstance, HistoryRow, TrainingConfig, train
+from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 from ..sde import BrownianPath, SDEProblem, TimeGrid, integrate
 
@@ -180,6 +180,9 @@ class MeetingGame(GameInstance):
         if not observations or any(len(o) == 0 for o in observations):
             raise ValueError("observations must be nonempty")
         self.observations = [np.sort(np.asarray(o, dtype=float)) for o in observations]
+        # quantile-matched targets of the ranked arrivals, one per observation set
+        levels = (np.arange(config.n_agents) + 0.5) / config.n_agents
+        self._targets = [np.quantile(obs, levels) for obs in self.observations]
         net_cfg = lambda k: MLPConfig(3, 1, hidden_layers, hidden_width, seed=net_seed + k)
         self._nets = {"drift": mlp_init(net_cfg(0)), "diffusion": mlp_init(net_cfg(1))}
 
@@ -195,14 +198,12 @@ class MeetingGame(GameInstance):
         c = self.config
         n = c.n_agents
         grid = _grid(c)
-        tau0, eps, dB, targets = [], [], [], []
+        tau0, eps, dB = [], [], []
         for seed in episode_seeds:
             rng = np.random.default_rng(np.asarray(seed, dtype=np.uint64))
             tau0.append(rng.normal(c.init_mean, c.init_std, n))
             eps.append(rng.normal(0.0, c.noise_std, n))
             dB.append(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n)))
-            obs = self.observations[int(seed[-1]) % len(self.observations)]
-            targets.append(np.quantile(obs, (np.arange(n) + 0.5) / n))
         eps = np.array(eps)
         dB = np.stack(dB, axis=1)  # (steps, games, agents)
         k = int(math.ceil(c.quorum * n))
@@ -228,6 +229,7 @@ class MeetingGame(GameInstance):
         ts_T, tts_T = start_node(x)
         game_cost = terminal_cost(tts_T, c.scheduled, ts_T).mean()
         ranked = take_along_axis(tts_T, np.argsort(tts_T.v, axis=1, kind="stable"), axis=1)
+        targets = [self._targets[int(seed[-1]) % len(self._targets)] for seed in episode_seeds]
         data_loss = square(ranked - np.array(targets)).mean()
         return game_cost, data_loss
 
@@ -273,10 +275,13 @@ def simulate_neural(config: MeetingConfig, nets: dict[str, MLP],
 
 
 def write_history(path, states: list[ArrivalState]) -> None:
-    """CSV ``turn,agent,tau,tau_tilde`` with turns numbered from 1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["turn", "agent", "tau", "tau_tilde"])
-        for turn, st in enumerate(states, start=1):
-            for agent, (tau, tt) in enumerate(zip(st.tau, st.tau_tilde)):
-                writer.writerow([turn, agent, repr(float(tau)), repr(float(tt))])
+    """CSV ``turn,agent,tau,tau_tilde`` with turns numbered from 1.
+
+    Times are ``repr`` floats and rows end in ``\\r\\n``; see
+    :func:`mfgames.mfg.write_csv`, which writes one turn at a time.
+    """
+    write_csv(path, ["turn", "agent", "tau", "tau_tilde"], (
+        zip(repeat(str(turn)), map(str, range(len(st.tau))),
+            float_cells(st.tau), float_cells(st.tau_tilde))
+        for turn, st in enumerate(states, start=1)
+    ))

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..autodiff import Tape, absval, max0, square, stack, where
-from ..mfg import HistoryRow, TrainingDivergence
+from ..mfg import HistoryRow, TrainingDivergence, write_csv
 from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -238,12 +237,10 @@ def write_dataset_csv(dataset: EpidemicDataset, path) -> None:
     """Emit a dataset with raw counts back into the ingest schema."""
     if dataset.raw is None:
         raise ValueError("dataset carries no raw counts to serialize")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for date, counts, levels in zip(dataset.dates, dataset.raw, dataset.measures):
-            writer.writerow([date.isoformat()] + [int(c) for c in counts]
-                            + [int(x) for x in levels])
+    write_csv(path, CSV_HEADER, [
+        [(date.isoformat(), *(str(int(c)) for c in counts), *(str(int(x)) for x in levels))
+         for date, counts, levels in zip(dataset.dates, dataset.raw, dataset.measures)]
+    ])
 
 
 def make_measure_schedule(days: int, seed: int = 0, n_active: int = 3) -> np.ndarray:
@@ -362,6 +359,10 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
     window. Candidate rates are clamped at zero inside the objective. Returns
     the per-day series and a non-convergence warning flag per day.
     """
+    # imported here: scipy.optimize takes about 0.5 s to import, and only
+    # this fit needs it
+    from scipy.optimize import minimize
+
     n = len(dataset)
     if n < window:
         raise ValueError(f"dataset length {n} shorter than window {window}")

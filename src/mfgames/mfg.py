@@ -10,7 +10,6 @@ one network per game, never per agent.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -34,6 +33,8 @@ __all__ = [
     "nash_gap",
     "HistoryRow",
     "write_history_csv",
+    "write_csv",
+    "float_cells",
 ]
 
 
@@ -216,11 +217,32 @@ def nash_gap(cost_fn: Callable, states: np.ndarray, probe_agent: int,
     return gap
 
 
-def write_history_csv(path, history: list[HistoryRow]) -> None:
+def float_cells(values) -> list[str]:
+    """CSV cells of ``values`` as Python floats: ``repr``, the shortest round trip."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write a CSV file: the header row, then each block of rows in order.
+
+    A block is an iterable of rows, each a sequence of cell strings; it is
+    joined into one string and written with one ``write``, so a file is held
+    in memory one block (one turn, one round) at a time, never whole.
+
+    The bytes are those ``csv.writer`` writes in its default dialect: cells
+    joined by ``,``, every row ended by ``\\r\\n``, nothing quoted. Cells are
+    therefore numbers and fixed words, never ``,``, ``"`` or a line break;
+    floats are written as ``repr(float)`` (see :func:`float_cells`), ints as
+    ``str(int)``. The golden content hashes in the tests pin this format.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "game_cost", "data_loss", "total"])
-        for row in history:
-            writer.writerow(
-                [row.epoch, repr(row.game_cost), repr(row.data_loss), repr(row.total)]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fh.write("".join([",".join(row) + "\r\n" for row in block]))
+
+
+def write_history_csv(path, history: list[HistoryRow]) -> None:
+    """CSV ``epoch,game_cost,data_loss,total``, one row per epoch."""
+    rows = [(str(r.epoch), repr(r.game_cost), repr(r.data_loss), repr(r.total))
+            for r in history]
+    write_csv(path, ["epoch", "game_cost", "data_loss", "total"], [rows])

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfgames import cli
@@ -31,8 +37,10 @@ rounds_per_game = 2
 """
 
 
-@pytest.fixture
-def inputs(tmp_path):
+GOLDEN_HASHES = Path(__file__).parent / "golden" / "content_hashes.json"
+
+
+def write_inputs(tmp_path):
     config = tmp_path / "tiny.ini"
     config.write_text(TINY)
     data = tmp_path / "sir.csv"
@@ -41,6 +49,11 @@ def inputs(tmp_path):
     )
     sir.write_dataset_csv(dataset, data)
     return {"config": str(config), "data": str(data), "tmp": tmp_path}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    return write_inputs(tmp_path)
 
 
 def _run(inputs, *argv, out="out"):
@@ -105,3 +118,73 @@ def test_same_seed_same_content_hash_and_float_loss_cells(inputs, game, mode):
                 for cell in row.split(","):
                     float(cell)
     assert hashes[0] == hashes[1]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, mfgames.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def _manifest(inputs, out):
+    return json.loads((inputs["tmp"] / out / "manifest.json").read_text())
+
+
+def test_sir_standard_forecasts_with_the_rate_equation(inputs):
+    argv = ("sir", "--seed", "5", "--config", "{config}", "--data", "{data}")
+    assert _run(inputs, *argv, "--mode", "standard", out="standard") == 0
+    assert _run(inputs, *argv, "--mode", "neural", "--epochs", "1", out="neural") == 0
+    standard = _manifest(inputs, "standard")
+    assert sorted(standard["outputs"]) == ["forecast.csv", "rates.csv"]
+    assert standard["content_hash"] != _manifest(inputs, "neural")["content_hash"]
+
+    dataset = sir.ingest_csv(inputs["data"], population=1_000_000)
+    rates, _warn = sir.estimate_rates(dataset, window=5)
+    want = sir.integrate_kolmogorov(dataset.states[0], rates, len(dataset) - 1)
+    rows = (inputs["tmp"] / "standard" / "forecast.csv").read_text().splitlines()[1:]
+    got = [[float(c) for c in row.split(",")[1:4]] for row in rows if row.endswith("predicted")]
+    assert np.array_equal(np.array(got), want)
+
+
+# Every game x mode on the TINY config, as in the determinism test above,
+# plus standard runs large enough to write many rows per turn and many rounds.
+HASH_CASES = {
+    f"{game}-{mode}": (game, "--mode", mode, "--seed", "5", "--epochs", "2",
+                       "--config", "{config}") + (("--data", "{data}") if game == "sir" else ())
+    for game in cli.GAMES for mode in cli.MODES
+}
+HASH_CASES["dice-standard-20-players-200-rounds"] = (
+    "dice", "--mode", "standard", "--seed", "5", "--players", "20", "--rounds", "200")
+HASH_CASES["dice-neural-10-players-40-rounds"] = (
+    "dice", "--mode", "neural", "--seed", "5", "--players", "10", "--rounds", "40")
+HASH_CASES["meeting-standard-500-agents"] = (
+    "meeting", "--mode", "standard", "--seed", "5", "--agents", "500")
+HASH_CASES["elfarol-standard-500-agents"] = (
+    "elfarol", "--mode", "standard", "--seed", "5", "--agents", "500")
+
+
+def _content_hash(inputs, name):
+    assert _run(inputs, *HASH_CASES[name], out=name) == 0
+    return _manifest(inputs, name)["content_hash"]
+
+
+@pytest.mark.parametrize("name", sorted(HASH_CASES))
+def test_outputs_match_golden_content_hashes(inputs, name):
+    golden = json.loads(GOLDEN_HASHES.read_text())["content_hash"]
+    assert _content_hash(inputs, name) == golden[name]
+
+
+if __name__ == "__main__":
+    # Record golden hashes: PYTHONPATH=src python3 tests/test_cli.py [CASE ...]
+    # (all cases by default). Re-record only a case whose output is meant to change.
+    names = sys.argv[1:] or sorted(HASH_CASES)
+    golden = json.loads(GOLDEN_HASHES.read_text()) if GOLDEN_HASHES.exists() else {}
+    hashes = golden.setdefault("content_hash", {})
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_inputs(Path(tmp))
+        for name in names:
+            hashes[name] = _content_hash(inputs, name)
+    golden["content_hash"] = dict(sorted(hashes.items()))
+    GOLDEN_HASHES.write_text(json.dumps(golden, indent=1) + "\n")

@@ -9,9 +9,11 @@ from mfgames.games.dice import (
     DiceConfig,
     PlayerState,
     bid_probability,
+    deal,
     is_legal_successor,
     play_round,
 )
+from mfgames.mfg import TrainingConfig
 from mfgames.nets import AdaBelief, MLPConfig, mlp_init
 
 
@@ -65,8 +67,6 @@ def test_neural_update_keeps_beliefs_on_simplex_and_bids_legal():
 
 
 def test_neural_training_records_legal_games():
-    from mfgames.mfg import TrainingConfig
-
     config = DiceConfig(n_players=4, dice_per_player=3)
     net, records = dice.train_dice(config, TrainingConfig(epochs=1, seed=2), games=2,
                                    rounds_per_game=3, neural=True)
@@ -77,3 +77,96 @@ def test_neural_training_records_legal_games():
         assert rec.lam_mean >= 0.0 and math.isfinite(rec.kl)
     assert is_legal_successor(Bid(2, 3), Bid(2, 4))
     assert not is_legal_successor(Bid(2, 3), Bid(1, 4))
+
+
+def _reference_bid_probability(face, quantity, own_counts, theta_hat, others_count):
+    """The binomial tail as one Python loop over the term recurrence."""
+    need = quantity - int(own_counts[face - 1])
+    if need <= 0:
+        return 1.0
+    if need > others_count:
+        return 0.0
+    p = float(theta_hat[face - 1])
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    q = 1.0 - p
+    n = others_count
+    term = q**n
+    if term == 0.0:
+        return dice._binomial_tail_log_space(need, n, p)
+    total = 0.0
+    cumulative = 0.0
+    for k in range(0, n + 1):
+        if k >= need:
+            total += term
+        else:
+            cumulative += term
+        term *= (n - k) / (k + 1) * (p / q)
+    norm = total + cumulative
+    return total / norm if norm > 0 else 0.0
+
+
+UNFAIR = (0.05, 0.1, 0.15, 0.2, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("theta", [(1 / 6,) * 6, UNFAIR], ids=["fair", "unfair"])
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_batched_deal_matches_per_player_choice(theta, seed):
+    config = DiceConfig(n_players=30, dice_per_player=15, theta=theta)
+    batched, per_player = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = deal(config.n_players, config, batched)
+    faces = np.arange(1, config.n_faces + 1)
+    for row in counts:
+        rolls = per_player.choice(faces, size=config.dice_per_player, p=np.asarray(theta))
+        assert np.array_equal(row, np.bincount(rolls, minlength=config.n_faces + 1)[1:])
+    assert batched.bit_generator.state == per_player.bit_generator.state
+    assert counts.shape == (config.n_players, config.n_faces)
+    assert np.all(counts.sum(axis=1) == config.dice_per_player)
+
+
+def test_memoised_bid_probability_equals_reference_loop():
+    dice._binomial_terms.cache_clear()
+    own = np.array([2, 0, 1, 0, 3, 0])
+    checked = 0
+    for n in (1, 2, 29, 435, 1000, 4100, 6000):
+        for p in (1e-3, 0.1, 1 / 6, 0.3, 0.5, 0.9):
+            theta = np.full(6, (1.0 - p) / 5.0)
+            theta[2] = p
+            for need in sorted({1, 2, int(n * p), int(n * p) + 1, n // 2, n - 1, n, n + 1}):
+                for face in (3, 1):
+                    quantity = need + int(own[face - 1])
+                    got = bid_probability(face, quantity, own, theta, n)
+                    want = _reference_bid_probability(face, quantity, own, theta, n)
+                    assert got == want, (n, p, need, face)
+                    assert type(got) is float
+                    checked += 1
+    assert (5.0 / 6.0) ** 4100 == 0.0  # the log-space fallback is in the grid
+    assert dice._binomial_terms.cache_info().hits > 0 and checked > 500
+
+
+def test_tail_cache_stays_bounded_over_neural_training():
+    dice._binomial_terms.cache_clear()
+    config = DiceConfig(n_players=20, dice_per_player=8, bluff0=0.5)
+    dice.train_dice(config, TrainingConfig(epochs=1, seed=4, lr=0.05), games=10,
+                    rounds_per_game=10, neural=True)
+    info = dice._binomial_terms.cache_info()
+    assert info.misses > info.maxsize  # every neural player holds its own beliefs
+    assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("faces", [6, 11])
+def test_batched_belief_update_matches_per_player_loop(faces):
+    config = DiceConfig(n_players=9, n_faces=faces, theta=(1 / faces,) * faces,
+                        belief_rate=0.7)
+    rng = np.random.default_rng(faces)
+    beliefs = rng.dirichlet(np.ones(faces), size=config.n_players)
+    beliefs[0, 1] = 0.0  # exercises the floor
+    beliefs[0] /= beliefs[0].sum()
+    players = [PlayerState(b, 0.0) for b in beliefs]
+    target = dice._pooled_target(rng.integers(0, 40, faces).astype(float), config)
+    dice._mfg_belief_update(players, target, config)
+    for pl, b in zip(players, beliefs):
+        th = np.clip(b + config.belief_rate * (target - b), config.belief_floor, None)
+        assert np.array_equal(pl.theta_hat, th / th.sum())

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from mfgames.mfg import (
     combined_loss,
     empirical_mean_field,
     evaluate_cost,
+    float_cells,
     nash_gap,
     train,
+    write_csv,
     write_history_csv,
 )
 from mfgames.nets import MLPConfig, mlp_init
@@ -187,3 +191,22 @@ def test_history_csv(tmp_path):
     # epochs logged in increasing order
     epochs = [int(l.split(",")[0]) for l in lines[1:]]
     assert epochs == sorted(epochs)
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    values = np.array([0.1, -0.0, 1e-300, -2.5e16, 12.000000000000002, np.inf, np.nan, 3.0])
+    blocks = [
+        [("1", str(i), cell, "") for i, cell in enumerate(float_cells(values))],
+        [],
+        [("2", "0", repr(float(values[0])), "challenge")],
+    ]
+    write_csv(tmp_path / "bulk.csv", ["turn", "agent", "value", "note"], blocks)
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["turn", "agent", "value", "note"])
+        for i, v in enumerate(values):
+            writer.writerow([1, i, repr(float(v)), ""])
+        writer.writerow([2, 0, repr(float(values[0])), "challenge"])
+    bulk = (tmp_path / "bulk.csv").read_bytes()
+    assert bulk == (tmp_path / "rows.csv").read_bytes()
+    assert bulk.count(b"\r\n") == 10 and b"np.float64" not in bulk
