@@ -163,6 +163,14 @@ HASH_CASES["meeting-standard-500-agents"] = (
     "meeting", "--mode", "standard", "--seed", "5", "--agents", "500")
 HASH_CASES["elfarol-standard-500-agents"] = (
     "elfarol", "--mode", "standard", "--seed", "5", "--agents", "500")
+# neural runs at realistic batch shapes, trained and untrained
+HASH_CASES.update({
+    f"{game}-neural-200-agents": (game, "--mode", "neural", "--seed", "5",
+                                  "--agents", "200", "--epochs", "2")
+    for game in ("meeting", "elfarol")
+})
+HASH_CASES["meeting-neural-3000-agents-untrained"] = (
+    "meeting", "--mode", "neural", "--seed", "5", "--agents", "3000", "--epochs", "0")
 
 
 def _content_hash(inputs, name):
@@ -178,10 +186,15 @@ def test_outputs_match_golden_content_hashes(inputs, name):
 
 if __name__ == "__main__":
     # Record golden hashes: PYTHONPATH=src python3 tests/test_cli.py [CASE ...]
-    # (all cases by default). Re-record only a case whose output is meant to change.
-    names = sys.argv[1:] or sorted(HASH_CASES)
+    # With no CASE, only the cases missing from the file are recorded; an
+    # existing hash is re-recorded only when named, i.e. when its output is
+    # meant to change.
     golden = json.loads(GOLDEN_HASHES.read_text()) if GOLDEN_HASHES.exists() else {}
     hashes = golden.setdefault("content_hash", {})
+    names = sys.argv[1:] or sorted(set(HASH_CASES) - set(hashes))
+    unknown = sorted(set(names) - set(HASH_CASES))
+    if unknown:
+        sys.exit(f"unknown case: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(Path(tmp))
         for name in names:
