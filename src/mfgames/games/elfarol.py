@@ -11,6 +11,7 @@ observed attendance-rate series and develops more heterogeneous strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -147,19 +148,47 @@ def generate_attendance_observations(n_points: int = 10, series_len: int = 10,
     return out
 
 
+def _rollout(config: BarConfig, p0, rngs, drift=None) -> list[tuple]:
+    """The intention dynamics from ``p0``; one (p, went, a, mean p) per turn.
+
+    ``p`` has shape (episodes, agents), one row per generator in ``rngs``, and
+    is an ndarray or a tape Value: training runs this on the tape, inference
+    and the standard game on plain arrays. Each turn samples attendance, then
+    moves p by the best-response drift plus, given a drift network's forward
+    function, its residual on (t, p_i, a, went_i), and clamps to [0, 1]. The
+    realized attendance ``a`` has shape (episodes, 1).
+    """
+    c = config
+    p = p0
+    turns = []
+    for turn in range(c.turns):
+        draws = [sample_attendance(row, rng)
+                 for row, rng in zip(p.v if isinstance(p, Value) else p, rngs)]
+        went = np.array([bits for bits, _a in draws])
+        a = np.array([[a_g] for _bits, a_g in draws])
+        turns.append((p, went, a, p.mean(axis=1)))
+        if turn == c.turns - 1:
+            break
+        b = best_response_drift(p, a, c.threshold, c.drift_gain)
+        if drift is None:
+            p = clip01(p + b)
+        else:
+            t = turn + 1.0
+            mu = drift([t / c.turns, p, a, went * 1.0])[..., 0]
+            p = clip01(p + b + mu)
+    return turns
+
+
+def _states(turns) -> list[BarState]:
+    """Per-turn snapshots of a single-episode rollout."""
+    return [BarState(p[0].copy(), went[0], float(a[0, 0])) for p, went, a, _m in turns]
+
+
 def run_standard(config: BarConfig, seed: int = 0) -> list[BarState]:
     """Deterministic dynamics (no Brownian term); one snapshot per turn."""
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.0, config.init_high, config.n_agents)
-    states = []
-    for turn in range(config.turns):
-        went, a = sample_attendance(p, rng)
-        states.append(BarState(p.copy(), went, a))
-        if turn == config.turns - 1:
-            break
-        drift = best_response_drift(p, a, config.threshold, config.drift_gain)
-        p = np.clip(p + drift, 0.0, 1.0)
-    return states
+    p = rng.uniform(0.0, config.init_high, (1, config.n_agents))
+    return _states(_rollout(config, p, [rng]))
 
 
 def probe_cost(p_profile: np.ndarray, i: int, config: BarConfig) -> float:
@@ -201,25 +230,15 @@ class BarGame(GameInstance):
         series = self.observations[
             [int(seed[-1]) % self.observations.shape[0] for seed in episode_seeds]
         ]
-        p = tape.value(np.array([rng.uniform(0.0, c.init_high, n) for rng in rngs]))
-        attendance: list[Value] = []
-        for turn in range(c.turns):
-            draws = [sample_attendance(row, rng) for row, rng in zip(p.v, rngs)]
-            went = np.array([bits for bits, _a in draws])
-            a = np.array([[a_g] for _bits, a_g in draws])
-            attendance.append(p.mean(axis=1))
-            if turn == c.turns - 1:
-                break
-            t = turn + 1.0
-            b = best_response_drift(p, a, c.threshold, c.drift_gain)
-            mu = bound["drift"].forward([t / c.turns, p, a, went * 1.0])[..., 0]
-            p = clip01(p + b + mu)
-
+        p0 = tape.value(np.array([rng.uniform(0.0, c.init_high, n) for rng in rngs]))
+        turns = _rollout(c, p0, rngs, bound["drift"].forward)
+        p, went, a, _m = turns[-1]
         game_cost = bar_cost(p, a, c.threshold, went).mean()
         # observed rate series aligned with the final monitored turns, so the
         # data pull and the terminal game cost act on the same stretch
-        k = min(series.shape[1], len(attendance))
-        data_loss = square(stack(attendance[-k:]) - series[:, -k:]).mean()
+        k = min(series.shape[1], len(turns))
+        attendance = stack([m for *_rest, m in turns[-k:]])
+        data_loss = square(attendance - series[:, -k:]).mean()
         return game_cost, data_loss
 
 
@@ -233,25 +252,10 @@ def run_neural(config: BarConfig, observations: np.ndarray,
 
 def simulate_neural(config: BarConfig, nets: dict[str, MLP],
                     seed: int = 0) -> list[BarState]:
-    """Roll the trained dynamics forward without a tape."""
+    """Roll the trained dynamics forward on plain arrays (no tape)."""
     rng = np.random.default_rng(seed)
-    n = config.n_agents
-    p = rng.uniform(0.0, config.init_high, n)
-    states = []
-    for turn in range(config.turns):
-        went, a = sample_attendance(p, rng)
-        states.append(BarState(p.copy(), went, a))
-        if turn == config.turns - 1:
-            break
-        t = turn + 1.0
-        feats = np.stack(
-            [np.full(n, t / config.turns), p, np.full(n, a), went.astype(float)],
-            axis=1,
-        )
-        b = best_response_drift(p, a, config.threshold, config.drift_gain)
-        mu = mlp_forward_np(nets["drift"], feats)[:, 0]
-        p = np.clip(p + b + mu, 0.0, 1.0)
-    return states
+    p = rng.uniform(0.0, config.init_high, (1, config.n_agents))
+    return _states(_rollout(config, p, [rng], partial(mlp_forward_np, nets["drift"])))
 
 
 def write_history(path, states: list[BarState]) -> None:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
-from ..autodiff import Tape, Value, absval, max0, sigmoid, square, stack, take_along_axis, where
+from ..autodiff import Tape, Value, max0, sigmoid, square, stack, take_along_axis, where
 from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 from ..sde import BrownianPath, SDEProblem, TimeGrid, integrate
@@ -69,15 +70,24 @@ class ArrivalState:
     tau_tilde: np.ndarray
 
 
-def actual_start(tau_tilde, s: float, quorum: float) -> float:
-    """Start time: the quorum-th order statistic of arrivals, never before s."""
-    tt = np.asarray(tau_tilde, dtype=float)
-    n = tt.shape[0]
+def actual_start(tau_tilde, s: float, quorum: float):
+    """Start time: the quorum-th order statistic of arrivals, never before s.
+
+    Generic over the last axis: arrivals of shape (..., agents), an ndarray
+    or a tape Value, give start times of shape (..., 1). The order statistic
+    comes from an O(n) partition; on the tape the subgradient reaches the
+    quorum agent only when it is the binding side (and among exactly tied
+    arrivals, whichever one the partition places there).
+    """
+    tt = tau_tilde if isinstance(tau_tilde, Value) else np.asarray(tau_tilde, dtype=float)
+    n = tt.shape[-1] if tt.shape else 0
     if n < 1:
         raise ValueError("need at least one arrival")
     k = int(math.ceil(quorum * n))
-    kth = np.partition(tt, k - 1)[k - 1]
-    return max(s, float(kth))
+    idx = np.argpartition(tt.v if isinstance(tt, Value) else tt, k - 1, axis=-1)
+    kth = take_along_axis(tt, idx[..., k - 1:k], axis=-1)
+    # max(s, kth), exact in value
+    return where((kth.v if isinstance(kth, Value) else kth) > s, kth, s)
 
 
 def terminal_cost(tau_tilde_i, s, ts_tilde):
@@ -135,6 +145,47 @@ def _grid(config: MeetingConfig) -> TimeGrid:
     return TimeGrid(1.0, float(config.turns), config.turns - 1)
 
 
+def _rollout(config: MeetingConfig, tau0, eps, dB, nets=None) -> list:
+    """The arrival dynamics from ``tau0``; the state at every turn.
+
+    States have shape (..., agents) and are ndarrays or tape Values: training
+    runs this on the tape, inference and the standard game on plain arrays.
+    ``nets`` maps "drift" and "diffusion" to forward functions on the features
+    (t, tau, start); each step is then x + (b + mu) dt + |sigma| dB. Without
+    them it is the standard game's x + b dt + sigma dB, and ``dB`` of None
+    switches the noise off.
+    """
+    c = config
+
+    def mean_field(_k, t, x):
+        # actual arrivals, start time and features, built once per step and
+        # shared by the base drift and both networks
+        tts = x + eps
+        ts = actual_start(tts, c.scheduled, c.quorum)
+        feats = None if nets is None else stack(
+            [t / c.turns, (x - c.scheduled) * 0.2, (ts - c.scheduled) * 0.2])
+        return tts, ts, feats
+
+    def drift(_t, _x, mf, _ctrl):
+        tts, ts, _feats = mf
+        return best_response_drift(tts, c.scheduled, ts, c.drift_gain, c.smoothing)
+
+    if nets is None:
+        problem = SDEProblem(drift, fixed_diffusion=lambda *_: c.sigma)
+    else:
+        problem = SDEProblem(
+            drift,
+            neural_drift=lambda _t, _x, mf, _ctrl: nets["drift"](mf[2])[..., 0],
+            neural_diffusion=lambda _t, _x, mf, _ctrl: nets["diffusion"](mf[2])[..., 0],
+        )
+    path = None if dB is None else BrownianPath(dB)
+    return integrate(problem, tau0, _grid(c), path, mean_field_fn=mean_field)
+
+
+def _states(trajectory, eps) -> list[ArrivalState]:
+    return [ArrivalState(x.copy(), x + eps) for x in trajectory]
+
+
 def run_standard(config: MeetingConfig, seed: int = 0) -> list[ArrivalState]:
     """Simulate the predefined game; one snapshot per turn."""
     rng = np.random.default_rng(seed)
@@ -142,30 +193,14 @@ def run_standard(config: MeetingConfig, seed: int = 0) -> list[ArrivalState]:
     tau = rng.normal(config.init_mean, config.init_std, n)
     eps = rng.normal(0.0, config.noise_std, n) if config.noise_std > 0 else np.zeros(n)
     grid = _grid(config)
-    path = BrownianPath(
-        rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))
-        if config.sigma > 0 else np.zeros((grid.n_steps, n)),
-        seed,
-    )
-
-    def drift(t, x, mf, ctrl):
-        return best_response_drift(x + eps, config.scheduled, mf, config.drift_gain,
-                                   config.smoothing)
-
-    problem = SDEProblem(
-        base_drift=drift,
-        noise_dim=n,
-        fixed_diffusion=(lambda t, x, mf, ctrl: np.full(n, config.sigma))
-        if config.sigma > 0 else None,
-    )
-    mean_field = lambda k, t, x: actual_start(x + eps, config.scheduled, config.quorum)
-    traj = integrate(problem, tau, grid, path, mean_field_fn=mean_field)
-    return [ArrivalState(x.copy(), x + eps) for x in traj]
+    dB = (rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))
+          if config.sigma > 0 else None)
+    return _states(_rollout(config, tau, eps, dB), eps)
 
 
 def agent_cost(tau_tilde_profile: np.ndarray, i: int, config: MeetingConfig) -> float:
     """Terminal cost of agent i on a full profile of actual arrivals."""
-    ts = actual_start(tau_tilde_profile, config.scheduled, config.quorum)
+    ts = actual_start(tau_tilde_profile, config.scheduled, config.quorum)[0]
     return float(terminal_cost(float(tau_tilde_profile[i]), config.scheduled, ts))
 
 
@@ -189,10 +224,6 @@ class MeetingGame(GameInstance):
     def nets(self) -> dict[str, MLP]:
         return self._nets
 
-    def _features(self, t, tau, ts):
-        c = self.config
-        return [t / c.turns, (tau - c.scheduled) * 0.2, (ts - c.scheduled) * 0.2]
-
     def episode_losses(self, tape: Tape, bound, episode_seeds):
         """Roll all episodes as one (games, agents) batch; losses averaged over both."""
         c = self.config
@@ -206,27 +237,11 @@ class MeetingGame(GameInstance):
             dB.append(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n)))
         eps = np.array(eps)
         dB = np.stack(dB, axis=1)  # (steps, games, agents)
-        k = int(math.ceil(c.quorum * n))
+        nets = {name: b.forward for name, b in bound.items()}
+        x = _rollout(c, tape.value(np.array(tau0)), eps, dB, nets)[-1]
 
-        def start_node(x):
-            tts = x + eps
-            order = np.argsort(tts.v, axis=1, kind="stable")
-            kth = take_along_axis(tts, order[:, k - 1:k], axis=1)
-            # max(s, kth): value-exact branch; the subgradient picks the
-            # quorum agent only when it is the binding side
-            return where(kth.v > c.scheduled, kth, c.scheduled), tts
-
-        x = tape.value(np.array(tau0))
-        times = grid.times()
-        for step in range(grid.n_steps):
-            ts, tts = start_node(x)
-            feats = stack(self._features(times[step], x, ts))
-            b = best_response_drift(tts, c.scheduled, ts, c.drift_gain, c.smoothing)
-            mu = bound["drift"].forward(feats)[..., 0]
-            sig = bound["diffusion"].forward(feats)[..., 0]
-            x = x + (b + mu) * grid.dt + absval(sig) * dB[step]
-
-        ts_T, tts_T = start_node(x)
+        tts_T = x + eps
+        ts_T = actual_start(tts_T, c.scheduled, c.quorum)
         game_cost = terminal_cost(tts_T, c.scheduled, ts_T).mean()
         ranked = take_along_axis(tts_T, np.argsort(tts_T.v, axis=1, kind="stable"), axis=1)
         targets = [self._targets[int(seed[-1]) % len(self._targets)] for seed in episode_seeds]
@@ -244,34 +259,15 @@ def run_neural(config: MeetingConfig, observations, training: TrainingConfig,
 
 def simulate_neural(config: MeetingConfig, nets: dict[str, MLP],
                     seed: int = 0) -> list[ArrivalState]:
-    """Roll the trained dynamics forward without a tape (numpy inference)."""
+    """Roll the trained dynamics forward on plain arrays (no tape)."""
     rng = np.random.default_rng(seed)
     n = config.n_agents
     tau = rng.normal(config.init_mean, config.init_std, n)
     eps = rng.normal(0.0, config.noise_std, n)
     grid = _grid(config)
     dB = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))
-    states = [ArrivalState(tau.copy(), tau + eps)]
-    times = grid.times()
-    for k in range(grid.n_steps):
-        t = times[k]
-        tt = tau + eps
-        ts = actual_start(tt, config.scheduled, config.quorum)
-        feats = np.stack(
-            [
-                np.full(n, t / config.turns),
-                (tau - config.scheduled) * 0.2,
-                np.full(n, (ts - config.scheduled) * 0.2),
-            ],
-            axis=1,
-        )
-        b = best_response_drift(tt, config.scheduled, ts, config.drift_gain,
-                                config.smoothing)
-        mu = mlp_forward_np(nets["drift"], feats)[:, 0]
-        sig = np.abs(mlp_forward_np(nets["diffusion"], feats)[:, 0])
-        tau = tau + (b + mu) * grid.dt + sig * dB[k]
-        states.append(ArrivalState(tau.copy(), tau + eps))
-    return states
+    forward = {name: partial(mlp_forward_np, net) for name, net in nets.items()}
+    return _states(_rollout(config, tau, eps, dB, forward), eps)
 
 
 def write_history(path, states: list[ArrivalState]) -> None:

@@ -15,6 +15,7 @@ import csv
 import datetime
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ __all__ = [
     "N_MEASURES",
     "CSV_HEADER",
     "kolmogorov_drift",
-    "neural_drift_np",
+    "neural_drift",
     "integrate_kolmogorov",
     "validate_measures",
     "ingest_csv",
@@ -110,32 +111,19 @@ def _net_inputs(m, rates: RateVector, v):
     return [m[0], m[1], m[2], rates.gamma, rates.rho, rates.pi] + [float(x) for x in v]
 
 
-def neural_drift_np(m: np.ndarray, rates: RateVector, v, net: MLP) -> np.ndarray:
-    """Drift with learned rate corrections and zero-sum state residuals."""
-    out = mlp_forward_np(net, np.array(_net_inputs(m, rates, v)))
-    g = max(rates.gamma + out[0], 0.0)
-    r = max(rates.rho + out[1], 0.0)
-    p = max(rates.pi + out[2], 0.0)
-    resid = out[3:6] - out[3:6].mean()
-    t_si = g * m[0] * m[1]
-    t_rec = r * m[1]
-    t_vac = p * m[0]
-    return np.array([-t_si - t_vac + resid[0],
-                     t_si - t_rec + resid[1],
-                     t_rec + t_vac + resid[2]])
+def neural_drift(m, rates: RateVector, v, forward):
+    """Drift with learned rate corrections and zero-sum state residuals.
 
-
-def _neural_drift_tape(m, rates: RateVector, v, bound):
-    """Tape-recorded counterpart of :func:`neural_drift_np`.
-
-    ``m`` holds the three compartment columns of a batch of states, each a
-    Value of shape (batch,); returns the three drift columns.
+    ``m`` holds the three compartments: a (3,) array, or the three columns of
+    a batch of states (arrays or tape Values of shape (batch,)). ``forward``
+    evaluates the drift network on its inputs. Returns the three drift
+    components, generic over plain arrays and Values.
     """
-    out = bound.forward(_net_inputs(m, rates, v))
+    out = forward(_net_inputs(m, rates, v))
     g = max0(out[..., 0] + rates.gamma)
     r = max0(out[..., 1] + rates.rho)
     p = max0(out[..., 2] + rates.pi)
-    mean_resid = (out[..., 3] + out[..., 4] + out[..., 5]) * (1.0 / 3.0)
+    mean_resid = (out[..., 3] + out[..., 4] + out[..., 5]) / 3.0
     r0 = out[..., 3] - mean_resid
     r1 = out[..., 4] - mean_resid
     r2 = out[..., 5] - mean_resid
@@ -476,7 +464,7 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
             v = dataset.measures[k]
             cols = [m[:, c] for c in range(3)]
             if bound_drift is not None:
-                dm = _neural_drift_tape(cols, rv, v, bound_drift)
+                dm = neural_drift(cols, rv, v, bound_drift.forward)
             else:
                 dm = kolmogorov_drift(cols, rv)
             sig = bound_diff.forward(_net_inputs(cols, rv, v))
@@ -525,10 +513,10 @@ def forecast(model: SIRModel, initial, days: int, v_series,
         rv = _rates_for_day(rates, k)
         v = v_series[k]
         if model.drift_net is not None:
-            dm = neural_drift_np(m, rv, v, model.drift_net)
+            dm = neural_drift(m, rv, v, partial(mlp_forward_np, model.drift_net))
         else:
-            dm = np.asarray(kolmogorov_drift(m, rv))
-        m = m + dm
+            dm = kolmogorov_drift(m, rv)
+        m = m + stack(dm)
         if rng is not None:
             sig = mlp_forward_np(model.diffusion_net, np.array(_net_inputs(m, rv, v)))
             m = m + _project_noise(sig, rng.normal(0.0, 1.0, 3))

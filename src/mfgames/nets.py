@@ -3,9 +3,11 @@
 The networks play the role of learned drift and diffusion residuals. They are
 deliberately tiny (a handful of hidden layers, 8-32 units) because they are
 applied at every step of an unrolled differential-equation solve, which
-multiplies their effective capacity. On the tape a network is one leaf per
-weight matrix and per bias vector, and a forward pass over a whole batch of
-agents or trajectories is one affine node plus one LipSwish node per layer.
+multiplies their effective capacity. One layer loop serves both plain arrays
+and the tape: on arrays it records nothing, while on the tape a network is
+one leaf per weight matrix and per bias vector, and a forward pass over a
+whole batch of agents or trajectories is one affine node plus one LipSwish
+node per layer.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "MLP",
     "BoundMLP",
     "mlp_init",
-    "mlp_forward",
     "mlp_forward_np",
     "AdaBelief",
     "save_checkpoint",
@@ -113,18 +114,7 @@ class BoundMLP:
         ``xs`` is a Value or an ndarray; a list of Values and floats is first
         stacked along a new last axis. Returns a Value of shape (..., output_dim).
         """
-        x = stack(xs) if isinstance(xs, (list, tuple)) else xs
-        shape = x.shape if isinstance(x, Value) else np.shape(x)
-        if not shape or shape[-1] != self.net.config.input_dim:
-            raise ValueError(
-                f"expected {self.net.config.input_dim} inputs, got shape {shape}"
-            )
-        last = len(self.wnodes) - 1
-        for li, (w, b) in enumerate(zip(self.wnodes, self.bnodes)):
-            x = affine(x, w, b)
-            if li != last:
-                x = lipswish(x)
-        return x
+        return _forward(xs, self.wnodes, self.bnodes, self.net.config.input_dim)
 
     def grad_arrays(self) -> list[np.ndarray]:
         """Gradients in the same order/shape as ``MLP.parameters()``."""
@@ -135,22 +125,28 @@ class BoundMLP:
         return out
 
 
-def mlp_forward(net: MLP, xs, tape: Tape) -> Value:
-    """One-shot tape-recorded forward pass (binds the parameters first)."""
-    return net.bind(tape).forward(xs)
+def mlp_forward_np(net: MLP, x) -> np.ndarray:
+    """Forward pass on plain arrays (or a list of them), recording nothing."""
+    return _forward(x, net.weights, net.biases, net.config.input_dim)
 
 
-def mlp_forward_np(net: MLP, x: np.ndarray) -> np.ndarray:
-    """Plain numpy forward pass, for inference paths that need no gradients."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != net.config.input_dim:
-        raise ValueError(f"expected {net.config.input_dim} inputs, got {x.shape[-1]}")
-    last = len(net.weights) - 1
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-        x = x @ w.T + b
+def _forward(x, weights, biases, input_dim: int):
+    """The layer loop: affine layers, LipSwish between them, linear output.
+
+    Generic over plain arrays and tape Values, so one loop serves
+    :func:`mlp_forward_np` and :meth:`BoundMLP.forward`. A list of inputs is
+    first stacked along a new last axis.
+    """
+    if isinstance(x, (list, tuple)):
+        x = stack(x)
+    shape = x.shape if isinstance(x, Value) else np.shape(x)
+    if not shape or shape[-1] != input_dim:
+        raise ValueError(f"expected {input_dim} inputs, got shape {shape}")
+    last = len(weights) - 1
+    for li, (w, b) in enumerate(zip(weights, biases)):
+        x = affine(x, w, b)
         if li != last:
-            s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-            x = x * s / 1.1
+            x = lipswish(x)
     return x
 
 

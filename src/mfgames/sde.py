@@ -1,15 +1,14 @@
-"""Fixed-step Euler-Maruyama integration, optionally recorded on an autodiff tape.
+"""Fixed-step Euler-Maruyama integration, generic over ndarrays and tape Values.
 
-The integrator is generic over the state representation: a numpy array gives a
-fast float path for plain simulation, while a list of ``Value`` nodes unrolls
-the whole solve onto a tape so that losses on the trajectory can be
+One loop serves plain simulation and training: given plain arrays it runs in
+numpy and records nothing, while a state that is an autodiff ``Value`` unrolls
+the whole solve onto its tape, so that losses on the trajectory can be
 backpropagated to any learned drift/diffusion parameters
 (discretize-then-optimize).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,7 +24,6 @@ __all__ = [
     "sample_brownian",
     "em_step",
     "integrate",
-    "export_trajectory_csv",
 ]
 
 
@@ -59,14 +57,9 @@ class TimeGrid:
 
 @dataclass
 class BrownianPath:
-    """Pre-sampled Wiener increments, one row per step, Normal(0, dt) entries."""
+    """Pre-sampled Wiener increments, one state-shaped row per step, Normal(0, dt)."""
 
-    increments: np.ndarray  # shape (n_steps, dim)
-    seed: int
-
-    @property
-    def dim(self) -> int:
-        return self.increments.shape[1] if self.increments.ndim == 2 else 0
+    increments: np.ndarray  # shape (n_steps, *state_shape)
 
 
 def sample_brownian(grid: TimeGrid, dim: int, seed: int) -> BrownianPath:
@@ -75,9 +68,8 @@ def sample_brownian(grid: TimeGrid, dim: int, seed: int) -> BrownianPath:
         raise ValueError("dim must be nonnegative")
     rng = np.random.default_rng(seed)
     if dim == 0 or grid.n_steps == 0:
-        return BrownianPath(np.zeros((grid.n_steps, dim)), seed)
-    inc = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim))
-    return BrownianPath(inc, seed)
+        return BrownianPath(np.zeros((grid.n_steps, dim)))
+    return BrownianPath(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim)))
 
 
 @dataclass
@@ -86,71 +78,43 @@ class SDEProblem:
 
     With the neural fields absent the dynamics are ``dx = b dt + sigma dB``;
     with them present, ``dx = (b + mu) dt + |sigma_theta| dB``. All callables
-    take ``(t, x, mean_field, control)`` and return a state-shaped sequence.
+    take ``(t, x, mean_field, control)`` and return a state-shaped array or
+    Value (or a scalar that broadcasts to one).
     """
 
     base_drift: Callable
-    noise_dim: int = 0
     fixed_diffusion: Optional[Callable] = None
     neural_drift: Optional[Callable] = None
     neural_diffusion: Optional[Callable] = None
 
 
-def _comp(x):
-    return x.v if isinstance(x, Value) else x
-
-
-def _check_finite(x, step: int):
-    if isinstance(x, np.ndarray):
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError(f"non-finite state at step {step}", step)
-    else:
-        for c in x:
-            if not np.isfinite(_comp(c)):
-                raise IntegrationError(f"non-finite state at step {step}", step)
-
-
-def em_step(x, t, dt, problem: SDEProblem, mean_field, control, dB, tape=None):
+def em_step(x, t, dt, problem: SDEProblem, mean_field, control, dB):
     """One Euler-Maruyama update: x + (b + mu) dt + |sigma| dB.
 
-    Nonnegativity of the learned noise scale is enforced by absolute value at
-    the point of use, keeping the network output scale-free.
+    Without a neural drift the update is x + b dt + sigma dB. Nonnegativity
+    of the learned noise scale is enforced by absolute value at the point of
+    use, keeping the network output scale-free. ``dB`` of None (or no
+    diffusion) drops the noise term.
     """
     b = problem.base_drift(t, x, mean_field, control)
     mu = problem.neural_drift(t, x, mean_field, control) if problem.neural_drift else None
-    if problem.neural_diffusion is not None:
-        sig = problem.neural_diffusion(t, x, mean_field, control)
-        sig = [absval(s) for s in sig] if not isinstance(sig, np.ndarray) else np.abs(sig)
-    elif problem.fixed_diffusion is not None:
-        sig = problem.fixed_diffusion(t, x, mean_field, control)
-    else:
-        sig = None
-
-    if isinstance(x, np.ndarray):
-        new = x + np.asarray(b) * dt
-        if mu is not None:
-            new = new + np.asarray(mu) * dt
-        if sig is not None and dB is not None:
-            new = new + np.asarray(sig) * dB
-        return new
-
-    new = []
-    for k, xk in enumerate(x):
-        upd = xk + b[k] * dt
-        if mu is not None:
-            upd = upd + mu[k] * dt
-        if sig is not None and dB is not None:
-            upd = upd + sig[k] * dB[k]
-        new.append(upd)
-    return new
+    sig = None
+    if dB is not None:
+        if problem.neural_diffusion is not None:
+            sig = absval(problem.neural_diffusion(t, x, mean_field, control))
+        elif problem.fixed_diffusion is not None:
+            sig = problem.fixed_diffusion(t, x, mean_field, control)
+    new = x + (b if mu is None else b + mu) * dt
+    return new if sig is None else new + sig * dB
 
 
 def integrate(problem: SDEProblem, x0, grid: TimeGrid, path: Optional[BrownianPath],
-              mean_field_fn=None, control_fn=None, tape=None):
+              mean_field_fn=None, control_fn=None):
     """Integrate over the grid, returning the state at every grid point.
 
     The mean field is recomputed from the current state before each step
-    (forward-in-time coupling, no lookahead). Errors carry the step index.
+    (forward-in-time coupling, no lookahead). A non-finite state raises
+    :class:`IntegrationError` carrying the step index.
     """
     if path is not None and path.increments.shape[0] not in (0, grid.n_steps):
         raise ValueError("Brownian path length does not match the grid")
@@ -162,21 +126,8 @@ def integrate(problem: SDEProblem, x0, grid: TimeGrid, path: Optional[BrownianPa
         mf = mean_field_fn(k, t, x) if mean_field_fn else None
         ctrl = control_fn(k, t, x) if control_fn else None
         dB = path.increments[k] if (path is not None and path.increments.size) else None
-        x = em_step(x, t, grid.dt, problem, mf, ctrl, dB, tape)
-        _check_finite(x, k)
+        x = em_step(x, t, grid.dt, problem, mf, ctrl, dB)
+        if not np.all(np.isfinite(x.v if isinstance(x, Value) else x)):
+            raise IntegrationError(f"non-finite state at step {k}", k)
         traj.append(x)
     return traj
-
-
-def export_trajectory_csv(path, grid: TimeGrid, trajectory, component_names) -> None:
-    """CSV with header ``t,<components...>``, one row per grid point."""
-    times = grid.times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(component_names))
-        for t, state in zip(times, trajectory):
-            if isinstance(state, np.ndarray):
-                row = [repr(float(c)) for c in state]
-            else:
-                row = [repr(float(_comp(c))) for c in state]
-            writer.writerow([repr(float(t))] + row)

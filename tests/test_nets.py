@@ -11,7 +11,6 @@ from mfgames.nets import (
     MLPConfig,
     load_checkpoint,
     lipswish,
-    mlp_forward,
     mlp_forward_np,
     mlp_init,
     save_checkpoint,
@@ -58,7 +57,7 @@ def test_fresh_net_maps_zero_to_zero():
     out = mlp_forward_np(net, np.zeros(3))
     assert np.allclose(out, 0.0)
     tape = ad.Tape()
-    nodes = mlp_forward(net, [0.0, 0.0, 0.0], tape)
+    nodes = net.bind(tape).forward([0.0, 0.0, 0.0])
     assert all(abs(n.v) < 1e-15 for n in nodes)
 
 
@@ -76,7 +75,7 @@ def test_forward_matches_numpy_path():
     net = mlp_init(MLPConfig(4, 3, 3, 8, seed=5))
     x = np.array([0.3, -1.2, 0.7, 2.0])
     tape = ad.Tape()
-    nodes = mlp_forward(net, list(x), tape)
+    nodes = net.bind(tape).forward(list(x))
     np_out = mlp_forward_np(net, x)
     assert [n.v for n in nodes] == pytest.approx(list(np_out), rel=1e-12)
 
@@ -145,7 +144,7 @@ def test_dimension_mismatch_rejected():
         mlp_forward_np(net, np.zeros(4))
     tape = ad.Tape()
     with pytest.raises(ValueError):
-        mlp_forward(net, [0.0, 0.0], tape)
+        net.bind(tape).forward([0.0, 0.0])
     with pytest.raises(ValueError):
         mlp_init(MLPConfig(0, 1, 3, 8))
 

@@ -11,7 +11,6 @@ from mfgames.sde import (
     SDEProblem,
     TimeGrid,
     em_step,
-    export_trajectory_csv,
     integrate,
     sample_brownian,
 )
@@ -79,7 +78,6 @@ def _gbm_strong_error(dt: float, n_paths: int = 200, mu=0.5, sigma=0.2) -> float
     grid = TimeGrid(0.0, 1.0, n_steps)
     problem = SDEProblem(
         base_drift=lambda t, x, mf, c: mu * x,
-        noise_dim=1,
         fixed_diffusion=lambda t, x, mf, c: sigma * x,
     )
     errs = []
@@ -112,7 +110,6 @@ def test_neural_terms_absent_equals_fixed_form():
     dB = rng.normal(size=3)
     problem = SDEProblem(
         base_drift=lambda t, x, mf, c: 0.3 * x,
-        noise_dim=3,
         fixed_diffusion=lambda t, x, mf, c: np.full(3, 0.2),
     )
     stepped = em_step(x.copy(), 0.0, 0.5, problem, None, None, dB)
@@ -137,12 +134,11 @@ def test_gradient_through_integrate_matches_fd():
     tape = ad.Tape()
     bound = net.bind(tape)
     problem = SDEProblem(
-        base_drift=lambda t, x, mf, c: [0.2 * xi for xi in x],
-        noise_dim=1,
-        fixed_diffusion=lambda t, x, mf, c: [0.3],
-        neural_drift=lambda t, x, mf, c: bound.forward([x[0]]),
+        base_drift=lambda t, x, mf, c: 0.2 * x,
+        fixed_diffusion=lambda t, x, mf, c: 0.3,
+        neural_drift=lambda t, x, mf, c: bound.forward(x),
     )
-    traj = integrate(problem, [tape.value(0.5)], grid, path, tape=tape)
+    traj = integrate(problem, tape.value([0.5]), grid, path)
     loss = ad.square(traj[-1][0])
     tape.backward(loss)
     grads = bound.grad_arrays()
@@ -171,16 +167,14 @@ def test_gradient_through_integrate_matches_fd():
 
 def test_neural_diffusion_uses_absolute_value():
     tape = ad.Tape()
-    net = mlp_init(MLPConfig(1, 1, 3, 8, seed=1))
     # force a negative diffusion output via a handcrafted callable
     problem = SDEProblem(
-        base_drift=lambda t, x, mf, c: [0.0],
-        noise_dim=1,
-        neural_diffusion=lambda t, x, mf, c: [tape.value(-2.0)],
+        base_drift=lambda t, x, mf, c: np.zeros(1),
+        neural_diffusion=lambda t, x, mf, c: tape.value([-2.0]),
     )
-    x = [tape.value(1.0)]
-    out = em_step(x, 0.0, 1.0, problem, None, None, np.array([0.5]), tape)
-    assert out[0].v == pytest.approx(1.0 + 2.0 * 0.5)
+    x = tape.value([1.0])
+    out = em_step(x, 0.0, 1.0, problem, None, None, np.array([0.5]))
+    assert out.v[0] == pytest.approx(1.0 + 2.0 * 0.5)
 
 
 def test_nonfinite_state_raises_with_step_index():
@@ -199,21 +193,8 @@ def test_lipschitz_dynamics_stay_finite():
         path = sample_brownian(grid, 1, seed=seed)
         problem = SDEProblem(
             base_drift=lambda t, x, mf, c: np.clip(-x, -10, 10),
-            noise_dim=1,
             fixed_diffusion=lambda t, x, mf, c: np.ones(1),
         )
         traj = integrate(problem, np.array([2.0]), grid, path)
         assert np.all(np.isfinite([s[0] for s in traj]))
 
-
-def test_trajectory_csv_export(tmp_path):
-    grid = TimeGrid(0.0, 1.0, 2)
-    problem = SDEProblem(base_drift=lambda t, x, mf, c: np.ones(2))
-    traj = integrate(problem, np.zeros(2), grid, None)
-    out = tmp_path / "traj.csv"
-    export_trajectory_csv(out, grid, traj, ["a", "b"])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,a,b"
-    assert len(lines) == 4
-    t, a, b = lines[-1].split(",")
-    assert float(t) == 1.0 and float(a) == pytest.approx(1.0)
