@@ -65,6 +65,9 @@ class RateVector:
     pi: float  # vaccination, 1/day
 
     def __post_init__(self):
+        # plain Python floats, so a rate prints as a float (not np.float64(...))
+        for name in ("gamma", "rho", "pi"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.gamma < 0 or self.rho < 0 or self.pi < 0:
             raise ValueError("rates must be nonnegative")
 

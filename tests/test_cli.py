@@ -117,6 +117,13 @@ def test_same_seed_same_content_hash_and_float_loss_cells(inputs, game, mode):
             for row in rows[1:]:
                 for cell in row.split(","):
                     float(cell)
+        rates = out / "rates.csv"
+        if rates.exists():
+            rows = rates.read_text().splitlines()
+            assert rows[0] == "date,gamma,rho,pi"
+            for row in rows[1:]:
+                for cell in row.split(",")[1:]:
+                    float(cell)
     assert hashes[0] == hashes[1]
 
 
