@@ -82,6 +82,15 @@ _PARAMS: dict[str, dict[str, tuple]] = {
     },
 }
 _DEFAULT_EPOCHS = {"meeting": 20, "elfarol": 20, "sir": 10, "dice": 0}
+# the parameters each game's subcommand also takes as a flag, typed by
+# _PARAMS; `run --game G` takes the flags of every game and rejects those G
+# does not take
+_FLAGS = {
+    "meeting": ("agents",),
+    "elfarol": ("agents", "threshold"),
+    "sir": ("trajectories", "population"),
+    "dice": ("players", "dice", "rounds", "lambda0", "theta"),
+}
 
 
 def _coerce(game: str, key: str, value) -> object:
@@ -119,21 +128,18 @@ def load_config_file(path: str, game: str) -> dict:
 
 
 def _params_for(game: str, file_cfg: dict, args: argparse.Namespace) -> dict:
+    stray = [key for g in GAMES for key in _FLAGS[g]
+             if key not in _FLAGS[game] and getattr(args, key, None) is not None]
+    if stray:
+        raise ConfigError(f"game '{game}' takes no --{stray[0]}")
     params = {k: d for k, (_t, d) in _PARAMS[game].items()}
     for key, value in file_cfg.items():
         if key in params:
             params[key] = value
-    flag_map = {
-        "meeting": {"agents": "agents"},
-        "elfarol": {"agents": "agents", "threshold": "threshold"},
-        "sir": {"population": "population", "trajectories": "trajectories"},
-        "dice": {"players": "players", "dice": "dice", "rounds": "rounds",
-                 "lambda0": "lambda0", "theta": "theta"},
-    }[game]
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for key in _FLAGS[game]:
+        value = getattr(args, key, None)
         if value is not None:
-            params[key] = _coerce(game, key, value)
+            params[key] = value
     return params
 
 
@@ -373,6 +379,13 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", default=None)
 
 
+def _add_flags(p: argparse.ArgumentParser, games) -> None:
+    """One typed flag per game parameter in ``_FLAGS``, once per name."""
+    flags = {key: _PARAMS[game][key][0] for game in games for key in _FLAGS[game]}
+    for key, typ in flags.items():
+        p.add_argument(f"--{key}", type=typ, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mfgames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -380,34 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run any game by name")
     run.add_argument("--game", required=True, choices=GAMES)
     _add_shared(run)
-    for flag in ("agents", "players", "dice", "rounds", "trajectories", "population"):
-        run.add_argument(f"--{flag}", type=int, default=None)
-    run.add_argument("--threshold", type=float, default=None)
-    run.add_argument("--lambda0", type=float, default=None)
-    run.add_argument("--theta", type=str, default=None)
+    _add_flags(run, GAMES)
 
-    meeting = sub.add_parser("meeting", help="meeting arrival-times game")
-    _add_shared(meeting)
-    meeting.add_argument("--agents", type=int, default=None)
-
-    elfarol = sub.add_parser("elfarol", help="El Farol bar game")
-    _add_shared(elfarol)
-    elfarol.add_argument("--agents", type=int, default=None)
-    elfarol.add_argument("--threshold", type=float, default=None)
-
-    sir = sub.add_parser("sir", help="SIR epidemic game")
-    _add_shared(sir)
-    sir.add_argument("--trajectories", type=int, default=None)
-    sir.add_argument("--population", type=int, default=None)
-
-    dice = sub.add_parser("dice", help="liar's dice game")
-    _add_shared(dice)
-    dice.add_argument("--players", type=int, default=None)
-    dice.add_argument("--dice", type=int, default=None)
-    dice.add_argument("--rounds", type=int, default=None)
-    dice.add_argument("--lambda0", type=float, default=None)
-    dice.add_argument("--theta", type=str, default=None)
-
+    helps = {"meeting": "meeting arrival-times game", "elfarol": "El Farol bar game",
+             "sir": "SIR epidemic game", "dice": "liar's dice game"}
+    for game in GAMES:
+        p = sub.add_parser(game, help=helps[game])
+        _add_shared(p)
+        _add_flags(p, (game,))
     return parser
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 

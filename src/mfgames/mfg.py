@@ -1,4 +1,4 @@
-"""Population-level orchestration: mean fields, costs, training, Nash probes.
+"""Population-level orchestration: training, loss histories, Nash probes, CSV output.
 
 A game exposes a batched rollout of all of an epoch's episodes that returns
 a game cost (the agents' own objective) and a data discrepancy (distance
@@ -11,8 +11,8 @@ one network per game, never per agent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,14 +20,9 @@ from .autodiff import Tape, Value
 from .nets import MLP, AdaBelief, BoundMLP
 
 __all__ = [
-    "PopulationState",
-    "MeanField",
-    "CostSpec",
     "TrainingConfig",
     "TrainingDivergence",
     "GameInstance",
-    "empirical_mean_field",
-    "evaluate_cost",
     "combined_loss",
     "train",
     "nash_gap",
@@ -44,57 +39,6 @@ class TrainingDivergence(RuntimeError):
     def __init__(self, message: str, epoch: int):
         super().__init__(message)
         self.epoch = epoch
-
-
-@dataclass
-class PopulationState:
-    """States of N agents at one instant; rows are agents."""
-
-    agents: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.agents = np.asarray(self.agents, dtype=float)
-        if self.agents.shape[0] < 1:
-            raise ValueError("population must contain at least one agent")
-        if not np.all(np.isfinite(self.agents)):
-            raise ValueError("population contains non-finite states")
-
-
-@dataclass
-class MeanField:
-    """Game-specific empirical summary of a population (fraction, vector, ...)."""
-
-    summary: object
-
-
-def empirical_mean_field(pop: PopulationState, reducer: Callable) -> MeanField:
-    """Deterministic reduction of the population into its mean-field summary."""
-    return MeanField(reducer(pop.agents))
-
-
-@dataclass
-class CostSpec:
-    """Running cost L and terminal cost G of an agent's objective."""
-
-    running_cost: Optional[Callable] = None  # (state, mean_field, control, obs) -> scalar
-    terminal_cost: Optional[Callable] = None  # (terminal state, terminal mean_field) -> scalar
-
-
-def evaluate_cost(spec: CostSpec, trajectory, mean_fields, dt: float,
-                  controls=None, observations=None):
-    """Discretized cost: sum_k (1/2) L_k dt (left Riemann) plus G at the end."""
-    if len(mean_fields) < len(trajectory):
-        raise ValueError("mean_fields shorter than trajectory")
-    total = 0.0
-    if spec.running_cost is not None:
-        for k in range(len(trajectory) - 1):
-            ctrl = controls[k] if controls is not None else None
-            lk = spec.running_cost(trajectory[k], mean_fields[k], ctrl, observations)
-            total = total + 0.5 * lk * dt
-    if spec.terminal_cost is not None:
-        total = total + spec.terminal_cost(trajectory[-1], mean_fields[len(trajectory) - 1])
-    return total
 
 
 def combined_loss(game_cost, data_discrepancy, w: float):

@@ -72,6 +72,8 @@ EXIT_CASES = [
     ("unknown config file", 2, ("meeting", "--config", "{tmp}/absent.ini")),
     ("missing data file", 3, ("sir", "--data", "{tmp}/absent.csv")),
     ("malformed data file", 3, ("sir", "--data", "{config}")),
+    ("run flag meeting does not take", 2, ("run", "--game", "meeting", "--players", "5")),
+    ("run flag dice does not take", 2, ("run", "--game", "dice", "--agents", "3")),
 ]
 
 
@@ -189,6 +191,15 @@ def _content_hash(inputs, name):
 def test_outputs_match_golden_content_hashes(inputs, name):
     golden = json.loads(GOLDEN_HASHES.read_text())["content_hash"]
     assert _content_hash(inputs, name) == golden[name]
+
+
+@pytest.mark.parametrize("name", [f"{game}-standard" for game in cli.GAMES]
+                         + ["elfarol-standard-500-agents", "dice-standard-20-players-200-rounds"])
+def test_run_game_equals_game_subcommand(inputs, name):
+    golden = json.loads(GOLDEN_HASHES.read_text())["content_hash"]
+    game, *rest = HASH_CASES[name]
+    assert _run(inputs, "run", "--game", game, *rest, out=name) == 0
+    assert _manifest(inputs, name)["content_hash"] == golden[name]
 
 
 if __name__ == "__main__":

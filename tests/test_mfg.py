@@ -5,15 +5,10 @@ import pytest
 
 from mfgames import autodiff as ad
 from mfgames.mfg import (
-    CostSpec,
     GameInstance,
-    MeanField,
-    PopulationState,
     TrainingConfig,
     TrainingDivergence,
     combined_loss,
-    empirical_mean_field,
-    evaluate_cost,
     float_cells,
     nash_gap,
     train,
@@ -21,60 +16,6 @@ from mfgames.mfg import (
     write_history_csv,
 )
 from mfgames.nets import MLPConfig, mlp_init
-
-
-def test_population_validation():
-    with pytest.raises(ValueError):
-        PopulationState(np.empty((0, 1)))
-    with pytest.raises(ValueError):
-        PopulationState(np.array([[np.inf]]))
-
-
-def test_mean_field_point_mass():
-    pop = PopulationState(np.full((10, 1), 5.0))
-    mf = empirical_mean_field(pop, lambda a: (a.mean(), a.var()))
-    assert mf.summary == (5.0, 0.0)
-
-
-def test_mean_field_attendance_fraction():
-    pop = PopulationState(np.array([[1.0], [0.0], [1.0], [0.0]]))
-    mf = empirical_mean_field(pop, lambda a: a.mean())
-    assert mf.summary == 0.5
-
-
-def test_mean_field_compartment_proportions():
-    labels = np.array([[0.0], [1.0], [1.0], [2.0]])
-    pop = PopulationState(labels)
-    mf = empirical_mean_field(
-        pop, lambda a: np.bincount(a.astype(int).ravel(), minlength=3) / a.shape[0]
-    )
-    assert mf.summary == pytest.approx([0.25, 0.5, 0.25])
-    assert mf.summary.sum() == pytest.approx(1.0)
-
-
-def test_mean_field_deterministic():
-    pop = PopulationState(np.random.default_rng(0).normal(size=(50, 2)))
-    r = lambda a: a.mean(axis=0)
-    assert np.array_equal(
-        empirical_mean_field(pop, r).summary, empirical_mean_field(pop, r).summary
-    )
-
-
-def test_evaluate_cost_null_game():
-    spec = CostSpec()
-    assert evaluate_cost(spec, [0.0, 1.0], [None, None], dt=0.5) == 0.0
-
-
-def test_evaluate_cost_terminal_only():
-    spec = CostSpec(terminal_cost=lambda x, mf: 3.0)
-    assert evaluate_cost(spec, [0.0, 1.0, 2.0], [None] * 3, dt=0.5) == 3.0
-
-
-def test_evaluate_cost_riemann_sum():
-    # L = 2 constant on [0, 1] with 10 steps -> 0.5 * 2 * 1 = 1.0
-    spec = CostSpec(running_cost=lambda x, mf, c, o: 2.0)
-    traj = list(np.linspace(0, 1, 11))
-    assert evaluate_cost(spec, traj, [None] * 11, dt=0.1) == pytest.approx(1.0)
 
 
 def test_combined_loss():
