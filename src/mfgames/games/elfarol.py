@@ -180,8 +180,8 @@ def _rollout(config: BarConfig, p0, rngs, drift=None) -> list[tuple]:
 
 
 def _states(turns) -> list[BarState]:
-    """Per-turn snapshots of a single-episode rollout."""
-    return [BarState(p[0].copy(), went[0], float(a[0, 0])) for p, went, a, _m in turns]
+    """Per-turn snapshots of a single-episode rollout (each p is a fresh array)."""
+    return [BarState(p[0], went[0], float(a[0, 0])) for p, went, a, _m in turns]
 
 
 def run_standard(config: BarConfig, seed: int = 0) -> list[BarState]:

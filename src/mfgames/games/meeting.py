@@ -183,7 +183,8 @@ def _rollout(config: MeetingConfig, tau0, eps, dB, nets=None) -> list:
 
 
 def _states(trajectory, eps) -> list[ArrivalState]:
-    return [ArrivalState(x.copy(), x + eps) for x in trajectory]
+    # every state of a rollout is a fresh array, so it is kept, not copied
+    return [ArrivalState(x, x + eps) for x in trajectory]
 
 
 def run_standard(config: MeetingConfig, seed: int = 0) -> list[ArrivalState]:
