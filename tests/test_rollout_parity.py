@@ -21,6 +21,10 @@ def _forwards(nets):
     return tape, on_tape, on_arrays
 
 
+def _rngs(n):
+    return [np.random.default_rng(seed) for seed in range(n)]
+
+
 @pytest.mark.parametrize("smoothing", [0.0, 0.6])
 @pytest.mark.parametrize("neural", [True, False])
 def test_meeting_rollout_on_tape_equals_rollout_on_arrays(neural, smoothing):
@@ -56,10 +60,6 @@ def test_elfarol_rollout_on_tape_equals_rollout_on_arrays():
     for (p_tape, went_tape, a_tape, _m), (p, went, a, _m2) in zip(taped, plain):
         assert np.array_equal(p_tape.v, p)
         assert np.array_equal(went_tape, went) and np.array_equal(a_tape, a)
-
-
-def _rngs(n):
-    return [np.random.default_rng(seed) for seed in range(n)]
 
 
 def test_sir_drift_on_tape_matches_drift_on_arrays():
