@@ -137,18 +137,23 @@ def neural_drift(m, rates: RateVector, v, forward):
 
 
 def integrate_kolmogorov(m0, rates, days: int) -> np.ndarray:
-    """Daily Euler integration of the pure rate equation; (days+1, 3) array."""
-    m = np.asarray(m0, dtype=float).copy()
-    out = [m.copy()]
+    """Daily Euler integration of the pure rate equation; (days+1, 3) array.
+
+    The three compartments step as Python floats, which on three numbers is
+    several times cheaper than numpy and rounds the same. ``max(x, 0.0)``
+    keeps NaN and -0.0, as ``np.clip`` does.
+    """
+    m = tuple(np.asarray(m0, dtype=float).tolist())
+    out = [m]
     for k in range(days):
         rv = rates[k] if isinstance(rates, (list, tuple)) else rates
-        dm = kolmogorov_drift(m, rv)
-        m = m + np.asarray(dm)
-        m = np.clip(m, 0.0, None)
-        s = m.sum()
-        if s > 0:
-            m = m / s
-        out.append(m.copy())
+        ds, di, dr = kolmogorov_drift(m, rv)
+        s, i, r = max(m[0] + ds, 0.0), max(m[1] + di, 0.0), max(m[2] + dr, 0.0)
+        total = s + i + r
+        if total > 0:
+            s, i, r = s / total, i / total, r / total
+        m = (s, i, r)
+        out.append(m)
     return np.array(out)
 
 
@@ -342,6 +347,61 @@ def augment_noise(dataset: EpidemicDataset, sigma: float, seed: int = 0) -> Epid
 # -- rate estimation -----------------------------------------------------------
 
 
+def _nelder_mead(f, x0, max_iter: int, xatol: float, fatol: float):
+    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex method.
+
+    Repeats scipy's non-adaptive, unbounded ``_minimize_neldermead`` op for
+    op (reflection 1, expansion 2, contraction 0.5, shrink 0.5; at most
+    ``max_iter`` iterations, no cap on evaluations), so it gives the same
+    iterates bit for bit. Returns ``(x, converged)``.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim])
+    for _ in range(2):  # scipy sorts twice here; argsort need not be stable on ties
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    iterations = 1
+    while iterations < max_iter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], iterations < max_iter
+
+
 def estimate_rates(dataset: EpidemicDataset, window: int = 28,
                    max_iter: int = 400) -> tuple[list[RateVector], list[bool]]:
     """Daily rates from a rolling Nelder-Mead MSE fit of the rate equation.
@@ -350,10 +410,6 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
     window. Candidate rates are clamped at zero inside the objective. Returns
     the per-day series and a non-convergence warning flag per day.
     """
-    # imported here: scipy.optimize takes about 0.5 s to import, and only
-    # this fit needs it
-    from scipy.optimize import minimize
-
     n = len(dataset)
     if n < window:
         raise ValueError(f"dataset length {n} shorter than window {window}")
@@ -371,10 +427,8 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
                 traj = integrate_kolmogorov(target[0], rv, window - 1)
                 return float(np.mean((traj - target) ** 2))
 
-            res = minimize(objective, x, method="Nelder-Mead",
-                           options={"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-14})
-            x = res.x
-            last_fit = (RateVector(*np.clip(res.x, 0.0, None)), not res.success)
+            x, converged = _nelder_mead(objective, x, max_iter, xatol=1e-8, fatol=1e-14)
+            last_fit = (RateVector(*np.clip(x, 0.0, None)), not converged)
         rates.append(last_fit[0])
         warnings.append(last_fit[1])
     return rates, warnings

@@ -137,6 +137,17 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_sir_standard_run_loads_no_scipy(inputs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["sir", "--mode", "standard", "--seed", "5", "--config", inputs["config"],
+            "--data", inputs["data"], "--out", str(inputs["tmp"] / "out")]
+    code = ("import sys; from mfgames import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "0 []"
+
+
 def _manifest(inputs, out):
     return json.loads((inputs["tmp"] / out / "manifest.json").read_text())
 

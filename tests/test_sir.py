@@ -9,6 +9,7 @@ from mfgames.games.sir import (
     EpidemicDataset,
     RateVector,
     SIRTrainingConfig,
+    _nelder_mead,
     augment_noise,
     estimate_rates,
     forecast,
@@ -85,6 +86,56 @@ def test_monotone_recovered_under_pure_model():
     traj = integrate_kolmogorov(np.array([0.9, 0.1, 0.0]), RateVector(0.3, 0.1, 0.02), 200)
     assert np.all(np.diff(traj[:, 2]) >= -1e-15)
     assert np.allclose(traj.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _integrate_kolmogorov_numpy(m0, rates, days):
+    """Reference: the rate equation stepped on (3,) arrays, as it was first written."""
+    m = np.asarray(m0, dtype=float).copy()
+    out = [m.copy()]
+    for k in range(days):
+        rv = rates[k] if isinstance(rates, (list, tuple)) else rates
+        dm = kolmogorov_drift(m, rv)
+        m = m + np.asarray(dm)
+        m = np.clip(m, 0.0, None)
+        s = m.sum()
+        if s > 0:
+            m = m / s
+        out.append(m.copy())
+    return np.array(out)
+
+
+INTEGRATE_CASES = {
+    "constant rates": ([0.9, 0.1, 0.0], RateVector(0.3, 0.1, 0.02), 60),
+    "per-day rates": ([0.97, 0.03, 0.0],
+                      [RateVector(0.2 + 0.01 * k, 0.1, 0.005 * (k % 3)) for k in range(30)], 30),
+    # one step takes S below zero, so the clamp acts before renormalising
+    "clamped compartment": ([0.6, 0.4, 0.0], RateVector(4.0, 0.1, 0.5), 5),
+    # the sum stays 0, so the state is never divided by it
+    "all-zero state": ([0.0, 0.0, 0.0], RateVector(0.3, 0.1, 0.02), 4),
+    # the clamp keeps -0.0 and NaN, as np.clip does
+    "negative zero": ([-0.0, 0.5, 0.5], RateVector(0.0, 0.0, 0.0), 3),
+    # a NaN sum is not > 0, so S and I are not divided by it
+    "nan recovered": ([0.5, 0.4, np.nan], RateVector(0.3, 0.1, 0.02), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_CASES))
+def test_integrate_kolmogorov_equals_numpy_reference_bytes(name):
+    m0, rates, days = INTEGRATE_CASES[name]
+    got = integrate_kolmogorov(m0, rates, days)
+    want = _integrate_kolmogorov_numpy(m0, rates, days)
+    assert got.shape == want.shape == (days + 1, 3)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_integrate_kolmogorov_equals_numpy_reference_randomized():
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        m0 = rng.dirichlet(np.ones(3))
+        rates = [RateVector(*rng.uniform(0, 2, 3)) for _ in range(20)]
+        assert (integrate_kolmogorov(m0, rates, 20).tobytes()
+                == _integrate_kolmogorov_numpy(m0, rates, 20).tobytes())
 
 
 def test_validate_measures():
@@ -229,6 +280,80 @@ def test_rate_estimation_window_precondition():
     ds = generate_synthetic_dataset(10, seed=0)
     with pytest.raises(ValueError):
         estimate_rates(ds, window=28)
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def _window_objective(target):
+    """The rolling fit's objective on one window, as ``estimate_rates`` builds it."""
+    def objective(cand):
+        rv = RateVector(*np.clip(cand, 0.0, None))
+        traj = integrate_kolmogorov(target[0], rv, len(target) - 1)
+        return float(np.mean((traj - target) ** 2))
+    return objective
+
+
+def _assert_nelder_mead_matches_scipy(minimize, objective, x0, max_iter):
+    ours, theirs = _counted(objective), _counted(objective)
+    x, converged = _nelder_mead(ours, x0, max_iter, xatol=1e-8, fatol=1e-14)
+    res = minimize(theirs, x0, method="Nelder-Mead",
+                   options={"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-14})
+    assert x.tolist() == res.x.tolist()
+    assert converged == res.success
+    assert ours.calls == theirs.calls == res.nfev
+    return x, converged
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_nelder_mead_matches_scipy_on_rolling_windows(seed):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    days, window = 60, 28
+    ds = generate_synthetic_dataset(days, seed=seed, modulate=True,
+                                    measures=make_measure_schedule(days, seed=seed))
+    ds = augment_noise(ds, 0.02, seed=seed)
+    x = np.array([0.2, 0.1, 0.05])  # chained from window to window, as in estimate_rates
+    for w0 in range(days - window + 1):
+        x, _ = _assert_nelder_mead_matches_scipy(
+            minimize, _window_objective(ds.states[w0: w0 + window]), x, 400)
+
+
+def test_nelder_mead_matches_scipy_without_convergence():
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    ds = generate_synthetic_dataset(28, seed=3)
+    _x, converged = _assert_nelder_mead_matches_scipy(
+        minimize, _window_objective(ds.states), np.array([0.2, 0.1, 0.05]), 15)
+    assert not converged
+
+
+def test_nelder_mead_matches_scipy_from_a_zero_coordinate():
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    ds = generate_synthetic_dataset(28, seed=4, rates=RateVector(0.3, 0.05, 0.0))
+    _x, converged = _assert_nelder_mead_matches_scipy(
+        minimize, _window_objective(ds.states), np.array([0.2, 0.1, 0.0]), 400)
+    assert converged
+
+
+@pytest.mark.parametrize("scale", [2.0, 8.0, 64.0])
+def test_nelder_mead_matches_scipy_on_ties(scale):
+    # a stepped objective ties often, which pins the strictness of each comparison
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    def stepped(x):
+        return float(np.floor(scale * np.sum((x - [0.3, -0.2, 0.1]) ** 2)))
+    _assert_nelder_mead_matches_scipy(minimize, stepped, np.array([1.0, 1.0, 0.0]), 400)
+
+
+def test_estimate_rates_flags_windows_that_do_not_converge():
+    ds = generate_synthetic_dataset(30, seed=3)
+    _rates, warn = estimate_rates(ds, window=28, max_iter=15)
+    assert warn == [True] * 30
+    _rates, warn = estimate_rates(ds, window=28)
+    assert warn == [False] * 30
 
 
 # -- training and forecasting --------------------------------------------------
