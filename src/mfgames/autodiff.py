@@ -235,7 +235,8 @@ def _val(x):
 
 def _sigmoid(x):
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0, e) / d
 
 
 def _unary(x, op, value, partial):
