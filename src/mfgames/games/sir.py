@@ -19,6 +19,9 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with the module, so that the
+# first training epoch (augment_noise, mlp_init) does not pay for the import
+import numpy.random
 
 from ..autodiff import Tape, absval, max0, square, stack, where
 from ..mfg import HistoryRow, TrainingDivergence, write_csv
