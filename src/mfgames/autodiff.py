@@ -5,7 +5,8 @@ the 0-d case), and one vector-Jacobian product (VJP) per parent: a function
 mapping the adjoint of the node to the adjoint contribution of that parent.
 A whole batched array op is therefore one node, after the design of HIPS
 *autograd*. Gradients of a root are obtained by a single reverse sweep over
-the creation-ordered tape, which is topologically sorted by construction.
+the creation-ordered tape, which is topologically sorted by construction, and
+land on the leaves.
 
 Every primitive is generic: given plain floats or ndarrays it returns the
 plain numpy result and records nothing.
@@ -66,9 +67,10 @@ class Value:
 
     ``parents`` is a flat tuple ``(p0, d0, p1, d1, ...)`` of parent nodes and
     their VJPs, captured when the node was created. Leaves have an empty
-    tuple. ``backward`` only ever touches ``g``, which has the shape of ``v``
-    once a gradient reached the node (0.0 before); values are immutable once
-    recorded. Arithmetic broadcasts like numpy.
+    tuple. ``backward`` writes ``g`` on leaves only: a leaf's ``g`` has the
+    shape of ``v`` once a gradient reached it, and every other node's ``g``
+    stays 0.0. Values are immutable once recorded. Arithmetic broadcasts like
+    numpy.
     """
 
     __slots__ = ("v", "g", "i", "op", "parents", "tape")
@@ -177,6 +179,15 @@ class Tape:
     Nodes always appear after their parents, so a reverse walk is a valid
     topological traversal. A tape is single-threaded; run concurrent work on
     separate tapes.
+
+    Every node refers to its tape, so the tape and its nodes form a reference
+    cycle that only the cyclic garbage collector would free. Used as a context
+    manager, a tape empties ``nodes`` on exit, also when the block raises;
+    the graph then dies by reference counting as soon as the block's own
+    references to it go. Every training loop runs each step through
+    :func:`mfgames.mfg.train_step`, a function of its own around ``with
+    Tape() as tape:``, so each step's graph is freed before the next step
+    records one.
     """
 
     def __init__(self):
@@ -184,6 +195,12 @@ class Tape:
 
     def __len__(self):
         return len(self.nodes)
+
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.nodes.clear()
 
     def value(self, x) -> Value:
         """Record a leaf node (input, constant, or parameter) holding a copy of ``x``."""
@@ -194,11 +211,15 @@ class Tape:
             n.g = 0.0
 
     def backward(self, root: Value) -> None:
-        """Accumulate d(sum of root)/d(node) into ``g`` for every node feeding root.
+        """Accumulate d(sum of root)/d(leaf) into ``g`` for every leaf feeding root.
 
-        Repeated calls without ``zero_grads`` sum their contributions. The
-        sweep uses scratch adjoints so prior accumulated gradients never leak
-        into the current pass.
+        Only leaves (nodes without parents) receive ``g``; interior nodes'
+        adjoints live in a scratch list, and each is dropped as soon as its
+        VJPs have run, so the sweep holds only the adjoints of nodes still
+        waiting for a consumer. Repeated calls without ``zero_grads`` sum
+        their contributions, and prior accumulated gradients never leak into
+        the current pass. ``nodes`` is left intact; the training loops
+        release the graph after each step (see :class:`Tape`).
         """
         if root.tape is not self:
             raise ValueError("root is not registered on this tape")
@@ -209,14 +230,16 @@ class Tape:
             a = adj[k]
             if a is None:
                 continue
-            it = iter(nodes[k].parents)
+            adj[k] = None
+            node = nodes[k]
+            if not node.parents:
+                node.g = node.g + a
+                continue
+            it = iter(node.parents)
             for p, vjp in zip(it, it):
                 c = vjp(a)
                 j = p.i
                 adj[j] = c if adj[j] is None else adj[j] + c
-        for k, a in enumerate(adj):
-            if a is not None:
-                nodes[k].g = nodes[k].g + a
 
 
 def _tape_of(args):

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..autodiff import Tape, max0, square
-from ..mfg import TrainingConfig, write_csv
+from ..autodiff import max0, square
+from ..mfg import TrainingConfig, train_step, write_csv
 from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "player_turn",
     "deal",
     "play_round",
-    "round_cost",
     "is_legal_successor",
     "kl_divergence",
     "train_dice",
@@ -273,26 +272,6 @@ def play_round(players: list[PlayerState], config: DiceConfig, rng) -> RoundOutc
         i = (i + 1) % len(players)
 
 
-def round_cost(bids: list[Bid], outcome: RoundOutcome, config: DiceConfig) -> list[float]:
-    """Per-turn cost j1 + j2 + j3 once the round's dice are revealed.
-
-    j1 penalizes timid raises against the maximal possible quantity, j2
-    penalizes bidding under the actual count, j3 penalizes low faces.
-    """
-    m_q = config.total_dice
-    m_f = config.n_faces
-    costs = []
-    prev_q = 0
-    for bid in bids:
-        a = int(outcome.revealed[bid.face - 1])
-        j1 = max0(m_q - (bid.quantity - prev_q))
-        j2 = max0(a - bid.quantity)
-        j3 = max0(m_f - bid.face)
-        costs.append(float(j1 + j2 + j3))
-        prev_q = bid.quantity
-    return costs
-
-
 def kl_divergence(p, q) -> float:
     """KL(p || q) in nats over the support of p."""
     p = np.asarray(p, dtype=float)
@@ -344,8 +323,6 @@ def _neural_round_update(players, target, outcome, config: DiceConfig,
     bluff level; their balance moves lam up from timid starts and caps it once
     challenges start landing.
     """
-    tape = Tape()
-    bound = net.bind(tape)
     correct = 1.0 if outcome.challenge_correct else 0.0
     last_bid = outcome.bids[-1]
     nf = config.n_faces
@@ -357,19 +334,22 @@ def _neural_round_update(players, target, outcome, config: DiceConfig,
         np.tile([last_bid.face / nf, last_bid.quantity / config.total_dice],
                 (len(players), 1)),
     ], axis=1)
-    out = bound.forward(feats)  # one (players, faces + 1) pass
-    base = theta + config.belief_rate * (target - theta)
-    raw = out[:, :nf] * _RESIDUAL_SCALE + base
-    th = max0(raw - config.belief_floor) + config.belief_floor
-    th = th / th.sum(axis=1, keepdims=True)
-    lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
 
-    per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
-    if correct:
-        per_player = per_player + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
-    tape.backward(per_player.sum())
-    opt.step(bound.grad_arrays())
-    for pl, row, lam_i in zip(players, th.v, lam_new.v):
+    def round_loss(_tape, bound):
+        out = bound["belief"].forward(feats)  # one (players, faces + 1) pass
+        base = theta + config.belief_rate * (target - theta)
+        raw = out[:, :nf] * _RESIDUAL_SCALE + base
+        th = max0(raw - config.belief_floor) + config.belief_floor
+        th = th / th.sum(axis=1, keepdims=True)
+        lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
+        per_player = (square(th - target).sum(axis=1)
+                      + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE)))
+        if correct:
+            per_player = per_player + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
+        return per_player.sum(), (th.v, lam_new.v)
+
+    th, lam_new = train_step({"belief": net}, {"belief": opt}, round_loss)
+    for pl, row, lam_i in zip(players, th, lam_new):
         pl.theta_hat = row / row.sum()
         pl.lam = float(lam_i)
 

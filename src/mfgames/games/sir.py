@@ -23,8 +23,8 @@ import numpy as np
 # first training epoch (augment_noise, mlp_init) does not pay for the import
 import numpy.random
 
-from ..autodiff import Tape, absval, max0, square, stack, where
-from ..mfg import HistoryRow, TrainingDivergence, write_csv
+from ..autodiff import absval, max0, square, stack, where
+from ..mfg import HistoryRow, TrainingDivergence, train_step, write_csv
 from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -485,8 +485,9 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
     round-robin and rolled as one (batch, 3) rollout that integrates one day
     per step from the dataset's first row. The running cost is the mean
     squared discrepancy between simulated and observed fractions (no terminal
-    cost), and one AdaBelief step follows per network. Returns the model and
-    one :class:`HistoryRow` per epoch (game cost 0, data loss = total).
+    cost), and one AdaBelief step follows per network; each epoch is one
+    :func:`mfgames.mfg.train_step`. Returns the model and one
+    :class:`HistoryRow` per epoch (game cost 0, data loss = total).
     """
     if warm_rates is None:
         warm_rates = estimate_rates(dataset, window=min(config.window, len(dataset)))[0]
@@ -501,17 +502,15 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
         augment_noise(dataset, config.noise_sigma, seed=config.seed + 1000 + k).states
         for k in range(config.trajectories)
     ])
-    opts = {}
-    if drift_net is not None:
-        opts["drift"] = AdaBelief(drift_net.parameters(), lr=config.lr)
-    opts["diffusion"] = AdaBelief(diffusion_net.parameters(), lr=config.lr)
+    nets = {"drift": drift_net} if drift_net is not None else {}
+    nets["diffusion"] = diffusion_net
+    opts = {name: AdaBelief(net.parameters(), lr=config.lr) for name, net in nets.items()}
 
     n_days = len(dataset) - 1
-    history = []
-    for epoch in range(config.epochs):
-        tape = Tape()
-        bound_drift = drift_net.bind(tape) if drift_net is not None else None
-        bound_diff = diffusion_net.bind(tape)
+
+    def epoch_loss(tape, bound, epoch):
+        bound_drift = bound.get("drift")
+        bound_diff = bound["diffusion"]
         rng = np.random.default_rng(np.asarray((config.seed, epoch), dtype=np.uint64))
         rows = [(epoch * config.batch + j) % config.trajectories for j in range(config.batch)]
         target = targets[rows]
@@ -542,11 +541,12 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
             raise TrainingDivergence(f"non-finite loss at epoch {epoch}", epoch)
         if loss.v > config.abort_threshold:
             raise TrainingDivergence(f"loss diverged at epoch {epoch}", epoch)
-        tape.backward(loss)
-        if bound_drift is not None:
-            opts["drift"].step(bound_drift.grad_arrays())
-        opts["diffusion"].step(bound_diff.grad_arrays())
-        history.append(HistoryRow(epoch, 0.0, loss.v, loss.v))
+        return loss, HistoryRow(epoch, 0.0, loss.v, loss.v)
+
+    history = [
+        train_step(nets, opts, partial(epoch_loss, epoch=epoch))
+        for epoch in range(config.epochs)
+    ]
 
     model = SIRModel(drift_net, diffusion_net, warm_rates,
                      dataset.measures.copy(), dataset.states[0].copy())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "TrainingDivergence",
     "GameInstance",
     "combined_loss",
+    "train_step",
     "train",
     "nash_gap",
     "HistoryRow",
@@ -104,22 +106,41 @@ class HistoryRow:
         self.total = float(self.total)
 
 
+def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn):
+    """One optimizer step on a fresh tape; returns what ``loss_fn`` hands back.
+
+    ``loss_fn(tape, bound)`` records the forward pass with each network of
+    ``nets`` bound as tape leaves (``bound`` has the same keys) and returns
+    ``(loss, result)``: the 0-d root to minimize and a result that holds no
+    tape node. The loss is backpropagated and each network takes one step
+    of its optimizer in ``opts``. The step's graph is freed before this
+    returns, also when ``loss_fn`` raises: the tape is emptied on leaving
+    its ``with`` block, and the nodes still referenced from this frame and
+    from ``loss_fn``'s die with them.
+    """
+    with Tape() as tape:
+        bound = {name: net.bind(tape) for name, net in nets.items()}
+        loss, result = loss_fn(tape, bound)
+        tape.backward(loss)
+        for name, b in bound.items():
+            opts[name].step(b.grad_arrays())
+        return result
+
+
 def train(game: GameInstance, config: TrainingConfig):
     """Optimize the game's shared networks on the combined loss.
 
-    Per epoch: roll the ``games_per_epoch`` episodes as one batch on a fresh
-    tape, take the episode-averaged loss terms, backpropagate once, and take
-    a single AdaBelief step per network. Episodes use deterministic
-    per-(seed, epoch, game) RNG streams.
+    Per epoch (one :func:`train_step`): roll the ``games_per_epoch``
+    episodes as one batch on a fresh tape, take the episode-averaged loss
+    terms, backpropagate once, and take a single AdaBelief step per network.
+    Episodes use deterministic per-(seed, epoch, game) RNG streams.
     """
     nets = game.nets()
     opts = {
         name: AdaBelief(net.parameters(), lr=config.lr) for name, net in nets.items()
     }
-    history: list[HistoryRow] = []
-    for epoch in range(config.epochs):
-        tape = Tape()
-        bound = {name: net.bind(tape) for name, net in nets.items()}
+
+    def epoch_loss(tape, bound, epoch):
         seeds = [(config.seed, epoch, g) for g in range(config.games_per_epoch)]
         game_cost, data_loss = game.episode_losses(tape, bound, seeds)
         total = combined_loss(game_cost, data_loss, config.data_loss_weight)
@@ -129,10 +150,12 @@ def train(game: GameInstance, config: TrainingConfig):
             raise TrainingDivergence(
                 f"loss {total.v:.3g} exceeded abort threshold at epoch {epoch}", epoch
             )
-        tape.backward(total)
-        for name, net in nets.items():
-            opts[name].step(bound[name].grad_arrays())
-        history.append(HistoryRow(epoch, game_cost.v, data_loss.v, total.v))
+        return total, HistoryRow(epoch, game_cost.v, data_loss.v, total.v)
+
+    history = [
+        train_step(nets, opts, partial(epoch_loss, epoch=epoch))
+        for epoch in range(config.epochs)
+    ]
     return nets, history
 
 
