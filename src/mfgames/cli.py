@@ -17,8 +17,6 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
 from .games import dice as dice_mod
 from .games import elfarol as elfarol_mod
 from .games import meeting as meeting_mod
@@ -149,21 +147,23 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def emit_histogram(path, per_turn_values: list[np.ndarray]) -> None:
+def emit_histogram(path):
     """Long-format plot data ``turn,value,weight``; weights per turn sum to 1.
 
+    Returns the file as ``(path, header, block)`` for a game's
+    ``write_history``, which writes it in step with the game's trajectory
+    from the same value cells: ``block(turn, cells)`` gives a turn's rows
+    from its values as :func:`mfgames.mfg.float_cells` formatted them.
     Values and weights are ``repr`` floats and rows end in ``\\r\\n``; see
-    :func:`mfgames.mfg.write_csv`, which writes one turn at a time.
+    :func:`mfgames.mfg.write_csv`.
     """
-    if not per_turn_values:
-        raise ValueError("no trajectories to emit")
-    for turn, values in enumerate(per_turn_values, start=1):
-        if np.size(values) == 0:
-            raise ValueError(f"turn {turn} has no values")
-    write_csv(path, ["turn", "value", "weight"], (
-        zip(repeat(str(turn)), float_cells(values), repeat(repr(1.0 / np.size(values))))
-        for turn, values in enumerate(per_turn_values, start=1)
-    ))
+    return path, ["turn", "value", "weight"], _histogram_block
+
+
+def _histogram_block(turn: int, cells: list[str]):
+    if not cells:
+        raise ValueError(f"turn {turn} has no values")
+    return zip(repeat(str(turn)), cells, repeat(repr(1.0 / len(cells))))
 
 
 def _config(cls, **kwargs):
@@ -213,8 +213,7 @@ def _run_meeting(args, params, out: Path) -> list[Path]:
             p = out / f"checkpoint_{name}.json"
             save_checkpoint(net, p)
             written.append(p)
-    meeting_mod.write_history(out / "trajectory.csv", states)
-    emit_histogram(out / "plotdata.csv", [st.tau_tilde for st in states])
+    meeting_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
 
@@ -239,8 +238,7 @@ def _run_elfarol(args, params, out: Path) -> list[Path]:
         p = out / "checkpoint_drift.json"
         save_checkpoint(nets["drift"], p)
         written.append(p)
-    elfarol_mod.write_history(out / "trajectory.csv", states)
-    emit_histogram(out / "plotdata.csv", [st.p for st in states])
+    elfarol_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
 

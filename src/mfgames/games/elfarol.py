@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from ..autodiff import Tape, Value, clip01, max0, square, stack
-from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csv
+from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csvs
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -258,15 +258,23 @@ def simulate_neural(config: BarConfig, nets: dict[str, MLP],
     return _states(_rollout(config, p, [rng], partial(mlp_forward_np, nets["drift"])))
 
 
-def write_history(path, states: list[BarState]) -> None:
+def write_history(path, states: list[BarState], histogram) -> None:
     """CSV ``turn,agent,p,went`` with turns numbered from 1.
 
     ``p`` is a ``repr`` float, ``went`` is 0 or 1, and rows end in
-    ``\\r\\n``; see :func:`mfgames.mfg.write_csv`, which writes one turn at
-    a time.
+    ``\\r\\n``; see :func:`mfgames.mfg.write_csv`. ``histogram`` is a
+    ``(path, header, block)`` file of ``p`` (see
+    :func:`mfgames.cli.emit_histogram`), written in step from the same
+    cells, so each value is formatted once; the files are written one turn
+    at a time.
     """
-    write_csv(path, ["turn", "agent", "p", "went"], (
-        zip(repeat(str(turn)), map(str, range(len(st.p))), float_cells(st.p),
-            map(str, np.asarray(st.went, dtype=int).tolist()))
-        for turn, st in enumerate(states, start=1)
-    ))
+    hist_path, hist_header, hist_block = histogram
+
+    def blocks():
+        for turn, st in enumerate(states, start=1):
+            cells = float_cells(st.p)
+            yield (zip(repeat(str(turn)), map(str, range(len(st.p))), cells,
+                       map(str, np.asarray(st.went, dtype=int).tolist())),
+                   hist_block(turn, cells))
+
+    write_csvs([(path, ["turn", "agent", "p", "went"]), (hist_path, hist_header)], blocks())

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from ..autodiff import Tape, Value, max0, sigmoid, square, stack, take_along_axis, where
-from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csv
+from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csvs
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 from ..sde import BrownianPath, SDEProblem, TimeGrid, integrate
 
@@ -271,14 +271,22 @@ def simulate_neural(config: MeetingConfig, nets: dict[str, MLP],
     return _states(_rollout(config, tau, eps, dB, forward), eps)
 
 
-def write_history(path, states: list[ArrivalState]) -> None:
+def write_history(path, states: list[ArrivalState], histogram) -> None:
     """CSV ``turn,agent,tau,tau_tilde`` with turns numbered from 1.
 
     Times are ``repr`` floats and rows end in ``\\r\\n``; see
-    :func:`mfgames.mfg.write_csv`, which writes one turn at a time.
+    :func:`mfgames.mfg.write_csv`. ``histogram`` is a ``(path, header,
+    block)`` file of ``tau_tilde`` (see :func:`mfgames.cli.emit_histogram`),
+    written in step from the same cells, so each value is formatted once;
+    the files are written one turn at a time.
     """
-    write_csv(path, ["turn", "agent", "tau", "tau_tilde"], (
-        zip(repeat(str(turn)), map(str, range(len(st.tau))),
-            float_cells(st.tau), float_cells(st.tau_tilde))
-        for turn, st in enumerate(states, start=1)
-    ))
+    hist_path, hist_header, hist_block = histogram
+
+    def blocks():
+        for turn, st in enumerate(states, start=1):
+            tt = float_cells(st.tau_tilde)
+            yield (zip(repeat(str(turn)), map(str, range(len(st.tau))), float_cells(st.tau), tt),
+                   hist_block(turn, tt))
+
+    write_csvs([(path, ["turn", "agent", "tau", "tau_tilde"]), (hist_path, hist_header)],
+               blocks())

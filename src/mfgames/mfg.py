@@ -11,6 +11,7 @@ one network per game, never per agent.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -31,6 +32,7 @@ __all__ = [
     "HistoryRow",
     "write_history_csv",
     "write_csv",
+    "write_csvs",
     "float_cells",
 ]
 
@@ -202,10 +204,24 @@ def write_csv(path, header, blocks) -> None:
     floats are written as ``repr(float)`` (see :func:`float_cells`), ints as
     ``str(int)``. The golden content hashes in the tests pin this format.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            fh.write("".join([",".join(row) + "\r\n" for row in block]))
+    write_csvs([(path, header)], zip(blocks))
+
+
+def write_csvs(files, blocks) -> None:
+    """Write several CSV files in step, each as :func:`write_csv` writes one.
+
+    ``files`` lists ``(path, header)`` pairs, and each item of ``blocks``
+    holds the next block of every file, in that order. Blocks of different
+    files that share work, such as the same floats formatted once, are so
+    built together and held one item at a time.
+    """
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", newline="")) for path, _ in files]
+        for fh, (_path, header) in zip(handles, files):
+            fh.write(",".join(header) + "\r\n")
+        for item in blocks:
+            for fh, block in zip(handles, item):
+                fh.write("".join([",".join(row) + "\r\n" for row in block]))
 
 
 def write_history_csv(path, history: list[HistoryRow]) -> None:
