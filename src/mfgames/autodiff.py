@@ -180,14 +180,11 @@ class Tape:
     topological traversal. A tape is single-threaded; run concurrent work on
     separate tapes.
 
-    Every node refers to its tape, so the tape and its nodes form a reference
-    cycle that only the cyclic garbage collector would free. Used as a context
-    manager, a tape empties ``nodes`` on exit, also when the block raises;
-    the graph then dies by reference counting as soon as the block's own
-    references to it go. Every training loop runs each step through
-    :func:`mfgames.mfg.train_step`, a function of its own around ``with
-    Tape() as tape:``, so each step's graph is freed before the next step
-    records one.
+    Every node refers to its tape, a reference cycle that only the cyclic
+    garbage collector frees. As a context manager a tape empties ``nodes`` on
+    exit, also when the block raises, so the graph dies by reference counting
+    once the block's own references go; :func:`mfgames.mfg.train_step` runs
+    every training step this way.
     """
 
     def __init__(self):

@@ -342,8 +342,7 @@ def _neural_round_update(players, target, outcome, config: DiceConfig,
         th = max0(raw - config.belief_floor) + config.belief_floor
         th = th / th.sum(axis=1, keepdims=True)
         lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
-        per_player = (square(th - target).sum(axis=1)
-                      + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE)))
+        per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
         if correct:
             per_player = per_player + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
         return per_player.sum(), (th.v, lam_new.v)

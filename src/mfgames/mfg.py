@@ -111,14 +111,13 @@ class HistoryRow:
 def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn):
     """One optimizer step on a fresh tape; returns what ``loss_fn`` hands back.
 
-    ``loss_fn(tape, bound)`` records the forward pass with each network of
-    ``nets`` bound as tape leaves (``bound`` has the same keys) and returns
-    ``(loss, result)``: the 0-d root to minimize and a result that holds no
-    tape node. The loss is backpropagated and each network takes one step
-    of its optimizer in ``opts``. The step's graph is freed before this
-    returns, also when ``loss_fn`` raises: the tape is emptied on leaving
-    its ``with`` block, and the nodes still referenced from this frame and
-    from ``loss_fn``'s die with them.
+    ``loss_fn(tape, bound)`` records the forward pass, with ``bound`` mapping
+    each name in ``nets`` to that network bound as tape leaves, and returns
+    ``(loss, result)``; ``result`` must hold no tape node. The 0-d loss is
+    backpropagated and each network takes one step of its optimizer in
+    ``opts``. The graph is freed when this returns or raises: the tape
+    empties on leaving its ``with`` block, and the nodes the step's frames
+    still hold die with those frames.
     """
     with Tape() as tape:
         bound = {name: net.bind(tape) for name, net in nets.items()}
