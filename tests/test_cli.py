@@ -193,15 +193,20 @@ HASH_CASES["meeting-neural-3000-agents-untrained"] = (
     "meeting", "--mode", "neural", "--seed", "5", "--agents", "3000", "--epochs", "0")
 
 
-def _content_hash(inputs, name):
+def _run_case(inputs, name):
+    """The manifest of one golden case's run."""
     assert _run(inputs, *HASH_CASES[name], out=name) == 0
-    return _manifest(inputs, name)["content_hash"]
+    return _manifest(inputs, name)
 
 
 @pytest.mark.parametrize("name", sorted(HASH_CASES))
 def test_outputs_match_golden_content_hashes(inputs, name):
-    golden = json.loads(GOLDEN_HASHES.read_text())["content_hash"]
-    assert _content_hash(inputs, name) == golden[name]
+    golden = json.loads(GOLDEN_HASHES.read_text())
+    manifest = _run_case(inputs, name)
+    want, got = golden["outputs"][name], manifest["outputs"]
+    moved = sorted(f for f in want.keys() | got.keys() if want.get(f) != got.get(f))
+    assert not moved, f"{name}: output digests differ from golden: {', '.join(moved)}"
+    assert manifest["content_hash"] == golden["content_hash"][name]
 
 
 @pytest.mark.parametrize("name", [f"{game}-standard" for game in cli.GAMES]
@@ -214,19 +219,24 @@ def test_run_game_equals_game_subcommand(inputs, name):
 
 
 if __name__ == "__main__":
-    # Record golden hashes: PYTHONPATH=src python3 tests/test_cli.py [CASE ...]
+    # Record golden hashes and output digests:
+    #     PYTHONPATH=src python3 tests/test_cli.py [CASE ...]
     # With no CASE, only the cases missing from the file are recorded; an
     # existing hash is re-recorded only when named, i.e. when its output is
     # meant to change.
     golden = json.loads(GOLDEN_HASHES.read_text()) if GOLDEN_HASHES.exists() else {}
     hashes = golden.setdefault("content_hash", {})
-    names = sys.argv[1:] or sorted(set(HASH_CASES) - set(hashes))
+    outputs = golden.setdefault("outputs", {})
+    names = sys.argv[1:] or sorted(set(HASH_CASES) - (set(hashes) & set(outputs)))
     unknown = sorted(set(names) - set(HASH_CASES))
     if unknown:
         sys.exit(f"unknown case: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(Path(tmp))
         for name in names:
-            hashes[name] = _content_hash(inputs, name)
+            manifest = _run_case(inputs, name)
+            hashes[name] = manifest["content_hash"]
+            outputs[name] = manifest["outputs"]
     golden["content_hash"] = dict(sorted(hashes.items()))
+    golden["outputs"] = dict(sorted(outputs.items()))
     GOLDEN_HASHES.write_text(json.dumps(golden, indent=1) + "\n")
