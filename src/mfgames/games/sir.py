@@ -7,13 +7,18 @@ residuals (projected to zero sum so mass stays conserved); a diffusion
 network scales per-compartment noise. Restriction measures enter as a
 7-entry status vector appended to the network input. Daily rates estimated
 by a rolling Nelder-Mead fit warm-start the dynamics.
+
+One day loop, :func:`_rollout`, runs the learned dynamics: on the tape for
+training, where :class:`SIRGame` is trained by :func:`mfgames.mfg.train`, and
+on plain arrays for :func:`forecast`. The rate fit keeps its own loop on
+Python floats, :func:`integrate_kolmogorov`, which is far cheaper on three
+numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -23,9 +28,9 @@ import numpy as np
 # first training epoch (augment_noise, mlp_init) does not pay for the import
 import numpy.random
 
-from ..autodiff import absval, max0, square, stack, where
-from ..mfg import HistoryRow, TrainingDivergence, train_step, write_csv
-from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
+from ..autodiff import Tape, Value, absval, max0, square, stack, where
+from ..mfg import GameInstance, TrainingConfig, train, write_csv
+from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
     "RateVector",
@@ -45,9 +50,9 @@ __all__ = [
     "estimate_rates",
     "SIRTrainingConfig",
     "SIRModel",
+    "SIRGame",
     "train_sir",
     "forecast",
-    "trajectory_mse",
 ]
 
 N_MEASURES = 7
@@ -463,17 +468,90 @@ class SIRModel:
     drift_net: Optional[MLP]  # None for the deterministic-drift ablation
     diffusion_net: MLP
     rates: list[RateVector]  # daily warm-start series
-    measures: np.ndarray
-    initial: np.ndarray
 
 
 def _rates_for_day(rates: list[RateVector], k: int) -> RateVector:
     return rates[k] if k < len(rates) else rates[-1]
 
 
-def _project_noise(sig: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    term = np.abs(sig) * dB
-    return term - term.mean()
+def _rollout(m, rates: list[RateVector], measures, days: int, drift, diffusion, dB):
+    """The learned dynamics from ``m``; yields the state after each day.
+
+    ``m`` is a (3,) state or a (batch, 3) batch, an ndarray or a tape Value:
+    training runs this on the tape, :func:`forecast` on plain arrays. Day k
+    uses ``rates[k]`` (the last rate past the series' end) and the measures
+    ``measures[k]``. ``drift`` and ``diffusion`` are forward functions of the
+    two networks; ``drift=None`` selects the pure rate equation. ``dB`` holds
+    one standard normal triple per day (``dB[..., k, :]``), or is None to
+    switch the noise off; the diffusion scales it on the day's starting state
+    and its zero-sum part is added. Rows that leave the simplex are clamped at
+    zero and renormalised.
+    """
+    for k in range(days):
+        rv = _rates_for_day(rates, k)
+        v = measures[k]
+        cols = [m[..., c] for c in range(3)]
+        if drift is not None:
+            dm = neural_drift(cols, rv, v, drift)
+        else:
+            dm = kolmogorov_drift(cols, rv)
+        if dB is None:
+            m = m + stack(dm)
+        else:
+            noise = absval(diffusion(_net_inputs(cols, rv, v))) * dB[..., k, :]
+            nmean = noise.sum(axis=-1, keepdims=True) * (1.0 / 3.0)
+            m = m + stack(dm) + noise - nmean
+        clamp = np.any((m.v if isinstance(m, Value) else m) < 0.0, axis=-1, keepdims=True)
+        if clamp.any():
+            pos = max0(m)
+            m = where(clamp, pos / pos.sum(axis=-1, keepdims=True), m)
+        yield m
+
+
+class SIRGame(GameInstance):
+    """Neural SIR fit to noise-augmented copies of the observed trajectory.
+
+    An epoch's episodes are ``batch`` target rows, visited round-robin over
+    the ``trajectories`` copies, rolled as one (batch, 3) rollout from the
+    dataset's first row. The noise of the whole batch is one (batch, days, 3)
+    draw from the epoch's (seed, epoch) stream. The data loss is the mean
+    squared discrepancy between simulated and observed fractions (no terminal
+    cost); the game cost is zero.
+    """
+
+    def __init__(self, dataset: EpidemicDataset, config: SIRTrainingConfig,
+                 warm_rates: list[RateVector], use_neural_drift: bool = True):
+        self.dataset = dataset
+        self.rates = warm_rates
+        self._targets = np.array([
+            augment_noise(dataset, config.noise_sigma, seed=config.seed + 1000 + k).states
+            for k in range(config.trajectories)
+        ])
+        net = lambda outputs, k: mlp_init(MLPConfig(
+            13, outputs, config.hidden_layers, config.hidden_width, seed=config.seed + k))
+        self._nets = {"drift": net(6, 0)} if use_neural_drift else {}
+        self._nets["diffusion"] = net(3, 1)
+
+    def nets(self) -> dict[str, MLP]:
+        return self._nets
+
+    def episode_losses(self, tape: Tape, bound, episode_seeds):
+        seed, epoch, _g = episode_seeds[0]
+        batch = len(episode_seeds)
+        days = len(self.dataset) - 1
+        rows = [(epoch * batch + g) % len(self._targets) for _s, _e, g in episode_seeds]
+        target = self._targets[rows]
+        rng = np.random.default_rng(np.asarray((seed, epoch), dtype=np.uint64))
+        dB = rng.normal(0.0, 1.0, size=(batch, days, 3))
+        drift = bound["drift"].forward if "drift" in bound else None
+        m0 = tape.value(np.tile(self.dataset.states[0], (batch, 1)))
+        states = _rollout(m0, self.rates, self.dataset.measures, days, drift,
+                          bound["diffusion"].forward, dB)
+        # each day's loss term is recorded right after its state
+        sq_sum = 0.0
+        for k, m in enumerate(states):
+            sq_sum = sq_sum + square(m - target[:, k + 1])
+        return tape.value(0.0), sq_sum.sum() * (0.5 / days) * (1.0 / batch)
 
 
 def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
@@ -481,114 +559,35 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
               warm_rates: Optional[list[RateVector]] = None):
     """Fit the learned dynamics to daily population observations.
 
-    Per epoch a small batch of noise-augmented target trajectories is visited
-    round-robin and rolled as one (batch, 3) rollout that integrates one day
-    per step from the dataset's first row. The running cost is the mean
-    squared discrepancy between simulated and observed fractions (no terminal
-    cost), and one AdaBelief step follows per network; each epoch is one
-    :func:`mfgames.mfg.train_step`. Returns the model and one
-    :class:`HistoryRow` per epoch (game cost 0, data loss = total).
+    Trains :class:`SIRGame` through :func:`mfgames.mfg.train`, one AdaBelief
+    step per network per epoch. Returns the model and one
+    :class:`mfgames.mfg.HistoryRow` per epoch (game cost 0, data loss = total).
     """
     if warm_rates is None:
         warm_rates = estimate_rates(dataset, window=min(config.window, len(dataset)))[0]
-    drift_net = (
-        mlp_init(MLPConfig(13, 6, config.hidden_layers, config.hidden_width,
-                           seed=config.seed))
-        if use_neural_drift else None
-    )
-    diffusion_net = mlp_init(MLPConfig(13, 3, config.hidden_layers, config.hidden_width,
-                                       seed=config.seed + 1))
-    targets = np.array([
-        augment_noise(dataset, config.noise_sigma, seed=config.seed + 1000 + k).states
-        for k in range(config.trajectories)
-    ])
-    nets = {"drift": drift_net} if drift_net is not None else {}
-    nets["diffusion"] = diffusion_net
-    opts = {name: AdaBelief(net.parameters(), lr=config.lr) for name, net in nets.items()}
-
-    n_days = len(dataset) - 1
-
-    def epoch_loss(tape, bound, epoch):
-        bound_drift = bound.get("drift")
-        bound_diff = bound["diffusion"]
-        rng = np.random.default_rng(np.asarray((config.seed, epoch), dtype=np.uint64))
-        rows = [(epoch * config.batch + j) % config.trajectories for j in range(config.batch)]
-        target = targets[rows]
-        # one (days, 3) draw per trajectory, in batch order
-        dB = rng.normal(0.0, 1.0, size=(config.batch, n_days, 3))
-        m = tape.value(np.tile(dataset.states[0], (config.batch, 1)))
-        sq_sum = 0.0
-        for k in range(n_days):
-            rv = _rates_for_day(warm_rates, k)
-            v = dataset.measures[k]
-            cols = [m[:, c] for c in range(3)]
-            if bound_drift is not None:
-                dm = neural_drift(cols, rv, v, bound_drift.forward)
-            else:
-                dm = kolmogorov_drift(cols, rv)
-            sig = bound_diff.forward(_net_inputs(cols, rv, v))
-            noise = absval(sig) * dB[:, k]
-            nmean = noise.sum(axis=-1, keepdims=True) * (1.0 / 3.0)
-            m = m + stack(dm) + noise - nmean
-            clamp = np.any(m.v < 0.0, axis=-1, keepdims=True)
-            if clamp.any():
-                # rows that left the simplex are clamped and renormalised
-                pos = max0(m)
-                m = where(clamp, pos / pos.sum(axis=-1, keepdims=True), m)
-            sq_sum = sq_sum + square(m - target[:, k + 1])
-        loss = sq_sum.sum() * (0.5 / n_days) * (1.0 / config.batch)
-        if not math.isfinite(loss.v):
-            raise TrainingDivergence(f"non-finite loss at epoch {epoch}", epoch)
-        if loss.v > config.abort_threshold:
-            raise TrainingDivergence(f"loss diverged at epoch {epoch}", epoch)
-        return loss, HistoryRow(epoch, 0.0, loss.v, loss.v)
-
-    history = [
-        train_step(nets, opts, partial(epoch_loss, epoch=epoch))
-        for epoch in range(config.epochs)
-    ]
-
-    model = SIRModel(drift_net, diffusion_net, warm_rates,
-                     dataset.measures.copy(), dataset.states[0].copy())
-    return model, history
+    game = SIRGame(dataset, config, warm_rates, use_neural_drift)
+    nets, history = train(game, TrainingConfig(
+        config.epochs, games_per_epoch=config.batch, lr=config.lr, seed=config.seed,
+        abort_threshold=config.abort_threshold))
+    return SIRModel(nets.get("drift"), nets["diffusion"], warm_rates), history
 
 
 def forecast(model: SIRModel, initial, days: int, v_series,
              rates: Optional[list[RateVector]] = None,
              noise_seed: Optional[int] = None) -> np.ndarray:
-    """Integrate the trained dynamics forward; every state is on the simplex.
+    """Roll the trained dynamics forward; a (days+1, 3) array on the simplex.
 
     Deterministic unless ``noise_seed`` is given, in which case the learned
-    diffusion drives zero-sum noise.
+    diffusion drives zero-sum noise, one (days, 3) draw from that seed.
     """
     v_series = validate_measures(np.asarray(v_series).reshape(-1, N_MEASURES))
     if v_series.shape[0] < days:
         raise ValueError("v_series shorter than the forecast horizon")
     if rates is None:
         rates = model.rates
-    rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
-    m = np.asarray(initial, dtype=float).copy()
-    out = [m.copy()]
-    for k in range(days):
-        rv = _rates_for_day(rates, k)
-        v = v_series[k]
-        if model.drift_net is not None:
-            dm = neural_drift(m, rv, v, partial(mlp_forward_np, model.drift_net))
-        else:
-            dm = kolmogorov_drift(m, rv)
-        m = m + stack(dm)
-        if rng is not None:
-            sig = mlp_forward_np(model.diffusion_net, np.array(_net_inputs(m, rv, v)))
-            m = m + _project_noise(sig, rng.normal(0.0, 1.0, 3))
-        m = np.clip(m, 0.0, None)
-        s = m.sum()
-        if s > 0:
-            m = m / s
-        out.append(m.copy())
-    return np.array(out)
-
-
-def trajectory_mse(model: SIRModel, dataset: EpidemicDataset) -> float:
-    """Mean squared error of the deterministic rollout against observations."""
-    traj = forecast(model, dataset.states[0], len(dataset) - 1, dataset.measures)
-    return float(np.mean((traj - dataset.states) ** 2))
+    drift = None if model.drift_net is None else partial(mlp_forward_np, model.drift_net)
+    dB = (None if noise_seed is None
+          else np.random.default_rng(noise_seed).normal(0.0, 1.0, (days, 3)))
+    m = np.asarray(initial, dtype=float)
+    return np.array([m, *_rollout(m, rates, v_series, days, drift,
+                                  partial(mlp_forward_np, model.diffusion_net), dB)])

@@ -80,8 +80,10 @@ class GameInstance:
     entry of ``episode_seeds``, as a single batched rollout on the tape
     (arrays with a leading episode axis). It returns ``(game_cost,
     data_loss)`` as 0-d Value nodes, each already averaged over episodes and
-    agents. Episode ``g`` must draw from its own RNG stream seeded with
-    ``episode_seeds[g]``, so results do not depend on the batch size.
+    agents. ``episode_seeds[g]`` is ``(seed, epoch, g)``. Meeting and El
+    Farol draw episode ``g`` from its own RNG stream seeded with it, so their
+    results do not depend on the batch size; SIR draws the noise of the whole
+    batch at once from the ``(seed, epoch)`` stream.
     """
 
     def nets(self) -> dict[str, MLP]:

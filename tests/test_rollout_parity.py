@@ -80,3 +80,34 @@ def test_sir_drift_on_tape_matches_drift_on_arrays():
         m = m + stack(sir.neural_drift([m[:, c] for c in range(3)], rates, v,
                                        on_arrays["drift"]))
         np.testing.assert_allclose(m_tape.v, m, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+@pytest.mark.parametrize("neural", [True, False])
+def test_sir_rollout_on_tape_equals_rollout_on_arrays(neural, noisy):
+    # the residual mean and the renormalisation divide on arrays and multiply
+    # by a reciprocal on the tape, so the states agree to rounding
+    days = 12
+    dataset = sir.generate_synthetic_dataset(
+        days + 1, seed=1, measures=sir.make_measure_schedule(days + 1, seed=1), modulate=True)
+    rates = [sir.RateVector(0.25 + 0.01 * k, 0.1, 0.01) for k in range(5)]
+    nets = {"drift": mlp_init(MLPConfig(13, 6, 2, 8, seed=5)),
+            "diffusion": mlp_init(MLPConfig(13, 3, 2, 8, seed=6))}
+    rng = np.random.default_rng(2)
+    m0 = np.vstack([[0.97, 0.03, 0.0], rng.dirichlet(np.ones(3), size=3)])
+    dB = rng.normal(0.0, 1.0, (4, days, 3)) if noisy else None
+    tape, on_tape, on_arrays = _forwards(nets)
+
+    def roll(m, forwards):
+        drift = forwards["drift"] if neural else None
+        return list(sir._rollout(m, rates, dataset.measures, days, drift,
+                                 forwards["diffusion"], dB))
+
+    taped, plain = roll(tape.value(m0), on_tape), roll(m0, on_arrays)
+    assert len(taped) == len(plain) == days
+    for m_tape, m in zip(taped, plain):
+        np.testing.assert_allclose(m_tape.v, m, rtol=0.0, atol=1e-15)
+        assert np.all(m >= 0.0)
+    if noisy:
+        # the noise pushed some row off the simplex, so the clamp ran
+        assert any(np.any(m == 0.0) for m in plain)

@@ -1,4 +1,5 @@
 import datetime
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mfgames.games.sir import (
     RateVector,
     SIRTrainingConfig,
     _nelder_mead,
+    _rollout,
     augment_noise,
     estimate_rates,
     forecast,
@@ -20,7 +22,6 @@ from mfgames.games.sir import (
     make_measure_schedule,
     neural_drift,
     train_sir,
-    trajectory_mse,
     validate_measures,
     write_dataset_csv,
 )
@@ -359,9 +360,66 @@ def test_estimate_rates_flags_windows_that_do_not_converge():
 # -- training and forecasting --------------------------------------------------
 
 
+def trajectory_mse(model, dataset):
+    """Mean squared error of the deterministic forecast against the observations."""
+    traj = forecast(model, dataset.states[0], len(dataset) - 1, dataset.measures)
+    return float(np.mean((traj - dataset.states) ** 2))
+
+
 def _small_cfg(epochs, seed=0):
     return SIRTrainingConfig(epochs=epochs, trajectories=4, batch=2, seed=seed,
                              hidden_layers=3, hidden_width=8, window=14)
+
+
+def _renormalising_forecast(model, initial, days, v_series, rates):
+    """The deterministic day loop :func:`forecast` kept before it shared the
+    training rollout: it clamped and renormalised every day, not only the
+    days a compartment went negative."""
+    m = np.asarray(initial, dtype=float).copy()
+    out = [m.copy()]
+    for k in range(days):
+        rv = rates[k] if k < len(rates) else rates[-1]
+        v = v_series[k]
+        if model.drift_net is not None:
+            dm = _drift(m, rv, v, model.drift_net)
+        else:
+            dm = np.array(kolmogorov_drift(m, rv))
+        m = np.clip(m + dm, 0.0, None)
+        s = m.sum()
+        if s > 0:
+            m = m / s
+        out.append(m.copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("neural", [True, False])
+def test_forecast_agrees_with_the_renormalising_loop(neural):
+    ds = generate_synthetic_dataset(40, seed=11, measures=make_measure_schedule(40, seed=11),
+                                    modulate=True)
+    model, _ = train_sir(ds, _small_cfg(3), use_neural_drift=neural)
+    days = len(ds) - 1
+    got = forecast(model, ds.states[0], days, ds.measures)
+    want = _renormalising_forecast(model, ds.states[0], days, ds.measures, model.rates)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def test_noisy_forecast_is_the_rollout_on_the_seeds_draws():
+    ds = generate_synthetic_dataset(20, seed=12, i0=0.05)
+    model, _ = train_sir(ds, _small_cfg(2))
+    days = len(ds) - 1
+    got = forecast(model, ds.states[0], days, ds.measures, noise_seed=4)
+    dB = np.random.default_rng(4).normal(0.0, 1.0, (days, 3))
+    forwards = [partial(mlp_forward_np, net) for net in (model.drift_net, model.diffusion_net)]
+    want = [ds.states[0], *_rollout(ds.states[0], model.rates, ds.measures, days, *forwards, dB)]
+    assert np.array_equal(got, np.array(want))
+    # as in training, the diffusion sees the day's starting state, not the
+    # state after the drift
+    m0, rv, v = ds.states[0], model.rates[0], ds.measures[0]
+    noise = np.abs(mlp_forward_np(model.diffusion_net,
+                                  np.concatenate([m0, rv.as_array(), v]))) * dB[0]
+    day1 = m0 + _drift(m0, rv, v, model.drift_net) + noise - noise.mean()
+    assert np.all(day1 >= 0.0)
+    np.testing.assert_allclose(got[1], day1, rtol=0.0, atol=1e-15)
 
 
 def test_zero_epochs_forecast_equals_warm_start_plus_residual():
