@@ -119,18 +119,19 @@ def kolmogorov_drift(m, rates: RateVector):
 
 
 def _net_inputs(m, rates: RateVector, v):
-    return [m[0], m[1], m[2], rates.gamma, rates.rho, rates.pi] + [float(x) for x in v]
+    """The 13 network inputs (compartments, rates, measures), stacked last."""
+    return stack([m[0], m[1], m[2], rates.gamma, rates.rho, rates.pi]
+                 + [float(x) for x in v])
 
 
-def neural_drift(m, rates: RateVector, v, forward):
+def neural_drift(m, rates: RateVector, out):
     """Drift with learned rate corrections and zero-sum state residuals.
 
     ``m`` holds the three compartments: a (3,) array, or the three columns of
-    a batch of states (arrays or tape Values of shape (batch,)). ``forward``
-    evaluates the drift network on its inputs. Returns the three drift
-    components, generic over plain arrays and Values.
+    a batch of states (arrays or tape Values of shape (batch,)). ``out`` is
+    the drift network's (..., 6) output on the day's inputs. Returns the
+    three drift components, generic over plain arrays and Values.
     """
-    out = forward(_net_inputs(m, rates, v))
     g = max0(out[..., 0] + rates.gamma)
     r = max0(out[..., 1] + rates.rho)
     p = max0(out[..., 2] + rates.pi)
@@ -491,14 +492,15 @@ def _rollout(m, rates: list[RateVector], measures, days: int, drift, diffusion, 
         rv = _rates_for_day(rates, k)
         v = measures[k]
         cols = [m[..., c] for c in range(3)]
+        x = _net_inputs(cols, rv, v)  # one stack, shared by both networks
         if drift is not None:
-            dm = neural_drift(cols, rv, v, drift)
+            dm = neural_drift(cols, rv, drift(x))
         else:
             dm = kolmogorov_drift(cols, rv)
         if dB is None:
             m = m + stack(dm)
         else:
-            noise = absval(diffusion(_net_inputs(cols, rv, v))) * dB[..., k, :]
+            noise = absval(diffusion(x)) * dB[..., k, :]
             nmean = noise.sum(axis=-1, keepdims=True) * (1.0 / 3.0)
             m = m + stack(dm) + noise - nmean
         clamp = np.any((m.v if isinstance(m, Value) else m) < 0.0, axis=-1, keepdims=True)

@@ -72,13 +72,16 @@ def test_sir_drift_on_tape_matches_drift_on_arrays():
     rates = sir.RateVector(0.25, 0.1, 0.01)
     m0 = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
     tape, on_tape, on_arrays = _forwards({"drift": net})
+
+    def drift(m, v, forward):
+        cols = [m[:, c] for c in range(3)]
+        return stack(sir.neural_drift(cols, rates, forward(sir._net_inputs(cols, rates, v))))
+
     m_tape, m = tape.value(m0), m0
     for k in range(len(dataset) - 1):
         v = dataset.measures[k]
-        m_tape = m_tape + stack(sir.neural_drift([m_tape[:, c] for c in range(3)], rates, v,
-                                                 on_tape["drift"]))
-        m = m + stack(sir.neural_drift([m[:, c] for c in range(3)], rates, v,
-                                       on_arrays["drift"]))
+        m_tape = m_tape + drift(m_tape, v, on_tape["drift"])
+        m = m + drift(m, v, on_arrays["drift"])
         np.testing.assert_allclose(m_tape.v, m, rtol=0.0, atol=1e-15)
 
 

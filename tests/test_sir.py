@@ -11,6 +11,7 @@ from mfgames.games.sir import (
     RateVector,
     SIRTrainingConfig,
     _nelder_mead,
+    _net_inputs,
     _rollout,
     augment_noise,
     estimate_rates,
@@ -29,7 +30,7 @@ from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init
 
 
 def _drift(m, rates, v, net):
-    return np.array(neural_drift(m, rates, v, lambda x: mlp_forward_np(net, x)))
+    return np.array(neural_drift(m, rates, mlp_forward_np(net, _net_inputs(m, rates, v))))
 
 
 def test_disease_free_equilibrium():
