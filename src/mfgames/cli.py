@@ -247,6 +247,8 @@ def _run_sir(args, params, out: Path) -> list[Path]:
         raise ConfigError("sir requires --data FILE")
     if params["population"] < 1:
         raise ConfigError("population must be positive")
+    if params["window"] < 1:
+        raise ConfigError("window must be positive")
     dataset = sir_mod.ingest_csv(args.data, population=params["population"])
     window = min(params["window"], len(dataset))
     rates, _warn = sir_mod.estimate_rates(dataset, window=window)

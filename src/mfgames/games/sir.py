@@ -462,6 +462,10 @@ class SIRTrainingConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.trajectories < 1 or self.batch < 1:
             raise ValueError("invalid training sizes")
+        if self.window < 1 or self.hidden_layers < 1 or self.hidden_width < 1:
+            raise ValueError("window, hidden_layers and hidden_width must be positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
 
 
 @dataclass

@@ -86,6 +86,23 @@ def test_exit_codes(inputs, capsys, code, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,mode", [
+    ("layers", "0", "neural"),
+    ("width", "0", "neural"),
+    ("window", "0", "neural"),
+    ("window", "0", "standard"),
+    ("lr", "0", "neural"),
+    ("lr", "-1", "neural"),
+])
+def test_sir_config_out_of_range_exits_2(inputs, capsys, key, value, mode):
+    config = inputs["tmp"] / "bad.ini"
+    config.write_text(f"[sir]\n{key} = {value}\n")
+    argv = ("sir", "--mode", mode, "--epochs", "1", "--data", "{data}", "--config", str(config))
+    assert _run(inputs, *argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("section,mode", [
     ("init_mean = 1e4", "neural"),  # data loss beyond the abort threshold
