@@ -23,7 +23,6 @@ __all__ = [
     "log",
     "max0",
     "sigmoid",
-    "tanh",
     "square",
     "lipswish",
     "clip01",
@@ -203,19 +202,15 @@ class Tape:
         """Record a leaf node (input, constant, or parameter) holding a copy of ``x``."""
         return Value(np.array(x, dtype=float), self, "leaf", ())
 
-    def zero_grads(self) -> None:
-        for n in self.nodes:
-            n.g = 0.0
-
     def backward(self, root: Value) -> None:
         """Accumulate d(sum of root)/d(leaf) into ``g`` for every leaf feeding root.
 
         Only leaves (nodes without parents) receive ``g``; interior nodes'
         adjoints live in a scratch list, and each is dropped as soon as its
         VJPs have run, so the sweep holds only the adjoints of nodes still
-        waiting for a consumer. Repeated calls without ``zero_grads`` sum
-        their contributions, and prior accumulated gradients never leak into
-        the current pass. ``nodes`` is left intact; the training loops
+        waiting for a consumer. Repeated calls sum their contributions into
+        ``g``, and prior accumulated gradients never leak into the current
+        pass. ``nodes`` is left intact; the training loops
         release the graph after each step (see :class:`Tape`).
         """
         if root.tape is not self:
@@ -288,10 +283,6 @@ def max0(x):
 
 def sigmoid(x):
     return _unary(x, "sigmoid", _sigmoid, lambda _x, s: s * (1.0 - s))
-
-
-def tanh(x):
-    return _unary(x, "tanh", np.tanh, lambda _x, t: 1.0 - t * t)
 
 
 def square(x):

@@ -166,7 +166,7 @@ def _rollout(config: MeetingConfig, tau0, eps, dB, nets=None) -> list:
             [t / c.turns, (x - c.scheduled) * 0.2, (ts - c.scheduled) * 0.2])
         return tts, ts, feats
 
-    def drift(_t, _x, mf, _ctrl):
+    def drift(_t, _x, mf):
         tts, ts, _feats = mf
         return best_response_drift(tts, c.scheduled, ts, c.drift_gain, c.smoothing)
 
@@ -175,8 +175,8 @@ def _rollout(config: MeetingConfig, tau0, eps, dB, nets=None) -> list:
     else:
         problem = SDEProblem(
             drift,
-            neural_drift=lambda _t, _x, mf, _ctrl: nets["drift"](mf[2])[..., 0],
-            neural_diffusion=lambda _t, _x, mf, _ctrl: nets["diffusion"](mf[2])[..., 0],
+            neural_drift=lambda _t, _x, mf: nets["drift"](mf[2])[..., 0],
+            neural_diffusion=lambda _t, _x, mf: nets["diffusion"](mf[2])[..., 0],
         )
     path = None if dB is None else BrownianPath(dB)
     return integrate(problem, tau0, _grid(c), path, mean_field_fn=mean_field)

@@ -21,7 +21,6 @@ __all__ = [
     "BrownianPath",
     "SDEProblem",
     "IntegrationError",
-    "sample_brownian",
     "em_step",
     "integrate",
 ]
@@ -62,24 +61,14 @@ class BrownianPath:
     increments: np.ndarray  # shape (n_steps, *state_shape)
 
 
-def sample_brownian(grid: TimeGrid, dim: int, seed: int) -> BrownianPath:
-    """i.i.d. Normal(0, dt) increments; dim=0 degenerates to a noiseless ODE."""
-    if dim < 0:
-        raise ValueError("dim must be nonnegative")
-    rng = np.random.default_rng(seed)
-    if dim == 0 or grid.n_steps == 0:
-        return BrownianPath(np.zeros((grid.n_steps, dim)))
-    return BrownianPath(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim)))
-
-
 @dataclass
 class SDEProblem:
     """Drift/diffusion fields combining a predefined game term with neural residuals.
 
     With the neural fields absent the dynamics are ``dx = b dt + sigma dB``;
     with them present, ``dx = (b + mu) dt + |sigma_theta| dB``. All callables
-    take ``(t, x, mean_field, control)`` and return a state-shaped array or
-    Value (or a scalar that broadcasts to one).
+    take ``(t, x, mean_field)`` and return a state-shaped array or Value (or a
+    scalar that broadcasts to one).
     """
 
     base_drift: Callable
@@ -88,7 +77,7 @@ class SDEProblem:
     neural_diffusion: Optional[Callable] = None
 
 
-def em_step(x, t, dt, problem: SDEProblem, mean_field, control, dB):
+def em_step(x, t, dt, problem: SDEProblem, mean_field, dB):
     """One Euler-Maruyama update: x + (b + mu) dt + |sigma| dB.
 
     Without a neural drift the update is x + b dt + sigma dB. Nonnegativity
@@ -96,20 +85,20 @@ def em_step(x, t, dt, problem: SDEProblem, mean_field, control, dB):
     use, keeping the network output scale-free. ``dB`` of None (or no
     diffusion) drops the noise term.
     """
-    b = problem.base_drift(t, x, mean_field, control)
-    mu = problem.neural_drift(t, x, mean_field, control) if problem.neural_drift else None
+    b = problem.base_drift(t, x, mean_field)
+    mu = problem.neural_drift(t, x, mean_field) if problem.neural_drift else None
     sig = None
     if dB is not None:
         if problem.neural_diffusion is not None:
-            sig = absval(problem.neural_diffusion(t, x, mean_field, control))
+            sig = absval(problem.neural_diffusion(t, x, mean_field))
         elif problem.fixed_diffusion is not None:
-            sig = problem.fixed_diffusion(t, x, mean_field, control)
+            sig = problem.fixed_diffusion(t, x, mean_field)
     new = x + (b if mu is None else b + mu) * dt
     return new if sig is None else new + sig * dB
 
 
 def integrate(problem: SDEProblem, x0, grid: TimeGrid, path: Optional[BrownianPath],
-              mean_field_fn=None, control_fn=None):
+              mean_field_fn=None):
     """Integrate over the grid, returning the state at every grid point.
 
     The mean field is recomputed from the current state before each step
@@ -124,9 +113,8 @@ def integrate(problem: SDEProblem, x0, grid: TimeGrid, path: Optional[BrownianPa
     for k in range(grid.n_steps):
         t = times[k]
         mf = mean_field_fn(k, t, x) if mean_field_fn else None
-        ctrl = control_fn(k, t, x) if control_fn else None
         dB = path.increments[k] if (path is not None and path.increments.size) else None
-        x = em_step(x, t, grid.dt, problem, mf, ctrl, dB)
+        x = em_step(x, t, grid.dt, problem, mf, dB)
         if not np.all(np.isfinite(x.v if isinstance(x, Value) else x)):
             raise IntegrationError(f"non-finite state at step {k}", k)
         traj.append(x)

@@ -18,17 +18,22 @@ def central_diff(f, xs, i, h=1e-5):
     return (f(up) - f(dn)) / (2.0 * h)
 
 
+def tanh(x):
+    """tanh composed of tape primitives: 2 sigmoid(2x) - 1."""
+    return 2.0 * ad.sigmoid(2.0 * x) - 1.0
+
+
 def _div_safe(a, b):
     return a / (ad.square(b) + 0.5)
 
 
 _UNARY = [
-    ("tanh", ad.tanh),
+    ("tanh", tanh),
     ("sigmoid", ad.sigmoid),
     ("lipswish", ad.lipswish),
     ("square", ad.square),
     ("max0", ad.max0),
-    ("exp_bounded", lambda x: ad.exp(ad.tanh(x))),
+    ("exp_bounded", lambda x: ad.exp(tanh(x))),
     ("log_safe", lambda x: ad.log(ad.square(x) + 0.5)),
     ("neg", lambda x: -x),
 ]

@@ -12,8 +12,13 @@ from mfgames.sde import (
     TimeGrid,
     em_step,
     integrate,
-    sample_brownian,
 )
+
+
+def sample_brownian(grid, dim, seed):
+    """i.i.d. Normal(0, dt) Wiener increments, one row per step."""
+    rng = np.random.default_rng(seed)
+    return BrownianPath(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, dim)))
 
 
 def test_grid_basics():
@@ -24,49 +29,26 @@ def test_grid_basics():
         TimeGrid(1.0, 0.0, 5)
 
 
-def test_brownian_dim_zero_is_deterministic():
-    path = sample_brownian(TimeGrid(0, 1, 10), 0, seed=3)
-    assert path.increments.size == 0
-
-
-def test_brownian_moments():
-    grid = TimeGrid(0, 1, 10)
-    n = 100_000
-    path = sample_brownian(TimeGrid(0, 1, n), 1, seed=5)
-    # treat the n increments as n samples of a single step of size dt
-    dt = 1.0 / n
-    inc = path.increments[:, 0]
-    assert abs(inc.mean()) < 3 * math.sqrt(dt / n)
-    assert inc.var() == pytest.approx(dt, rel=0.05)
-
-
-def test_brownian_seed_reproducible():
-    grid = TimeGrid(0, 1, 50)
-    a = sample_brownian(grid, 3, seed=11)
-    b = sample_brownian(grid, 3, seed=11)
-    assert np.array_equal(a.increments, b.increments)
-
-
 def test_em_step_frozen_dynamics():
-    problem = SDEProblem(base_drift=lambda t, x, mf, c: np.zeros(1))
-    x = em_step(np.array([1.5]), 0.0, 0.1, problem, None, None, None)
+    problem = SDEProblem(base_drift=lambda t, x, mf: np.zeros(1))
+    x = em_step(np.array([1.5]), 0.0, 0.1, problem, None, None)
     assert x[0] == 1.5
 
 
 def test_em_step_pure_drift():
-    problem = SDEProblem(base_drift=lambda t, x, mf, c: np.ones(1))
-    x = em_step(np.array([0.0]), 0.0, 0.1, problem, None, None, None)
+    problem = SDEProblem(base_drift=lambda t, x, mf: np.ones(1))
+    x = em_step(np.array([0.0]), 0.0, 0.1, problem, None, None)
     assert x[0] == pytest.approx(0.1)
 
 
 def test_zero_steps_returns_initial():
-    problem = SDEProblem(base_drift=lambda t, x, mf, c: np.ones(1))
+    problem = SDEProblem(base_drift=lambda t, x, mf: np.ones(1))
     traj = integrate(problem, np.array([2.0]), TimeGrid(0, 1, 0), None)
     assert len(traj) == 1 and traj[0][0] == 2.0
 
 
 def test_linear_ode_against_analytic():
-    problem = SDEProblem(base_drift=lambda t, x, mf, c: -x)
+    problem = SDEProblem(base_drift=lambda t, x, mf: -x)
     grid = TimeGrid(0.0, 1.0, 1000)
     traj = integrate(problem, np.array([1.0]), grid, None)
     assert traj[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-3)
@@ -77,8 +59,8 @@ def _gbm_strong_error(dt: float, n_paths: int = 200, mu=0.5, sigma=0.2) -> float
     n_steps = int(round(1.0 / dt))
     grid = TimeGrid(0.0, 1.0, n_steps)
     problem = SDEProblem(
-        base_drift=lambda t, x, mf, c: mu * x,
-        fixed_diffusion=lambda t, x, mf, c: sigma * x,
+        base_drift=lambda t, x, mf: mu * x,
+        fixed_diffusion=lambda t, x, mf: sigma * x,
     )
     errs = []
     for k in range(n_paths):
@@ -109,10 +91,10 @@ def test_neural_terms_absent_equals_fixed_form():
     x = rng.normal(size=3)
     dB = rng.normal(size=3)
     problem = SDEProblem(
-        base_drift=lambda t, x, mf, c: 0.3 * x,
-        fixed_diffusion=lambda t, x, mf, c: np.full(3, 0.2),
+        base_drift=lambda t, x, mf: 0.3 * x,
+        fixed_diffusion=lambda t, x, mf: np.full(3, 0.2),
     )
-    stepped = em_step(x.copy(), 0.0, 0.5, problem, None, None, dB)
+    stepped = em_step(x.copy(), 0.0, 0.5, problem, None, dB)
     assert np.allclose(stepped, x + 0.15 * x + 0.2 * dB)
 
 
@@ -134,9 +116,9 @@ def test_gradient_through_integrate_matches_fd():
     tape = ad.Tape()
     bound = net.bind(tape)
     problem = SDEProblem(
-        base_drift=lambda t, x, mf, c: 0.2 * x,
-        fixed_diffusion=lambda t, x, mf, c: 0.3,
-        neural_drift=lambda t, x, mf, c: bound.forward(x),
+        base_drift=lambda t, x, mf: 0.2 * x,
+        fixed_diffusion=lambda t, x, mf: 0.3,
+        neural_drift=lambda t, x, mf: bound.forward(x),
     )
     traj = integrate(problem, tape.value([0.5]), grid, path)
     loss = ad.square(traj[-1][0])
@@ -169,16 +151,16 @@ def test_neural_diffusion_uses_absolute_value():
     tape = ad.Tape()
     # force a negative diffusion output via a handcrafted callable
     problem = SDEProblem(
-        base_drift=lambda t, x, mf, c: np.zeros(1),
-        neural_diffusion=lambda t, x, mf, c: tape.value([-2.0]),
+        base_drift=lambda t, x, mf: np.zeros(1),
+        neural_diffusion=lambda t, x, mf: tape.value([-2.0]),
     )
     x = tape.value([1.0])
-    out = em_step(x, 0.0, 1.0, problem, None, None, np.array([0.5]))
+    out = em_step(x, 0.0, 1.0, problem, None, np.array([0.5]))
     assert out.v[0] == pytest.approx(1.0 + 2.0 * 0.5)
 
 
 def test_nonfinite_state_raises_with_step_index():
-    problem = SDEProblem(base_drift=lambda t, x, mf, c: x * x * 1e200)
+    problem = SDEProblem(base_drift=lambda t, x, mf: x * x * 1e200)
     with pytest.raises(IntegrationError) as err:
         integrate(problem, np.array([1e200]), TimeGrid(0, 1, 4), None)
     assert err.value.step is not None
@@ -192,8 +174,8 @@ def test_lipschitz_dynamics_stay_finite():
         grid = TimeGrid(0.0, 5.0, 50)
         path = sample_brownian(grid, 1, seed=seed)
         problem = SDEProblem(
-            base_drift=lambda t, x, mf, c: np.clip(-x, -10, 10),
-            fixed_diffusion=lambda t, x, mf, c: np.ones(1),
+            base_drift=lambda t, x, mf: np.clip(-x, -10, 10),
+            fixed_diffusion=lambda t, x, mf: np.ones(1),
         )
         traj = integrate(problem, np.array([2.0]), grid, path)
         assert np.all(np.isfinite([s[0] for s in traj]))
