@@ -11,8 +11,11 @@ by a rolling Nelder-Mead fit warm-start the dynamics.
 One day loop, :func:`_rollout`, runs the learned dynamics: on the tape for
 training, where :class:`SIRGame` is trained by :func:`mfgames.mfg.train`, and
 on plain arrays for :func:`forecast`. The rate fit keeps its own loop on
-Python floats, :func:`integrate_kolmogorov`, which is far cheaper on three
-numbers.
+Python floats, :func:`_kolmogorov_path`, which is far cheaper on three
+numbers; :func:`integrate_kolmogorov` wraps it for the standard game. That
+loop inlines the transition terms of :func:`kolmogorov_drift`, as it runs a
+few hundred thousand days per fit; tests pin its bits to a numpy loop over
+:func:`kolmogorov_drift`.
 """
 
 from __future__ import annotations
@@ -145,25 +148,53 @@ def neural_drift(m, rates: RateVector, out):
     return (-t_si - t_vac + r0, t_si - t_rec + r1, t_rec + t_vac + r2)
 
 
-def integrate_kolmogorov(m0, rates, days: int) -> np.ndarray:
-    """Daily Euler integration of the pure rate equation; (days+1, 3) array.
+def _kolmogorov_path(m0, day_rates, days: int) -> list:
+    """Daily Euler steps of the pure rate equation on Python floats.
 
-    The three compartments step as Python floats, which on three numbers is
-    several times cheaper than numpy and rounds the same. ``max(x, 0.0)``
-    keeps NaN and -0.0, as ``np.clip`` does.
+    ``m0`` is three floats and ``day_rates[k]`` day k's ``(gamma, rho, pi)``.
+    Returns the flat list ``[s0, i0, r0, s1, i1, r1, ...]`` of ``days + 1``
+    states. This is the rate fit's inner loop, so the transition terms of
+    :func:`kolmogorov_drift` are inlined here, in the same order of
+    operations: on three numbers a call per day costs more than the step.
+    The clamp is ``max(x, 0.0)``: it keeps NaN, as ``np.clip`` does, and
+    also -0.0, which ``np.clip`` turns into 0.0 (-0.0 needs -0.0 rates, and
+    the fit's clipped candidates are never -0.0). A state is renormalised
+    only when its sum is > 0.
     """
-    m = tuple(np.asarray(m0, dtype=float).tolist())
-    out = [m]
+    s, i, r = m0
+    path = [s, i, r]
     for k in range(days):
-        rv = rates[k] if isinstance(rates, (list, tuple)) else rates
-        ds, di, dr = kolmogorov_drift(m, rv)
-        s, i, r = max(m[0] + ds, 0.0), max(m[1] + di, 0.0), max(m[2] + dr, 0.0)
+        gamma, rho, pi = day_rates[k]
+        t_si = gamma * s * i
+        t_rec = rho * i
+        t_vac = pi * s
+        s = s + (-t_si - t_vac)
+        i = i + (t_si - t_rec)
+        r = r + (t_rec + t_vac)
+        if s < 0.0:
+            s = 0.0
+        if i < 0.0:
+            i = 0.0
+        if r < 0.0:
+            r = 0.0
         total = s + i + r
         if total > 0:
             s, i, r = s / total, i / total, r / total
-        m = (s, i, r)
-        out.append(m)
-    return np.array(out)
+        path += (s, i, r)
+    return path
+
+
+def integrate_kolmogorov(m0, rates, days: int) -> np.ndarray:
+    """Daily Euler integration of the pure rate equation; (days+1, 3) array.
+
+    ``rates`` is one :class:`RateVector` or a per-day list of them. The steps
+    run on Python floats in :func:`_kolmogorov_path`, which on three numbers
+    is several times cheaper than numpy and rounds the same.
+    """
+    m = np.asarray(m0, dtype=float).tolist()
+    per_day = rates if isinstance(rates, (list, tuple)) else [rates] * days
+    day_rates = [(rv.gamma, rv.rho, rv.pi) for rv in per_day]
+    return np.array(_kolmogorov_path(m, day_rates, days)).reshape(days + 1, 3)
 
 
 # -- data ---------------------------------------------------------------------
@@ -411,6 +442,24 @@ def _nelder_mead(f, x0, max_iter: int, xatol: float, fatol: float):
     return sim[0], iterations < max_iter
 
 
+def _window_objective(target: np.ndarray):
+    """The rolling fit's objective on one ``(window, 3)`` slice of the data.
+
+    The mean squared error of the rate equation run from the slice's first
+    row, with the candidate rates clamped at zero. The fit calls this several
+    thousand times, so it steps :func:`_kolmogorov_path` directly, on the
+    clamped candidate's floats, and builds no :class:`RateVector`.
+    """
+    window = len(target)
+    m0 = target[0].tolist()
+
+    def objective(cand):
+        day_rates = [np.clip(cand, 0.0, None).tolist()] * (window - 1)
+        path = _kolmogorov_path(m0, day_rates, window - 1)
+        return float(np.mean((np.array(path).reshape(window, 3) - target) ** 2))
+    return objective
+
+
 def estimate_rates(dataset: EpidemicDataset, window: int = 28,
                    max_iter: int = 400) -> tuple[list[RateVector], list[bool]]:
     """Daily rates from a rolling Nelder-Mead MSE fit of the rate equation.
@@ -429,13 +478,7 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
     for d in range(n):
         w0 = min(d, n - window)
         if d <= n - window or last_fit is None:
-            target = dataset.states[w0: w0 + window]
-
-            def objective(cand):
-                rv = RateVector(*np.clip(cand, 0.0, None))
-                traj = integrate_kolmogorov(target[0], rv, window - 1)
-                return float(np.mean((traj - target) ** 2))
-
+            objective = _window_objective(dataset.states[w0: w0 + window])
             x, converged = _nelder_mead(objective, x, max_iter, xatol=1e-8, fatol=1e-14)
             last_fit = (RateVector(*np.clip(x, 0.0, None)), not converged)
         rates.append(last_fit[0])

@@ -1,4 +1,5 @@
 import datetime
+import math
 from functools import partial
 
 import numpy as np
@@ -13,6 +14,7 @@ from mfgames.games.sir import (
     _nelder_mead,
     _net_inputs,
     _rollout,
+    _window_objective,
     augment_noise,
     estimate_rates,
     forecast,
@@ -114,10 +116,14 @@ INTEGRATE_CASES = {
     "clamped compartment": ([0.6, 0.4, 0.0], RateVector(4.0, 0.1, 0.5), 5),
     # the sum stays 0, so the state is never divided by it
     "all-zero state": ([0.0, 0.0, 0.0], RateVector(0.3, 0.1, 0.02), 4),
-    # the clamp keeps -0.0 and NaN, as np.clip does
+    # the first step's sum turns a -0.0 start into 0.0
     "negative zero": ([-0.0, 0.5, 0.5], RateVector(0.0, 0.0, 0.0), 3),
     # a NaN sum is not > 0, so S and I are not divided by it
     "nan recovered": ([0.5, 0.4, np.nan], RateVector(0.3, 0.1, 0.02), 3),
+    # recovery faster than one per day takes I below zero
+    "clamped infected": ([0.5, 0.5, 0.0], RateVector(0.1, 1.5, 0.0), 3),
+    # only a negative start takes R below zero
+    "clamped removed": ([0.5, 0.6, -0.1], RateVector(0.0, 0.0, 0.0), 2),
 }
 
 
@@ -138,6 +144,41 @@ def test_integrate_kolmogorov_equals_numpy_reference_randomized():
         rates = [RateVector(*rng.uniform(0, 2, 3)) for _ in range(20)]
         assert (integrate_kolmogorov(m0, rates, 20).tobytes()
                 == _integrate_kolmogorov_numpy(m0, rates, 20).tobytes())
+
+
+def _integrate_kolmogorov_floats(m0, rates, days):
+    """Reference: the rate equation stepped on Python floats through
+    ``kolmogorov_drift``, clamped by ``max(x, 0.0)``."""
+    m = tuple(np.asarray(m0, dtype=float).tolist())
+    out = [m]
+    for k in range(days):
+        rv = rates[k] if isinstance(rates, (list, tuple)) else rates
+        ds, di, dr = kolmogorov_drift(m, rv)
+        s, i, r = max(m[0] + ds, 0.0), max(m[1] + di, 0.0), max(m[2] + dr, 0.0)
+        total = s + i + r
+        if total > 0:
+            s, i, r = s / total, i / total, r / total
+        m = (s, i, r)
+        out.append(m)
+    return np.array(out)
+
+
+# -0.0 rates keep a -0.0 compartment at -0.0 through the step, so the clamp
+# sees it; it keeps it, where np.clip would return 0.0
+NEGATIVE_ZERO_CASES = {
+    "negative zero S": ([-0.0, 0.5, 0.5], RateVector(-0.0, 0.0, -0.0), 2),
+    "negative zero I": ([0.5, -0.0, 0.5], RateVector(0.3, -0.0, 0.0), 2),
+    "negative zero R": ([0.5, 0.5, -0.0], RateVector(0.0, -0.0, -0.0), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_CASES) + sorted(NEGATIVE_ZERO_CASES))
+def test_integrate_kolmogorov_equals_the_max_clamp_reference_bytes(name):
+    m0, rates, days = {**INTEGRATE_CASES, **NEGATIVE_ZERO_CASES}[name]
+    got = integrate_kolmogorov(m0, rates, days)
+    assert got.tobytes() == _integrate_kolmogorov_floats(m0, rates, days).tobytes()
+    if name in NEGATIVE_ZERO_CASES:
+        assert np.signbit(got[-1, "SIR".index(name[-1])])
 
 
 def test_validate_measures():
@@ -292,13 +333,39 @@ def _counted(f):
     return g
 
 
-def _window_objective(target):
-    """The rolling fit's objective on one window, as ``estimate_rates`` builds it."""
+def _window_objective_reference(target):
+    """The rolling fit's objective on one window, as it was first written:
+    a validated ``RateVector`` stepped through ``integrate_kolmogorov``."""
     def objective(cand):
         rv = RateVector(*np.clip(cand, 0.0, None))
         traj = integrate_kolmogorov(target[0], rv, len(target) - 1)
         return float(np.mean((traj - target) ** 2))
     return objective
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# 3 * window elements cross numpy's 8- and 128-element summation blocks
+@pytest.mark.parametrize("window", [1, 2, 3, 28, 43, 60])
+def test_window_objective_equals_the_reference(window):
+    ds = augment_noise(generate_synthetic_dataset(
+        60, seed=window, measures=make_measure_schedule(60, seed=window), modulate=True),
+        0.02, seed=window)
+    target = ds.states[60 - window:]
+    got, want = _window_objective(target), _window_objective_reference(target)
+    rng = np.random.default_rng(window)
+    cands = [rng.uniform(-0.5, 1.5, 3) for _ in range(200)]
+    # zero, negative and overflow-sized coordinates, alone and mixed; the
+    # infinite and NaN ones give NaN states, hence a NaN objective
+    cands += [np.array(c) for c in ([0.0, 0.0, 0.0], [-0.0, 0.3, -1.0], [-1.0, -2.0, -3.0],
+                                    [1e308, 0.1, 0.01], [0.2, 1e308, 0.0], [0.2, 0.1, 1e308],
+                                    [1e308, 1e308, 1e308], [1e200, -1e200, 1e-300],
+                                    [np.inf, 0.1, 0.01], [0.2, np.inf, np.inf],
+                                    [np.nan, 0.1, 0.0])]
+    for cand in cands:
+        assert _same_float(got(cand), want(cand)), cand
 
 
 def _assert_nelder_mead_matches_scipy(minimize, objective, x0, max_iter):
@@ -348,6 +415,33 @@ def test_nelder_mead_matches_scipy_on_ties(scale):
     def stepped(x):
         return float(np.floor(scale * np.sum((x - [0.3, -0.2, 0.1]) ** 2)))
     _assert_nelder_mead_matches_scipy(minimize, stepped, np.array([1.0, 1.0, 0.0]), 400)
+
+
+def _estimate_rates_reference(dataset, window):
+    """``estimate_rates``' rolling fit, driven by the reference objective."""
+    n = len(dataset)
+    rates, warnings = [], []
+    x = np.array([0.2, 0.1, 0.05])
+    for w0 in range(n - window + 1):
+        objective = _window_objective_reference(dataset.states[w0: w0 + window])
+        x, converged = _nelder_mead(objective, x, 400, xatol=1e-8, fatol=1e-14)
+        rates.append(RateVector(*np.clip(x, 0.0, None)))
+        warnings.append(not converged)
+    tail = window - 1  # trailing days reuse the last window's fit
+    return rates + rates[-1:] * tail, warnings + warnings[-1:] * tail
+
+
+@pytest.mark.parametrize("seed", [2, 9, 13])
+def test_estimate_rates_equals_the_reference_fit(tmp_path, seed):
+    # the benchmark's 60-day inputs, round-tripped through the CSV
+    path = tmp_path / "sir.csv"
+    write_dataset_csv(generate_synthetic_dataset(
+        60, seed=seed, measures=make_measure_schedule(60, seed=seed), modulate=True), path)
+    ds = ingest_csv(path, population=1_000_000)
+    rates, warn = estimate_rates(ds, window=28)
+    want_rates, want_warn = _estimate_rates_reference(ds, 28)
+    assert [(r.gamma, r.rho, r.pi) for r in rates] == [(r.gamma, r.rho, r.pi) for r in want_rates]
+    assert warn == want_warn
 
 
 def test_estimate_rates_flags_windows_that_do_not_converge():
