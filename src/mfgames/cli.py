@@ -251,13 +251,7 @@ def _run_sir(args, params, out: Path) -> list[Path]:
         raise ConfigError("window must be positive")
     dataset = sir_mod.ingest_csv(args.data, population=params["population"])
     window = min(params["window"], len(dataset))
-    rates, _warn = sir_mod.estimate_rates(dataset, window=window)
-    days = len(dataset) - 1
-    written = []
-    if args.mode == "standard":
-        # the pure rate equation driven by the daily fitted rates
-        traj = sir_mod.integrate_kolmogorov(dataset.states[0], rates, days)
-    else:
+    if args.mode != "standard":  # a bad config fails before the rate fit
         epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS["sir"]
         cfg = _config(
             sir_mod.SIRTrainingConfig,
@@ -265,6 +259,13 @@ def _run_sir(args, params, out: Path) -> list[Path]:
             batch=params["batch"], lr=params["lr"], seed=args.seed,
             window=window, hidden_layers=params["layers"], hidden_width=params["width"],
         )
+    rates, _warn = sir_mod.estimate_rates(dataset, window=window)
+    days = len(dataset) - 1
+    written = []
+    if args.mode == "standard":
+        # the pure rate equation driven by the daily fitted rates
+        traj = sir_mod.integrate_kolmogorov(dataset.states[0], rates, days)
+    else:
         model, history = sir_mod.train_sir(dataset, cfg, warm_rates=rates)
         traj = sir_mod.forecast(model, dataset.states[0], days, dataset.measures)
         write_history_csv(out / "loss_history.csv", history)

@@ -570,6 +570,8 @@ class SIRGame(GameInstance):
 
     def __init__(self, dataset: EpidemicDataset, config: SIRTrainingConfig,
                  warm_rates: list[RateVector], use_neural_drift: bool = True):
+        if len(dataset) < 2:
+            raise DataError("training needs at least two days of data")
         self.dataset = dataset
         self.rates = warm_rates
         self._targets = np.array([
@@ -611,6 +613,7 @@ def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
     Trains :class:`SIRGame` through :func:`mfgames.mfg.train`, one AdaBelief
     step per network per epoch. Returns the model and one
     :class:`mfgames.mfg.HistoryRow` per epoch (game cost 0, data loss = total).
+    Raises :class:`DataError` on a dataset of fewer than two days.
     """
     if warm_rates is None:
         warm_rates = estimate_rates(dataset, window=min(config.window, len(dataset)))[0]

@@ -48,7 +48,10 @@ def write_inputs(tmp_path):
         12, seed=1, measures=sir.make_measure_schedule(12, seed=1), modulate=True
     )
     sir.write_dataset_csv(dataset, data)
-    return {"config": str(config), "data": str(data), "tmp": tmp_path}
+    one_day = tmp_path / "one_day.csv"
+    sir.write_dataset_csv(sir.generate_synthetic_dataset(1, seed=1), one_day)
+    return {"config": str(config), "data": str(data), "one_day": str(one_day),
+            "tmp": tmp_path}
 
 
 @pytest.fixture
@@ -72,6 +75,8 @@ EXIT_CASES = [
     ("unknown config file", 2, ("meeting", "--config", "{tmp}/absent.ini")),
     ("missing data file", 3, ("sir", "--data", "{tmp}/absent.csv")),
     ("malformed data file", 3, ("sir", "--data", "{config}")),
+    ("one-day data file, neural", 3, ("sir", "--mode", "neural", "--data", "{one_day}")),
+    ("one-day data file, standard", 0, ("sir", "--mode", "standard", "--data", "{one_day}")),
     ("run flag meeting does not take", 2, ("run", "--game", "meeting", "--players", "5")),
     ("run flag dice does not take", 2, ("run", "--game", "dice", "--agents", "3")),
 ]
@@ -101,6 +106,17 @@ def test_sir_config_out_of_range_exits_2(inputs, capsys, key, value, mode):
     assert _run(inputs, *argv) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+
+
+def test_sir_config_is_checked_before_the_rate_fit(inputs, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        pytest.fail("the rate fit ran before the config was checked")
+    monkeypatch.setattr(sir, "estimate_rates", no_fit)
+    config = inputs["tmp"] / "bad.ini"
+    config.write_text("[sir]\nlr = 0\n")
+    argv = ("sir", "--mode", "neural", "--epochs", "1", "--data", "{data}", "--config", str(config))
+    assert _run(inputs, *argv) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
