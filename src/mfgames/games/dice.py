@@ -3,17 +3,21 @@
 Players roll hidden dice from a shared (possibly unfair) categorical
 distribution and take turns raising bids on how many dice of a face exist in
 total, or challenging the previous bid. Each player's state is a belief over
-the face odds plus a Poisson bluff rate that inflates its raises. Beliefs
-drift towards the pooled empirical distribution of dice revealed at round
-ends; the neural variant adds trained residuals to both the belief and the
-bluff rate and is updated once per round.
+the face odds plus a Poisson bluff rate that inflates its raises. The
+population is held as two arrays, ``theta_hat`` of shape (players, faces)
+and ``lam`` of shape (players,); player i is row i of each, and the dealt
+dice are a (players, faces) array of counts. Beliefs drift towards the
+pooled empirical distribution of dice revealed at round ends; the neural
+variant adds trained residuals to both the belief and the bluff rate and is
+updated once per round. The updates return new arrays and never write to
+their inputs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +30,6 @@ __all__ = [
     "DiceConfig",
     "Bid",
     "Challenge",
-    "PlayerState",
     "RoundOutcome",
     "RoundRecord",
     "estimate_occurrences",
@@ -68,6 +71,10 @@ class DiceConfig:
             raise ValueError("likelihood threshold must lie in (0, 1)")
         if self.bluff0 < 0:
             raise ValueError("bluff rate must be nonnegative")
+        if self.theta_hat0 is not None:
+            th0 = np.asarray(self.theta_hat0, dtype=float)
+            if th0.shape != (self.n_faces,) or np.any(th0 < 0) or abs(th0.sum() - 1.0) > 1e-9:
+                raise ValueError("theta_hat0 must be a probability vector over the faces")
 
     @property
     def total_dice(self) -> int:
@@ -99,20 +106,6 @@ def is_legal_successor(prev: Bid, new: Bid) -> bool:
     if new.quantity > prev.quantity:
         return new.face >= prev.face
     return new.quantity == prev.quantity and new.face > prev.face
-
-
-@dataclass
-class PlayerState:
-    theta_hat: np.ndarray  # belief simplex over faces
-    lam: float  # bluff rate >= 0
-    dice: np.ndarray = field(default_factory=lambda: np.zeros(6, dtype=int))  # face counts
-
-    def __post_init__(self):
-        self.theta_hat = np.asarray(self.theta_hat, dtype=float)
-        if np.any(self.theta_hat < 0) or abs(self.theta_hat.sum() - 1.0) > 1e-9:
-            raise ValueError("theta_hat must lie on the simplex")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
 
 
 @dataclass
@@ -203,26 +196,28 @@ def _binomial_tail_log_space(need: int, n: int, p: float) -> float:
     return float(w[need:].sum() / w.sum())
 
 
-def player_turn(state: PlayerState, prev_bid: Bid, config: DiceConfig, rng):
+def player_turn(dice: np.ndarray, theta_hat: np.ndarray, lam: float, prev_bid: Bid,
+                config: DiceConfig, rng):
     """One move of the individual player's drift logic.
 
     Raise the face when the previous quantity exceeds the occurrence estimate
     (challenging past the top face); challenge when the candidate bid itself
     is too unlikely; otherwise inflate the quantity by a Poisson bluff. A
     minimum raise of one keeps the bid a legal successor when the face stayed
-    and the bluff draw was zero.
+    and the bluff draw was zero. ``dice``, ``theta_hat`` and ``lam`` are the
+    player's rows of the dealt counts and of the population's arrays.
     """
     others = config.total_dice - config.dice_per_player
-    est = estimate_occurrences(prev_bid.face, state.dice, state.theta_hat, others)
+    est = estimate_occurrences(prev_bid.face, dice, theta_hat, others)
     face = prev_bid.face
     if prev_bid.quantity > est:
         face += 1
         if face > config.n_faces:
             return CHALLENGE
     quantity = prev_bid.quantity
-    if bid_probability(face, quantity, state.dice, state.theta_hat, others) < config.likelihood:
+    if bid_probability(face, quantity, dice, theta_hat, others) < config.likelihood:
         return CHALLENGE
-    quantity += int(rng.poisson(state.lam))
+    quantity += int(rng.poisson(lam))
     if face == prev_bid.face and quantity == prev_bid.quantity:
         quantity += 1
     return Bid(face, quantity)
@@ -241,24 +236,27 @@ def deal(n_players: int, config: DiceConfig, rng) -> np.ndarray:
     return (faces[..., None] == np.arange(config.n_faces)).sum(axis=1)
 
 
-def play_round(players: list[PlayerState], config: DiceConfig, rng) -> RoundOutcome:
-    """Deal dice, rotate turns from player 0's opening bid until a challenge."""
-    if len(players) < 2:
+def play_round(counts: np.ndarray, theta_hat: np.ndarray, lam: np.ndarray,
+               config: DiceConfig, rng) -> RoundOutcome:
+    """Rotate turns from player 0's opening bid until a challenge.
+
+    ``counts`` are the dealt dice (see :func:`deal`), ``theta_hat`` and
+    ``lam`` the population's beliefs and bluff rates; player i plays row i.
+    """
+    n_players = len(counts)
+    if n_players < 2:
         raise ValueError("a round needs at least two players")
-    counts = deal(len(players), config, rng)
-    for pl, row in zip(players, counts):
-        pl.dice = row
     revealed = counts.sum(axis=0)
 
     others = config.total_dice - config.dice_per_player
-    est = estimate_occurrences(1, players[0].dice, players[0].theta_hat, others)
+    est = estimate_occurrences(1, counts[0], theta_hat[0], others)
     opening = Bid(1, max(1, int(round(est))))
     turns: list = [(0, opening)]
     prev_bid = opening
     prev_bidder = 0
-    i = 1 % len(players)
+    i = 1 % n_players
     while True:
-        action = player_turn(players[i], prev_bid, config, rng)
+        action = player_turn(counts[i], theta_hat[i], lam[i], prev_bid, config, rng)
         turns.append((i, action))
         if isinstance(action, Challenge):
             actual = int(revealed[prev_bid.face - 1])
@@ -269,7 +267,7 @@ def play_round(players: list[PlayerState], config: DiceConfig, rng) -> RoundOutc
             raise RuntimeError(f"illegal successor bid {action} after {prev_bid}")
         prev_bid = action
         prev_bidder = i
-        i = (i + 1) % len(players)
+        i = (i + 1) % n_players
 
 
 def kl_divergence(p, q) -> float:
@@ -303,41 +301,39 @@ def _pooled_target(pooled_counts: np.ndarray, config: DiceConfig) -> np.ndarray:
     return smooth / smooth.sum()
 
 
-def _mfg_belief_update(players: list[PlayerState], target: np.ndarray,
-                       config: DiceConfig) -> None:
-    """Pull every belief towards the target as one (players, faces) array."""
-    theta = np.array([pl.theta_hat for pl in players])
-    th = np.clip(theta + config.belief_rate * (target - theta), config.belief_floor, None)
+def _mfg_belief_update(theta_hat: np.ndarray, target: np.ndarray,
+                       config: DiceConfig) -> np.ndarray:
+    """The (players, faces) beliefs pulled towards the target, floored, renormalised."""
+    th = np.clip(theta_hat + config.belief_rate * (target - theta_hat), config.belief_floor, None)
     th /= th.sum(axis=1, keepdims=True)
-    for pl, row in zip(players, th):
-        pl.theta_hat = row
+    return th
 
 
-def _neural_round_update(players, target, outcome, config: DiceConfig,
-                         net: MLP, opt: AdaBelief) -> None:
+def _neural_round_update(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
+                         target: np.ndarray, outcome: RoundOutcome, config: DiceConfig,
+                         net: MLP, opt: AdaBelief) -> tuple[np.ndarray, np.ndarray]:
     """One training step: belief MSE plus the bluff-rate surrogate terms.
 
-    All players go through the network as one (players, 2 faces + 2) batch.
+    All players go through the network as one (players, 2 faces + 2) batch
+    built from the beliefs, the dealt ``counts`` and the round's last bid.
     The safety penalty rewards larger expected raises (gradient through the
     Poisson mean), while a correct challenge ending the round penalizes the
     bluff level; their balance moves lam up from timid starts and caps it once
-    challenges start landing.
+    challenges start landing. Returns the new ``(theta_hat, lam)`` arrays.
     """
     correct = 1.0 if outcome.challenge_correct else 0.0
     last_bid = outcome.bids[-1]
     nf = config.n_faces
-    theta = np.array([pl.theta_hat for pl in players])
-    lam = np.array([pl.lam for pl in players])
     feats = np.concatenate([
-        theta,
-        np.array([pl.dice for pl in players]) / config.dice_per_player,
+        theta_hat,
+        counts / config.dice_per_player,
         np.tile([last_bid.face / nf, last_bid.quantity / config.total_dice],
-                (len(players), 1)),
+                (len(theta_hat), 1)),
     ], axis=1)
 
     def round_loss(_tape, bound):
         out = bound["belief"].forward(feats)  # one (players, faces + 1) pass
-        base = theta + config.belief_rate * (target - theta)
+        base = theta_hat + config.belief_rate * (target - theta_hat)
         raw = out[:, :nf] * _RESIDUAL_SCALE + base
         th = max0(raw - config.belief_floor) + config.belief_floor
         th = th / th.sum(axis=1, keepdims=True)
@@ -348,16 +344,16 @@ def _neural_round_update(players, target, outcome, config: DiceConfig,
         return per_player.sum(), (th.v, lam_new.v)
 
     th, lam_new = train_step({"belief": net}, {"belief": opt}, round_loss)
-    for pl, row, lam_i in zip(players, th, lam_new):
-        pl.theta_hat = row / row.sum()
-        pl.lam = float(lam_i)
+    return th / th.sum(axis=1, keepdims=True), lam_new
 
 
 def train_dice(config: DiceConfig, training: TrainingConfig, games: int = 100,
                rounds_per_game: int = 10, neural: bool = True):
     """Play seeded games of several rounds each, updating after every round.
 
-    Beliefs and bluff rates reset at each game boundary; the network persists
+    Each game deals every round's dice just before it is played and starts
+    from fresh ``theta_hat`` and ``lam`` arrays (beliefs ``theta_hat0``, bluff
+    rates ``bluff0``); each round's update replaces them. The network persists
     across games and is trained once per round. Returns the network (None for
     the pure variant) and one record per round.
     """
@@ -378,28 +374,28 @@ def train_dice(config: DiceConfig, training: TrainingConfig, games: int = 100,
     records: list[RoundRecord] = []
     for g in range(games):
         rng = np.random.default_rng(np.asarray((training.seed, g), dtype=np.uint64))
-        players = [
-            PlayerState(theta_hat0.copy(), config.bluff0) for _ in range(config.n_players)
-        ]
+        theta_hat = np.tile(theta_hat0, (config.n_players, 1))
+        lam = np.full(config.n_players, float(config.bluff0))
         pooled = np.zeros(config.n_faces)
         dice_seen = 0
         for r in range(rounds_per_game):
-            outcome = play_round(players, config, rng)
+            counts = deal(config.n_players, config, rng)
+            outcome = play_round(counts, theta_hat, lam, config, rng)
             pooled += outcome.revealed
             dice_seen += int(outcome.revealed.sum())
             target = _pooled_target(pooled, config)
             if neural:
-                _neural_round_update(players, target, outcome, config, net, opt)
+                theta_hat, lam = _neural_round_update(theta_hat, lam, counts, target, outcome,
+                                                      config, net, opt)
             else:
-                _mfg_belief_update(players, target, config)
-            mean_belief = np.mean([pl.theta_hat for pl in players], axis=0)
+                theta_hat = _mfg_belief_update(theta_hat, target, config)
             records.append(
                 RoundRecord(
                     game=g,
                     round_index=r,
                     outcome=outcome,
-                    lam_mean=float(np.mean([pl.lam for pl in players])),
-                    kl=kl_divergence(theta, mean_belief),
+                    lam_mean=float(lam.mean()),
+                    kl=kl_divergence(theta, theta_hat.mean(axis=0)),
                     dice_seen=dice_seen,
                 )
             )

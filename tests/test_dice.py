@@ -7,7 +7,6 @@ from mfgames.games import dice
 from mfgames.games.dice import (
     Bid,
     DiceConfig,
-    PlayerState,
     bid_probability,
     deal,
     is_legal_successor,
@@ -51,19 +50,23 @@ def test_neural_update_keeps_beliefs_on_simplex_and_bids_legal():
     net = _loud_net(config)
     opt = AdaBelief(net.parameters(), lr=0.05)
     rng = np.random.default_rng(7)
-    players = [PlayerState(np.full(6, 1.0 / 6.0), 0.0) for _ in range(config.n_players)]
+    theta_hat = np.full((config.n_players, 6), 1.0 / 6.0)
+    lam = np.zeros(config.n_players)
     pooled = np.zeros(config.n_faces)
     for _round in range(12):
-        outcome = play_round(players, config, rng)
+        counts = deal(config.n_players, config, rng)
+        outcome = play_round(counts, theta_hat, lam, config, rng)
         bids = outcome.bids
         assert all(is_legal_successor(a, b) for a, b in zip(bids, bids[1:]))
         pooled += outcome.revealed
         target = dice._pooled_target(pooled, config)
-        dice._neural_round_update(players, target, outcome, config, net, opt)
-        for pl in players:
-            assert np.all(pl.theta_hat > 0.0)
-            assert pl.theta_hat.sum() == pytest.approx(1.0, abs=1e-12)
-            assert type(pl.lam) is float and pl.lam >= 0.0
+        theta_hat, lam = dice._neural_round_update(theta_hat, lam, counts, target, outcome,
+                                                   config, net, opt)
+        assert theta_hat.shape == (config.n_players, 6) and lam.shape == (config.n_players,)
+        for row, lam_i in zip(theta_hat, lam):
+            assert np.all(row > 0.0)
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+            assert lam.dtype == float and lam_i >= 0.0
 
 
 def test_neural_training_records_legal_games():
@@ -164,9 +167,42 @@ def test_batched_belief_update_matches_per_player_loop(faces):
     beliefs = rng.dirichlet(np.ones(faces), size=config.n_players)
     beliefs[0, 1] = 0.0  # exercises the floor
     beliefs[0] /= beliefs[0].sum()
-    players = [PlayerState(b, 0.0) for b in beliefs]
     target = dice._pooled_target(rng.integers(0, 40, faces).astype(float), config)
-    dice._mfg_belief_update(players, target, config)
-    for pl, b in zip(players, beliefs):
+    theta_hat = dice._mfg_belief_update(beliefs, target, config)
+    for row, b in zip(theta_hat, beliefs):
         th = np.clip(b + config.belief_rate * (target - b), config.belief_floor, None)
-        assert np.array_equal(pl.theta_hat, th / th.sum())
+        assert np.array_equal(row, th / th.sum())
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def test_round_and_updates_leave_their_inputs_unwritten():
+    config = DiceConfig(n_players=6, dice_per_player=4, bluff0=0.5)
+    rng = np.random.default_rng(3)
+    counts, theta_hat, lam = _read_only(
+        deal(config.n_players, config, rng),
+        rng.dirichlet(np.ones(config.n_faces), size=config.n_players),
+        np.full(config.n_players, 0.5),
+    )
+    before = [a.copy() for a in (counts, theta_hat, lam)]
+    outcome = play_round(counts, theta_hat, lam, config, rng)
+    (target,) = _read_only(dice._pooled_target(outcome.revealed.astype(float), config))
+    pure = dice._mfg_belief_update(theta_hat, target, config)
+    net = _loud_net(config)
+    th, lam_new = dice._neural_round_update(theta_hat, lam, counts, target, outcome, config,
+                                            net, AdaBelief(net.parameters(), lr=0.05))
+    for a, b in zip((counts, theta_hat, lam), before):
+        assert np.array_equal(a, b)
+    for new in (pure, th, lam_new):
+        assert not any(np.shares_memory(new, a) for a in (counts, theta_hat, lam, target))
+
+
+@pytest.mark.parametrize("theta_hat0", [(0.5, 0.5), (0.3,) * 6, (1.5, -0.5, 0, 0, 0, 0)],
+                         ids=["wrong-length", "sum-not-one", "negative"])
+def test_config_rejects_initial_beliefs_off_the_simplex(theta_hat0):
+    with pytest.raises(ValueError, match="theta_hat0"):
+        DiceConfig(theta_hat0=theta_hat0)

@@ -79,12 +79,15 @@ def test_dice_round_update_matches_scalar_tape(step_grads):
     config = dice.DiceConfig(n_players=8, dice_per_player=5)
     net = nets.mlp_init(nets.MLPConfig(14, 7, hidden_layers=3, hidden_width=8, seed=SEED))
     opt = nets.AdaBelief(net.parameters(), lr=5e-4)
-    players = [dice.PlayerState(np.full(6, 1 / 6), 0.5) for _ in range(config.n_players)]
-    outcome = dice.play_round(players, config, np.random.default_rng(SEED))
+    rng = np.random.default_rng(SEED)
+    counts = dice.deal(config.n_players, config, rng)
+    theta_hat = np.full((config.n_players, 6), 1 / 6)
+    lam = np.full(config.n_players, 0.5)
+    outcome = dice.play_round(counts, theta_hat, lam, config, rng)
     target = dice._pooled_target(outcome.revealed.astype(float), config)
-    dice._neural_round_update(players, target, outcome, config, net, opt)
+    theta_hat, lam = dice._neural_round_update(theta_hat, lam, counts, target, outcome, config,
+                                               net, opt)
     _assert_matches("dice", None, step_grads)
     golden = json.loads((GOLDEN / "dice.json").read_text())
-    np.testing.assert_allclose([pl.theta_hat for pl in players], golden["theta_hat"],
-                               rtol=TOL, atol=TOL)
-    np.testing.assert_allclose([pl.lam for pl in players], golden["lam"], rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(theta_hat, golden["theta_hat"], rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(lam, golden["lam"], rtol=TOL, atol=TOL)
