@@ -205,7 +205,7 @@ def save_checkpoint(net: MLP, path) -> None:
         "biases": [b.tolist() for b in net.biases],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # one C-encoder call; json.dump encodes in Python
 
 
 def load_checkpoint(path) -> MLP:
