@@ -185,6 +185,16 @@ def _training_config(args, params, game: str) -> TrainingConfig:
     )
 
 
+def _write_training(out: Path, history, nets: dict) -> list[Path]:
+    """``loss_history.csv`` plus one ``checkpoint_<name>.json`` per network."""
+    written = [out / "loss_history.csv"]
+    write_history_csv(written[0], history)
+    for name, net in nets.items():
+        written.append(out / f"checkpoint_{name}.json")
+        save_checkpoint(net, written[-1])
+    return written
+
+
 def _run_meeting(args, params, out: Path) -> list[Path]:
     config = _config(
         meeting_mod.MeetingConfig,
@@ -207,12 +217,7 @@ def _run_meeting(args, params, out: Path) -> list[Path]:
             config, observations, training, net_seed=args.seed
         )
         states = meeting_mod.simulate_neural(config, nets, seed=args.seed)
-        write_history_csv(out / "loss_history.csv", history)
-        written.append(out / "loss_history.csv")
-        for name, net in nets.items():
-            p = out / f"checkpoint_{name}.json"
-            save_checkpoint(net, p)
-            written.append(p)
+        written = _write_training(out, history, nets)
     meeting_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
@@ -233,11 +238,7 @@ def _run_elfarol(args, params, out: Path) -> list[Path]:
             config, observations, training, net_seed=args.seed
         )
         states = elfarol_mod.simulate_neural(config, nets, seed=args.seed)
-        write_history_csv(out / "loss_history.csv", history)
-        written.append(out / "loss_history.csv")
-        p = out / "checkpoint_drift.json"
-        save_checkpoint(nets["drift"], p)
-        written.append(p)
+        written = _write_training(out, history, nets)
     elfarol_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
@@ -268,13 +269,9 @@ def _run_sir(args, params, out: Path) -> list[Path]:
     else:
         model, history = sir_mod.train_sir(dataset, cfg, warm_rates=rates)
         traj = sir_mod.forecast(model, dataset.states[0], days, dataset.measures)
-        write_history_csv(out / "loss_history.csv", history)
-        written.append(out / "loss_history.csv")
-        for name, net in (("drift", model.drift_net), ("diffusion", model.diffusion_net)):
-            if net is not None:
-                p = out / f"checkpoint_{name}.json"
-                save_checkpoint(net, p)
-                written.append(p)
+        nets = {"drift": model.drift_net, "diffusion": model.diffusion_net}
+        written = _write_training(out, history,
+                                  {name: net for name, net in nets.items() if net is not None})
 
     dates = [date.isoformat() for date in dataset.dates]
     rates_path = out / "rates.csv"
