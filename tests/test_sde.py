@@ -161,7 +161,7 @@ def test_neural_diffusion_uses_absolute_value():
 
 def test_nonfinite_state_raises_with_step_index():
     problem = SDEProblem(base_drift=lambda t, x, mf: x * x * 1e200)
-    with pytest.raises(IntegrationError) as err:
+    with pytest.raises(IntegrationError) as err, np.errstate(over="ignore"):
         integrate(problem, np.array([1e200]), TimeGrid(0, 1, 4), None)
     assert err.value.step is not None
 
