@@ -114,6 +114,8 @@ def load_config_file(path: str, game: str) -> dict:
             for key, value in parser.items(section):
                 if key not in ("game", "mode", "seed", "out", "epochs", "data"):
                     raise ConfigError(f"unknown key '{key}' in [run]")
+                if key == "game" and value != game:
+                    raise ConfigError(f"config file is for game '{value}', not '{game}'")
                 out[key] = value
         elif section in GAMES:
             if section != game:
@@ -142,8 +144,11 @@ def _params_for(game: str, file_cfg: dict, args: argparse.Namespace) -> dict:
 
 
 def _sha256(path: Path) -> str:
+    # in fixed chunks, so hashing a large output does not set the peak memory
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
     return h.hexdigest()
 
 

@@ -76,7 +76,6 @@ def bar_cost(p_i, a, c: float, went):
 
 def expected_bar_cost(p_i, a: float, c: float):
     """Cost averaged over the agent's own attendance draw (went ~ Bern(p))."""
-    pv = p_i.v if isinstance(p_i, Value) else p_i
     cost = square(p_i - a)
     if a < c:
         cost = cost + (1.0 - p_i) * (max0(c - p_i))

@@ -19,10 +19,10 @@ from itertools import repeat
 
 import numpy as np
 
-from ..autodiff import Tape, Value, max0, sigmoid, square, stack, take_along_axis, where
+from ..autodiff import Tape, Value, absval, max0, sigmoid, square, stack, take_along_axis, where
 from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csvs
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
-from ..sde import BrownianPath, SDEProblem, TimeGrid, integrate
+from ..sde import TimeGrid, integrate
 
 __all__ = [
     "MeetingConfig",
@@ -150,36 +150,28 @@ def _rollout(config: MeetingConfig, tau0, eps, dB, nets=None) -> list:
 
     States have shape (..., agents) and are ndarrays or tape Values: training
     runs this on the tape, inference and the standard game on plain arrays.
-    ``nets`` maps "drift" and "diffusion" to forward functions on the features
-    (t, tau, start); each step is then x + (b + mu) dt + |sigma| dB. Without
-    them it is the standard game's x + b dt + sigma dB, and ``dB`` of None
-    switches the noise off.
+    Each step's coefficients first rebuild the mean field from the current
+    state: actual arrivals, start time and, with ``nets``, the features (t,
+    tau, start). ``nets`` maps "drift" and "diffusion" to forward functions on
+    the features; each step is then x + (b + mu) dt + |sigma| dB, the absolute
+    value keeping the learned noise scale nonnegative. Without them it is the
+    standard game's x + b dt + sigma dB. ``dB`` of None switches the noise off.
     """
     c = config
 
-    def mean_field(_k, t, x):
-        # actual arrivals, start time and features, built once per step and
-        # shared by the base drift and both networks
+    def coefficients(t, x):
         tts = x + eps
         ts = actual_start(tts, c.scheduled, c.quorum)
         feats = None if nets is None else stack(
             [t / c.turns, (x - c.scheduled) * 0.2, (ts - c.scheduled) * 0.2])
-        return tts, ts, feats
+        b = best_response_drift(tts, c.scheduled, ts, c.drift_gain, c.smoothing)
+        if nets is None:
+            return b, c.sigma
+        mu = nets["drift"](feats)[..., 0]
+        sigma = absval(nets["diffusion"](feats)[..., 0])
+        return b + mu, sigma
 
-    def drift(_t, _x, mf):
-        tts, ts, _feats = mf
-        return best_response_drift(tts, c.scheduled, ts, c.drift_gain, c.smoothing)
-
-    if nets is None:
-        problem = SDEProblem(drift, fixed_diffusion=lambda *_: c.sigma)
-    else:
-        problem = SDEProblem(
-            drift,
-            neural_drift=lambda _t, _x, mf: nets["drift"](mf[2])[..., 0],
-            neural_diffusion=lambda _t, _x, mf: nets["diffusion"](mf[2])[..., 0],
-        )
-    path = None if dB is None else BrownianPath(dB)
-    return integrate(problem, tau0, _grid(c), path, mean_field_fn=mean_field)
+    return integrate(coefficients, tau0, _grid(c), dB)
 
 
 def _states(trajectory, eps) -> list[ArrivalState]:

@@ -5,25 +5,26 @@ numpy and records nothing, while a state that is an autodiff ``Value`` unrolls
 the whole solve onto its tape, so that losses on the trajectory can be
 backpropagated to any learned drift/diffusion parameters
 (discretize-then-optimize).
+
+The dynamics are one callable, ``coefficients(t, x) -> (drift, diffusion)``,
+evaluated at the start of each step; a game that couples its agents through a
+mean field recomputes it there from the current state. The meeting game is the
+one caller. El Farol and SIR keep their own projected steps instead, because
+their states live on constrained sets that a plain EM update leaves: El Farol
+clips each intention back to [0, 1], and SIR steps on the simplex with
+zero-sum noise between its compartments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import Value, absval
+from .autodiff import Value
 
-__all__ = [
-    "TimeGrid",
-    "BrownianPath",
-    "SDEProblem",
-    "IntegrationError",
-    "em_step",
-    "integrate",
-]
+__all__ = ["TimeGrid", "IntegrationError", "integrate"]
 
 
 class IntegrationError(RuntimeError):
@@ -54,67 +55,26 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, self.n_steps + 1)
 
 
-@dataclass
-class BrownianPath:
-    """Pre-sampled Wiener increments, one state-shaped row per step, Normal(0, dt)."""
-
-    increments: np.ndarray  # shape (n_steps, *state_shape)
-
-
-@dataclass
-class SDEProblem:
-    """Drift/diffusion fields combining a predefined game term with neural residuals.
-
-    With the neural fields absent the dynamics are ``dx = b dt + sigma dB``;
-    with them present, ``dx = (b + mu) dt + |sigma_theta| dB``. All callables
-    take ``(t, x, mean_field)`` and return a state-shaped array or Value (or a
-    scalar that broadcasts to one).
-    """
-
-    base_drift: Callable
-    fixed_diffusion: Optional[Callable] = None
-    neural_drift: Optional[Callable] = None
-    neural_diffusion: Optional[Callable] = None
-
-
-def em_step(x, t, dt, problem: SDEProblem, mean_field, dB):
-    """One Euler-Maruyama update: x + (b + mu) dt + |sigma| dB.
-
-    Without a neural drift the update is x + b dt + sigma dB. Nonnegativity
-    of the learned noise scale is enforced by absolute value at the point of
-    use, keeping the network output scale-free. ``dB`` of None (or no
-    diffusion) drops the noise term.
-    """
-    b = problem.base_drift(t, x, mean_field)
-    mu = problem.neural_drift(t, x, mean_field) if problem.neural_drift else None
-    sig = None
-    if dB is not None:
-        if problem.neural_diffusion is not None:
-            sig = absval(problem.neural_diffusion(t, x, mean_field))
-        elif problem.fixed_diffusion is not None:
-            sig = problem.fixed_diffusion(t, x, mean_field)
-    new = x + (b if mu is None else b + mu) * dt
-    return new if sig is None else new + sig * dB
-
-
-def integrate(problem: SDEProblem, x0, grid: TimeGrid, path: Optional[BrownianPath],
-              mean_field_fn=None):
+def integrate(coefficients: Callable, x0, grid: TimeGrid, dB=None):
     """Integrate over the grid, returning the state at every grid point.
 
-    The mean field is recomputed from the current state before each step
-    (forward-in-time coupling, no lookahead). A non-finite state raises
-    :class:`IntegrationError` carrying the step index.
+    Each step is ``x + drift dt + diffusion dB[k]`` with ``(drift,
+    diffusion) = coefficients(t, x)`` at the step's start (forward-in-time
+    coupling, no lookahead). ``dB`` holds the pre-sampled Wiener increments,
+    one state-shaped row per step drawn from Normal(0, dt); None switches the
+    noise off. A non-finite state raises :class:`IntegrationError` carrying
+    the step index.
     """
-    if path is not None and path.increments.shape[0] not in (0, grid.n_steps):
-        raise ValueError("Brownian path length does not match the grid")
+    if dB is not None and len(dB) != grid.n_steps:
+        raise ValueError("Brownian increments do not match the grid")
     times = grid.times()
     traj = [x0]
     x = x0
     for k in range(grid.n_steps):
-        t = times[k]
-        mf = mean_field_fn(k, t, x) if mean_field_fn else None
-        dB = path.increments[k] if (path is not None and path.increments.size) else None
-        x = em_step(x, t, grid.dt, problem, mf, dB)
+        drift, diffusion = coefficients(times[k], x)
+        x = x + drift * grid.dt
+        if dB is not None:
+            x = x + diffusion * dB[k]
         if not np.all(np.isfinite(x.v if isinstance(x, Value) else x)):
             raise IntegrationError(f"non-finite state at step {k}", k)
         traj.append(x)

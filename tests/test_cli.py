@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -50,8 +51,10 @@ def write_inputs(tmp_path):
     sir.write_dataset_csv(dataset, data)
     one_day = tmp_path / "one_day.csv"
     sir.write_dataset_csv(sir.generate_synthetic_dataset(1, seed=1), one_day)
+    sir_config = tmp_path / "sir.ini"
+    sir_config.write_text("[run]\ngame = sir\n" + TINY)
     return {"config": str(config), "data": str(data), "one_day": str(one_day),
-            "tmp": tmp_path}
+            "sir_config": str(sir_config), "tmp": tmp_path}
 
 
 @pytest.fixture
@@ -73,6 +76,8 @@ EXIT_CASES = [
     ("sir without data", 2, ("sir",)),
     ("empty population", 2, ("sir", "--data", "{data}", "--population", "0")),
     ("unknown config file", 2, ("meeting", "--config", "{tmp}/absent.ini")),
+    ("config file for another game", 2, ("meeting", "--config", "{sir_config}")),
+    ("config file for this game", 0, ("sir", "--data", "{data}", "--config", "{sir_config}")),
     ("missing data file", 3, ("sir", "--data", "{tmp}/absent.csv")),
     ("malformed data file", 3, ("sir", "--data", "{config}")),
     ("one-day data file, neural", 3, ("sir", "--mode", "neural", "--data", "{one_day}")),
@@ -89,6 +94,13 @@ def test_exit_codes(inputs, capsys, code, argv):
     err = capsys.readouterr().err
     assert ("error:" in err) == (code != 0)
     assert "Traceback" not in err
+
+
+def test_sha256_of_a_file_longer_than_one_chunk(tmp_path):
+    data = np.random.default_rng(0).bytes(3 * (1 << 20) + 7)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("key,value,mode", [

@@ -6,11 +6,13 @@ from mfgames.games.elfarol import (
     BarConfig,
     BarGame,
     bar_cost,
+    expected_bar_cost,
     generate_attendance_observations,
+    probe_cost,
     run_standard,
     simulate_neural,
 )
-from mfgames.mfg import TrainingConfig, train
+from mfgames.mfg import TrainingConfig, nash_gap, train
 
 
 def _loud_game(n_agents=16, turns=6, scale=50.0):
@@ -62,3 +64,24 @@ def test_bar_cost_elementwise_matches_per_agent_branches():
             elif went[i] and a >= c:
                 want += max(p[i] - c, 0.0)
             assert batch[i] == pytest.approx(want, abs=1e-15)
+
+
+def test_probe_cost_quiet_bar_against_hand_value():
+    # a = 0.18 < c = 0.9: (0.1 - 0.18)^2 + (1 - 0.1)(0.9 - 0.1)
+    p = np.array([0.1, 0.2, 0.3, 0.2, 0.1])
+    assert probe_cost(p, 0, BarConfig(n_agents=5)) == pytest.approx(0.7264, abs=1e-12)
+
+
+def test_probe_cost_crowded_bar_against_hand_value():
+    # a = 0.95 >= c = 0.9: (0.95 - 0.95)^2 + 0.95 (0.95 - 0.9)
+    p = np.full(5, 0.95)
+    assert probe_cost(p, 0, BarConfig(n_agents=5)) == pytest.approx(0.0475, abs=1e-12)
+    assert expected_bar_cost(0.95, 0.95, 0.9) == pytest.approx(0.0475, abs=1e-12)
+
+
+def test_nash_gap_with_probe_cost():
+    config = BarConfig(n_agents=5)
+    p = np.array([0.1, 0.2, 0.3, 0.2, 0.1])
+    cost = lambda profile, i: probe_cost(profile, i, config)
+    assert nash_gap(cost, p, 0, np.linspace(0.0, 1.0, 11)) >= 0.0
+    assert nash_gap(cost, p, 0, [p[0]]) == 0.0
