@@ -23,12 +23,12 @@ def test_grid_basics():
         TimeGrid(1.0, 0.0, 5)
 
 
-def test_em_step_frozen_dynamics():
+def test_one_step_frozen_dynamics():
     x = integrate(lambda t, x: (np.zeros(1), None), np.array([1.5]), TimeGrid(0, 0.1, 1))[-1]
     assert x[0] == 1.5
 
 
-def test_em_step_pure_drift():
+def test_one_step_pure_drift():
     x = integrate(lambda t, x: (np.ones(1), None), np.array([0.0]), TimeGrid(0, 0.1, 1))[-1]
     assert x[0] == pytest.approx(0.1)
 
