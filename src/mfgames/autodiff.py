@@ -10,6 +10,12 @@ land on the leaves.
 
 Every primitive is generic: given plain floats or ndarrays it returns the
 plain numpy result and records nothing.
+
+A fused computation can be one node whose VJP computes every parent's
+adjoint in one call (:func:`_joint`). :func:`mlp`, a whole LipSwish network,
+is one: its VJP walks back through the layers with the expressions of the
+one-layer ``affine`` and of ``lipswish``, so its adjoints are bit for bit
+those of a node per layer.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "clip01",
     "absval",
     "affine",
+    "mlp",
     "stack",
     "take_along_axis",
     "where",
@@ -36,7 +43,7 @@ __all__ = [
 
 def _unbroadcast(g, shape):
     """Sum ``g`` over the axes that broadcasting added to an operand of ``shape``."""
-    if np.shape(g) == shape:
+    if g.shape == shape:
         return g
     lead = np.ndim(g) - len(shape)
     axes = tuple(range(lead)) + tuple(
@@ -315,38 +322,82 @@ def absval(x):
 
 def affine(x, w, b):
     """Batched ``x @ w.T + b`` for x of shape (..., in), w (out, in), b (out,)."""
-    xv, wv, bv = _val(x), _val(w), _val(b)
-    out = xv @ wv.T + bv
-    tape = _tape_of((x, w, b))
+    return mlp(x, [w], [b])
+
+
+def mlp(x, weights, biases):
+    """LipSwish network on x of shape (..., in), one node on the tape: affine
+    layers, ``lipswish`` between them. Its parents (the Values among them) are
+    each layer's weight and bias, last layer first, then x: the order in which
+    its VJP walks back over the layer inputs and slopes the forward pass kept.
+    """
+    ws = [_val(w) for w in weights]
+    tape = _tape_of((x, *weights, *biases))
+    inputs, slopes = [], []
+    h = _val(x)
+    last = len(ws) - 1
+    for k in range(last + 1):
+        if tape is not None:
+            inputs.append(h)
+        h = h @ ws[k].T + _val(biases[k])
+        if k != last:
+            s = _sigmoid(h)
+            if tape is not None:
+                slopes.append((s + h * s * (1.0 - s)) / 1.1)
+            h = h * s / 1.1
     if tape is None:
-        return out
-    n_out, n_in = np.shape(wv)
-    parents = []
-    if isinstance(x, Value):
-        parents += [x, lambda g: g @ wv]
-    if isinstance(w, Value):
-        parents += [w, lambda g: g.reshape(-1, n_out).T @ np.reshape(xv, (-1, n_in))]
-    if isinstance(b, Value):
-        parents += [b, lambda g: g.reshape(-1, n_out).sum(axis=0)]
-    return Value(out, tape, "affine", tuple(parents))
+        return h
+    every = [p for k in range(last, -1, -1) for p in (weights[k], biases[k])] + [x]
+
+    def vjp_all(g):
+        out = []
+        for k in range(last, -1, -1):
+            if k != last:
+                g = g * slopes[k]
+            n_out, n_in = ws[k].shape
+            out += [g.reshape(-1, n_out).T @ inputs[k].reshape(-1, n_in),
+                    g.reshape(-1, n_out).sum(axis=0)]
+            if k:
+                g = g @ ws[k]
+        out.append(g @ ws[0] if isinstance(x, Value) else None)
+        return [a for a, p in zip(out, every) if isinstance(p, Value)]
+
+    parents = [p for p in every if isinstance(p, Value)]
+    return Value(h, tape, "mlp", _joint(parents, vjp_all))
 
 
-def stack(xs, axis=-1):
-    """Stack Values, arrays and floats along a new axis, broadcasting them first."""
-    shape = np.broadcast_shapes(*(np.shape(_val(x)) for x in xs))
-    out = np.stack([np.broadcast_to(_val(x), shape) for x in xs], axis=axis)
+def _joint(parents, vjp_all):
+    """Flat ``(parent, vjp)`` pairs sharing one call of ``vjp_all(g)``, which
+    returns the parents' adjoints in order. A sweep calls the VJPs in order,
+    once each: the first computes all, and each hands out the next and drops it.
+    """
+    pending = []
+
+    def vjp(g):
+        if not pending:
+            pending.extend(reversed(vjp_all(g)))
+        return pending.pop()
+
+    return tuple(item for p in parents for item in (p, vjp))
+
+
+def stack(xs):
+    """Stack Values, arrays and floats along a new last axis, broadcasting them first."""
+    out = np.empty(np.broadcast_shapes(*(np.shape(_val(x)) for x in xs)) + (len(xs),))
+    for k, x in enumerate(xs):
+        out[..., k] = _val(x)
     tape = _tape_of(xs)
     if tape is None:
         return out
     parents = []
     for k, x in enumerate(xs):
         if isinstance(x, Value):
-            parents += [x, _slice_vjp(k, axis, x.shape)]
+            parents += [x, _slice_vjp(k, x.shape)]
     return Value(out, tape, "stack", tuple(parents))
 
 
-def _slice_vjp(k, axis, shape):
-    return lambda g: _unbroadcast(np.take(g, k, axis=axis), shape)
+def _slice_vjp(k, shape):
+    return lambda g: _unbroadcast(np.take(g, k, axis=-1), shape)
 
 
 def take_along_axis(x, indices, axis):

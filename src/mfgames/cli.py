@@ -89,13 +89,11 @@ _FLAGS = {
     "sir": ("trajectories", "population"),
     "dice": ("players", "dice", "rounds", "lambda0", "theta"),
 }
+# the keys of a config file's [run] section and their types
+_RUN_KEYS = {"game": str, "mode": str, "seed": int, "out": str, "epochs": int, "data": str}
 
 
-def _coerce(game: str, key: str, value) -> object:
-    spec = _PARAMS[game]
-    if key not in spec:
-        raise ConfigError(f"unknown key '{key}' for game '{game}'")
-    typ = spec[key][0]
+def _coerce(key: str, typ, value) -> object:
     try:
         return typ(value)
     except (TypeError, ValueError):
@@ -112,16 +110,18 @@ def load_config_file(path: str, game: str) -> dict:
     for section in parser.sections():
         if section == "run":
             for key, value in parser.items(section):
-                if key not in ("game", "mode", "seed", "out", "epochs", "data"):
+                if key not in _RUN_KEYS:
                     raise ConfigError(f"unknown key '{key}' in [run]")
                 if key == "game" and value != game:
                     raise ConfigError(f"config file is for game '{value}', not '{game}'")
-                out[key] = value
+                out[key] = _coerce(key, _RUN_KEYS[key], value)
         elif section in GAMES:
             if section != game:
                 continue
             for key, value in parser.items(section):
-                out[key] = _coerce(game, key, value)
+                if key not in _PARAMS[game]:
+                    raise ConfigError(f"unknown key '{key}' for game '{game}'")
+                out[key] = _coerce(key, _PARAMS[game][key][0], value)
         else:
             raise ConfigError(f"unknown section '[{section}]'")
     return out
@@ -343,10 +343,12 @@ def run_experiment(args: argparse.Namespace) -> int:
     args.mode = args.mode or file_cfg.get("mode") or "standard"
     if args.mode not in MODES:
         raise ConfigError(f"unknown mode '{args.mode}'")
-    args.seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    args.seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     args.out = args.out or file_cfg.get("out") or "out"
     if args.epochs is None and "epochs" in file_cfg:
-        args.epochs = int(file_cfg["epochs"])
+        args.epochs = file_cfg["epochs"]
     args.data = args.data or file_cfg.get("data")
     params = _params_for(args.game, file_cfg, args)
     out = Path(args.out)

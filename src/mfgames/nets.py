@@ -6,8 +6,7 @@ applied at every step of an unrolled differential-equation solve, which
 multiplies their effective capacity. One layer loop serves both plain arrays
 and the tape: on arrays it records nothing, while on the tape a network is
 one leaf per weight matrix and per bias vector, and a forward pass over a
-whole batch of agents or trajectories is one affine node plus one LipSwish
-node per layer.
+whole batch of agents or trajectories is one node (:func:`autodiff.mlp`).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Value, affine, lipswish, stack
+from .autodiff import Tape, Value, lipswish, mlp, stack
 
 __all__ = [
     "MLPConfig",
@@ -112,7 +111,8 @@ class BoundMLP:
         """Evaluate the network on inputs of shape (..., input_dim).
 
         ``xs`` is a Value or an ndarray; a list of Values and floats is first
-        stacked along a new last axis. Returns a Value of shape (..., output_dim).
+        stacked along a new last axis. Returns a Value of shape (..., output_dim):
+        one tape node for the whole call (see :func:`autodiff.mlp`).
         """
         return _forward(xs, self.wnodes, self.bnodes, self.net.config.input_dim)
 
@@ -131,7 +131,7 @@ def mlp_forward_np(net: MLP, x) -> np.ndarray:
 
 
 def _forward(x, weights, biases, input_dim: int):
-    """The layer loop: affine layers, LipSwish between them, linear output.
+    """The layer loop (:func:`autodiff.mlp`) after a check of the input's shape.
 
     Generic over plain arrays and tape Values, so one loop serves
     :func:`mlp_forward_np` and :meth:`BoundMLP.forward`. A list of inputs is
@@ -142,12 +142,7 @@ def _forward(x, weights, biases, input_dim: int):
     shape = x.shape if isinstance(x, Value) else np.shape(x)
     if not shape or shape[-1] != input_dim:
         raise ValueError(f"expected {input_dim} inputs, got shape {shape}")
-    last = len(weights) - 1
-    for li, (w, b) in enumerate(zip(weights, biases)):
-        x = affine(x, w, b)
-        if li != last:
-            x = lipswish(x)
-    return x
+    return mlp(x, weights, biases)
 
 
 class AdaBelief:

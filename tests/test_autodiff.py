@@ -264,6 +264,16 @@ ARRAY_CASES = {
     "stack": (lambda a, b: ad.square(ad.stack([a, b, 0.3]) * np.arange(1.0, 4.0)).sum(),
               [(2, 3), (3,)]),
     "getitem": (lambda x: (ad.square(x[:, 1:]) * x[..., 0:1]).sum(), [(3, 4)]),
+    # a network of three layers (4 -> 5 -> 5 -> 2) as one node
+    "mlp": (lambda w0, b0, w1, b1, w2, b2, x: tanh(
+        ad.mlp(x, [w0, w1, w2], [b0, b1, b2])).sum(),
+        [(5, 4), (5,), (5, 5), (5,), (2, 5), (2,), (4,)]),
+    "mlp_batch": (lambda w0, b0, w1, b1, x: ad.square(ad.mlp(x, [w0, w1], [b0, b1])).sum(),
+                  [(3, 4), (3,), (2, 3), (2,), (6, 4)]),
+    # leading axes (3, 1) on the input; the output (3, 1, 2) broadcasts against (5, 2)
+    "mlp_broadcast": (lambda w0, b0, w1, b1, x, c: ad.square(
+        ad.mlp(x, [w0, w1], [b0, b1]) * c).sum(),
+        [(3, 4), (3,), (2, 3), (2,), (3, 1, 4), (5, 2)]),
 }
 
 

@@ -53,8 +53,13 @@ def write_inputs(tmp_path):
     sir.write_dataset_csv(sir.generate_synthetic_dataset(1, seed=1), one_day)
     sir_config = tmp_path / "sir.ini"
     sir_config.write_text("[run]\ngame = sir\n" + TINY)
+    bad_run = {}
+    for key in ("seed", "epochs"):
+        bad_run[key] = tmp_path / f"bad_{key}.ini"
+        bad_run[key].write_text(f"[run]\n{key} = abc\n" + TINY)
     return {"config": str(config), "data": str(data), "one_day": str(one_day),
-            "sir_config": str(sir_config), "tmp": tmp_path}
+            "sir_config": str(sir_config), "bad_seed": str(bad_run["seed"]),
+            "bad_epochs": str(bad_run["epochs"]), "tmp": tmp_path}
 
 
 @pytest.fixture
@@ -84,6 +89,14 @@ EXIT_CASES = [
     ("one-day data file, standard", 0, ("sir", "--mode", "standard", "--data", "{one_day}")),
     ("run flag meeting does not take", 2, ("run", "--game", "meeting", "--players", "5")),
     ("run flag dice does not take", 2, ("run", "--game", "dice", "--agents", "3")),
+    ("negative seed, meeting", 2, ("meeting", "--seed", "-1", "--config", "{config}")),
+    ("negative seed, elfarol", 2, ("elfarol", "--seed", "-1", "--config", "{config}")),
+    ("negative seed, neural sir", 2,
+     ("sir", "--mode", "neural", "--seed", "-1", "--data", "{data}", "--config", "{config}")),
+    ("negative seed, dice", 2, ("dice", "--seed", "-1", "--config", "{config}")),
+    ("non-integer seed in config file", 2, ("meeting", "--config", "{bad_seed}")),
+    ("non-integer epochs in config file", 2,
+     ("meeting", "--mode", "neural", "--config", "{bad_epochs}")),
 ]
 
 

@@ -109,6 +109,73 @@ def test_weight_gradients_match_finite_differences():
         assert gflat[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+# -- one tape node per network call ----------------------------------------------
+
+
+def _per_layer(bound, x):
+    """The network as one affine node and one LipSwish node per layer."""
+    if isinstance(x, list):
+        x = ad.stack(x)
+    last = len(bound.wnodes) - 1
+    for k, (w, b) in enumerate(zip(bound.wnodes, bound.bnodes)):
+        x = ad.affine(x, w, b)
+        if k != last:
+            x = ad.lipswish(x)
+    return x
+
+
+def _leaf(shape, seed):
+    return lambda tape: tape.value(np.random.default_rng(seed).normal(size=shape))
+
+
+def _listed(tape):
+    rng = np.random.default_rng(4)
+    return [tape.value(rng.normal(size=5)), tape.value(rng.normal(size=5)), 0.3,
+            tape.value(rng.normal(size=5))]
+
+
+NETWORK_CASES = {
+    "input (13,)": (MLPConfig(13, 3, 8, 32, seed=1), _leaf((13,), 5), 1),
+    "input (5, 13)": (MLPConfig(13, 3, 8, 32, seed=2), _leaf((5, 13), 6), 1),
+    "input (10, 64, 3)": (MLPConfig(3, 1, 3, 8, seed=3), _leaf((10, 64, 3), 7), 1),
+    "list of Values": (MLPConfig(4, 2, 3, 8, seed=4), _listed, 1),
+    "plain array input": (MLPConfig(13, 3, 8, 32, seed=5),
+                          lambda tape: np.random.default_rng(8).normal(size=(5, 13)), 1),
+    "one hidden layer": (MLPConfig(13, 3, 1, 32, seed=6), _leaf((5, 13), 9), 1),
+    "one network twice on one input": (MLPConfig(13, 3, 8, 32, seed=7), _leaf((5, 13), 10), 2),
+}
+
+
+def _network_run(forward, config, make_input, calls):
+    """Outputs, parameter gradients, input gradients and node ops of ``calls``
+    calls of ``forward(bound, x)`` on one input, under one squared loss."""
+    net = mlp_init(config)
+    rng = np.random.default_rng(11)
+    for b in net.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    tape = ad.Tape()
+    bound = net.bind(tape)
+    x = make_input(tape)
+    inputs = [v for v in (x if isinstance(x, list) else [x]) if isinstance(v, ad.Value)]
+    outs = [forward(bound, x) for _ in range(calls)]
+    loss = sum(ad.square(out * rng.normal(size=out.shape)).sum() for out in outs)
+    tape.backward(loss)
+    return ([out.v for out in outs], [n.g for n in bound.wnodes + bound.bnodes],
+            [v.g for v in inputs], [n.op for n in tape.nodes])
+
+
+@pytest.mark.parametrize("name", list(NETWORK_CASES))
+def test_network_node_matches_per_layer_nodes_bit_for_bit(name):
+    config, make_input, calls = NETWORK_CASES[name]
+    *node, ops = _network_run(lambda bound, x: bound.forward(x), config, make_input, calls)
+    *layers, _ = _network_run(_per_layer, config, make_input, calls)
+    assert ops.count("mlp") == calls and "lipswish" not in ops
+    for got, want in zip(node, layers):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.shape(a) == np.shape(b) and np.all(a == b)
+
+
 def test_outputs_finite_for_large_inputs():
     net = mlp_init(MLPConfig(3, 2, 8, 32, seed=4))
     out = mlp_forward_np(net, np.array([1e3, -1e3, 1e3]))

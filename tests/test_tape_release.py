@@ -18,6 +18,7 @@ import pytest
 from mfgames import autodiff
 from mfgames.games import dice, elfarol, meeting, sir
 from mfgames.mfg import TrainingConfig, TrainingDivergence, train
+from mfgames.nets import MLPConfig, mlp_init
 
 
 @pytest.fixture
@@ -111,6 +112,30 @@ def test_backward_frees_each_adjoint_once_used():
         y = autodiff.sigmoid(y)
     # 100 adjoints of 80 kB each if the sweep kept them all
     assert _traced_peak(lambda: tape.backward(y)) < 10 * x.v.nbytes
+    assert x.g.shape == x.shape
+
+
+def test_network_backward_frees_each_layer_adjoint():
+    # one node for 16 affine layers of 64 units on a batch of 1000
+    net = mlp_init(MLPConfig(64, 64, 15, 64, seed=0))
+    tape = autodiff.Tape()
+    bound = net.bind(tape)
+    x = tape.value(np.random.default_rng(0).normal(size=(1000, 64)))
+    y = bound.forward(x).sum()
+    assert sum(n.op == "mlp" for n in tape.nodes) == 1
+    adjoint = x.v.nbytes  # 512 kB for each layer's adjoint
+    tracemalloc.start()
+    try:
+        tape.backward(y)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 16 layer adjoints if the walk kept them all
+    assert peak < 6 * adjoint
+    # once the sweep is done only the leaves' gradients are left: the node
+    # holds none of the adjoints its walk computed
+    grads = sum(n.g.nbytes for n in tape.nodes if not n.parents)
+    assert held - grads < adjoint // 8
     assert x.g.shape == x.shape
 
 
