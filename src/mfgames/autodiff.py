@@ -345,6 +345,7 @@ def mlp(x, weights, biases):
             if tape is not None:
                 slopes.append((s + h * s * (1.0 - s)) / 1.1)
             h = h * s / 1.1
+            del s  # off the tape, no activation outlives its layer
     if tape is None:
         return h
     every = [p for k in range(last, -1, -1) for p in (weights[k], biases[k])] + [x]
