@@ -340,12 +340,12 @@ def mlp(x, weights, biases):
         if tape is not None:
             inputs.append(h)
         h = h @ ws[k].T + _val(biases[k])
-        if k != last:
+        if k != last and tape is None:
+            h = h * _sigmoid(h) / 1.1
+        elif k != last:
             s = _sigmoid(h)
-            if tape is not None:
-                slopes.append((s + h * s * (1.0 - s)) / 1.1)
+            slopes.append((s + h * s * (1.0 - s)) / 1.1)
             h = h * s / 1.1
-            del s  # off the tape, no activation outlives its layer
     if tape is None:
         return h
     every = [p for k in range(last, -1, -1) for p in (weights[k], biases[k])] + [x]
