@@ -113,7 +113,11 @@ def test_weight_gradients_match_finite_differences():
 
 
 def _per_layer(bound, x):
-    """The network as one affine node and one LipSwish node per layer."""
+    """The network as one affine node and one LipSwish node per layer.
+
+    ``ad.affine`` is the one-layer ``ad.mlp``; the bits of the old per-layer
+    graph itself are pinned by the golden hashes of the neural games.
+    """
     if isinstance(x, list):
         x = ad.stack(x)
     last = len(bound.wnodes) - 1
