@@ -344,8 +344,8 @@ def run_experiment(args: argparse.Namespace) -> int:
     if args.mode not in MODES:
         raise ConfigError(f"unknown mode '{args.mode}'")
     args.seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    if args.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    if not 0 <= args.seed < 2**64:  # the RNG streams take it as a uint64
+        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
     args.out = args.out or file_cfg.get("out") or "out"
     if args.epochs is None and "epochs" in file_cfg:
         args.epochs = file_cfg["epochs"]

@@ -9,8 +9,8 @@ and ``lam`` of shape (players,); player i is row i of each, and the dealt
 dice are a (players, faces) array of counts. Beliefs drift towards the
 pooled empirical distribution of dice revealed at round ends; the neural
 variant adds trained residuals to both the belief and the bluff rate and is
-updated once per round. The updates return new arrays and never write to
-their inputs.
+updated once per round, by one step of :func:`mfgames.mfg.train`. The
+updates return new arrays and never write to their inputs.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..autodiff import max0, square
-from ..mfg import TrainingConfig, train_step, write_csv
-from ..nets import MLP, AdaBelief, MLPConfig, mlp_forward_np, mlp_init
+from ..mfg import GameInstance, TrainingConfig, train, write_csv
+from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
     "DiceConfig",
@@ -39,6 +40,7 @@ __all__ = [
     "play_round",
     "is_legal_successor",
     "kl_divergence",
+    "DiceGame",
     "train_dice",
     "analyze",
     "write_round_history",
@@ -309,17 +311,16 @@ def _mfg_belief_update(theta_hat: np.ndarray, target: np.ndarray,
     return th
 
 
-def _neural_round_update(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
-                         target: np.ndarray, outcome: RoundOutcome, config: DiceConfig,
-                         net: MLP, opt: AdaBelief) -> tuple[np.ndarray, np.ndarray]:
-    """One training step: belief MSE plus the bluff-rate surrogate terms.
+def _round_loss(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
+                target: np.ndarray, outcome: RoundOutcome, config: DiceConfig, _tape, bound):
+    """One round's step loss: belief MSE plus the bluff-rate surrogate terms.
 
     All players go through the network as one (players, 2 faces + 2) batch
     built from the beliefs, the dealt ``counts`` and the round's last bid.
     The safety penalty rewards larger expected raises (gradient through the
     Poisson mean), while a correct challenge ending the round penalizes the
     bluff level; their balance moves lam up from timid starts and caps it once
-    challenges start landing. Returns the new ``(theta_hat, lam)`` arrays.
+    challenges start landing. Returns the loss and the new ``(theta_hat, lam)``.
     """
     correct = 1.0 if outcome.challenge_correct else 0.0
     last_bid = outcome.bids[-1]
@@ -330,75 +331,74 @@ def _neural_round_update(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndar
         np.tile([last_bid.face / nf, last_bid.quantity / config.total_dice],
                 (len(theta_hat), 1)),
     ], axis=1)
+    out = bound["belief"].forward(feats)  # one (players, faces + 1) pass
+    base = theta_hat + config.belief_rate * (target - theta_hat)
+    raw = out[:, :nf] * _RESIDUAL_SCALE + base
+    th = max0(raw - config.belief_floor) + config.belief_floor
+    th = th / th.sum(axis=1, keepdims=True)
+    lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
+    per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
+    if correct:
+        per_player = per_player + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
+    return per_player.sum(), (th.v / th.v.sum(axis=1, keepdims=True), lam_new.v)
 
-    def round_loss(_tape, bound):
-        out = bound["belief"].forward(feats)  # one (players, faces + 1) pass
-        base = theta_hat + config.belief_rate * (target - theta_hat)
-        raw = out[:, :nf] * _RESIDUAL_SCALE + base
-        th = max0(raw - config.belief_floor) + config.belief_floor
-        th = th / th.sum(axis=1, keepdims=True)
-        lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
-        per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
-        if correct:
-            per_player = per_player + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
-        return per_player.sum(), (th.v, lam_new.v)
 
-    th, lam_new = train_step({"belief": net}, {"belief": opt}, round_loss)
-    return th / th.sum(axis=1, keepdims=True), lam_new
+@dataclass
+class DiceGame(GameInstance):
+    """Seeded games of several rounds each; :meth:`steps` returns one record per round.
+
+    Each game deals every round's dice just before it is played and starts
+    from fresh ``theta_hat`` and ``lam`` arrays (beliefs ``theta_hat0``, bluff
+    rates ``bluff0``). A neural round's update is one step on its
+    :func:`_round_loss`, checked for divergence by :func:`mfgames.mfg.train_step`.
+    """
+
+    config: DiceConfig
+    games: int
+    rounds_per_game: int
+    net: Optional[MLP]  # None for the pure variant
+
+    def nets(self) -> dict[str, MLP]:
+        return {} if self.net is None else {"belief": self.net}
+
+    def steps(self, training: TrainingConfig):
+        config = self.config
+        theta_hat0 = (
+            np.asarray(config.theta_hat0, dtype=float)
+            if config.theta_hat0 is not None
+            else np.full(config.n_faces, 1.0 / config.n_faces)
+        )
+        records = []
+        for g in range(self.games):
+            rng = np.random.default_rng(np.asarray((training.seed, g), dtype=np.uint64))
+            theta_hat = np.tile(theta_hat0, (config.n_players, 1))
+            lam = np.full(config.n_players, float(config.bluff0))
+            pooled = np.zeros(config.n_faces)
+            dice_seen = 0
+            for r in range(self.rounds_per_game):
+                counts = deal(config.n_players, config, rng)
+                outcome = play_round(counts, theta_hat, lam, config, rng)
+                pooled += outcome.revealed
+                dice_seen += int(outcome.revealed.sum())
+                target = _pooled_target(pooled, config)
+                if self.net is not None:
+                    theta_hat, lam = yield partial(_round_loss, theta_hat, lam, counts,
+                                                   target, outcome, config)
+                else:
+                    theta_hat = _mfg_belief_update(theta_hat, target, config)
+                kl = kl_divergence(config.theta, theta_hat.mean(axis=0))
+                records.append(RoundRecord(g, r, outcome, float(lam.mean()), kl, dice_seen))
+        return records
 
 
 def train_dice(config: DiceConfig, training: TrainingConfig, games: int = 100,
                rounds_per_game: int = 10, neural: bool = True):
-    """Play seeded games of several rounds each, updating after every round.
-
-    Each game deals every round's dice just before it is played and starts
-    from fresh ``theta_hat`` and ``lam`` arrays (beliefs ``theta_hat0``, bluff
-    rates ``bluff0``); each round's update replaces them. The network persists
-    across games and is trained once per round. Returns the network (None for
-    the pure variant) and one record per round.
-    """
+    """Train a :class:`DiceGame` with :func:`mfgames.mfg.train`; returns (net or None, records)."""
     if games < 1 or rounds_per_game < 1:
         raise ValueError("games and rounds_per_game must be positive")
-    theta = np.asarray(config.theta, dtype=float)
-    theta_hat0 = (
-        np.asarray(config.theta_hat0, dtype=float)
-        if config.theta_hat0 is not None
-        else np.full(config.n_faces, 1.0 / config.n_faces)
-    )
-    net = None
-    opt = None
-    if neural:
-        net = mlp_init(MLPConfig(2 * config.n_faces + 2, config.n_faces + 1,
-                                 hidden_layers=3, hidden_width=8, seed=training.seed))
-        opt = AdaBelief(net.parameters(), lr=training.lr)
-    records: list[RoundRecord] = []
-    for g in range(games):
-        rng = np.random.default_rng(np.asarray((training.seed, g), dtype=np.uint64))
-        theta_hat = np.tile(theta_hat0, (config.n_players, 1))
-        lam = np.full(config.n_players, float(config.bluff0))
-        pooled = np.zeros(config.n_faces)
-        dice_seen = 0
-        for r in range(rounds_per_game):
-            counts = deal(config.n_players, config, rng)
-            outcome = play_round(counts, theta_hat, lam, config, rng)
-            pooled += outcome.revealed
-            dice_seen += int(outcome.revealed.sum())
-            target = _pooled_target(pooled, config)
-            if neural:
-                theta_hat, lam = _neural_round_update(theta_hat, lam, counts, target, outcome,
-                                                      config, net, opt)
-            else:
-                theta_hat = _mfg_belief_update(theta_hat, target, config)
-            records.append(
-                RoundRecord(
-                    game=g,
-                    round_index=r,
-                    outcome=outcome,
-                    lam_mean=float(lam.mean()),
-                    kl=kl_divergence(theta, theta_hat.mean(axis=0)),
-                    dice_seen=dice_seen,
-                )
-            )
+    net = mlp_init(MLPConfig(2 * config.n_faces + 2, config.n_faces + 1, hidden_layers=3,
+                             hidden_width=8, seed=training.seed)) if neural else None
+    _nets, records = train(DiceGame(config, games, rounds_per_game, net), training)
     return net, records
 
 

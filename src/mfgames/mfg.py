@@ -1,19 +1,17 @@
 """Population-level orchestration: training, loss histories, Nash probes, CSV output.
 
-A game exposes a batched rollout of all of an epoch's episodes that returns
-a game cost (the agents' own objective) and a data discrepancy (distance
-between simulated states and observations), both averaged over episodes.
-Training minimizes their weighted sum by backpropagating through the
-unrolled solver and applying AdaBelief updates to the shared networks --
-one network per game, never per agent.
+One loop, :func:`train`, trains every game. A game yields the loss function
+of each optimizer step; :func:`train_step` checks the step for divergence,
+backpropagates its loss through the unrolled solver and applies one AdaBelief
+update to each shared network -- one network per game, never per agent.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from typing import Callable
 
 import numpy as np
@@ -25,7 +23,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingDivergence",
     "GameInstance",
-    "combined_loss",
     "train_step",
     "train",
     "nash_gap",
@@ -38,18 +35,11 @@ __all__ = [
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the loss becomes non-finite or exceeds the abort threshold."""
+    """Raised when a step's loss or gradient diverges; ``step`` is the step's index."""
 
-    def __init__(self, message: str, epoch: int):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
-        self.epoch = epoch
-
-
-def combined_loss(game_cost, data_discrepancy, w: float):
-    """Two-term objective: the game's own cost plus weighted data discrepancy."""
-    if w < 0:
-        raise ValueError("data loss weight must be nonnegative")
-    return game_cost + w * data_discrepancy
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -75,15 +65,18 @@ class TrainingConfig:
 class GameInstance:
     """Interface a game implements to be trainable by :func:`train`.
 
-    ``nets`` maps names to the shared networks being optimized.
-    ``episode_losses`` rolls every episode of one epoch at once, one per
-    entry of ``episode_seeds``, as a single batched rollout on the tape
-    (arrays with a leading episode axis). It returns ``(game_cost,
-    data_loss)`` as 0-d Value nodes, each already averaged over episodes and
-    agents. ``episode_seeds[g]`` is ``(seed, epoch, g)``. Meeting and El
-    Farol draw episode ``g`` from its own RNG stream seeded with it, so their
-    results do not depend on the batch size; SIR draws the noise of the whole
-    batch at once from the ``(seed, epoch)`` stream.
+    ``nets`` maps names to the shared networks being optimized. ``steps``
+    yields the loss function of each optimizer step (see :func:`train_step`),
+    gets each step's result back from its ``yield`` and returns what
+    :func:`train` returns. By default it takes one step per epoch, on the
+    episodes' combined loss: ``episode_losses`` rolls every episode of one
+    epoch at once, one per entry of ``episode_seeds``, as a single batched
+    rollout on the tape (arrays with a leading episode axis). It returns
+    ``(game_cost, data_loss)`` as 0-d Value nodes, each already averaged
+    over episodes and agents. ``episode_seeds[g]`` is ``(seed, epoch, g)``.
+    Meeting and El Farol draw episode ``g`` from its own RNG stream seeded
+    with it, so their results do not depend on the batch size; SIR draws the
+    noise of the whole batch at once from the ``(seed, epoch)`` stream.
     """
 
     def nets(self) -> dict[str, MLP]:
@@ -92,6 +85,19 @@ class GameInstance:
     def episode_losses(self, tape: Tape, bound: dict[str, BoundMLP],
                        episode_seeds: list[tuple]) -> tuple[Value, Value]:
         raise NotImplementedError
+
+    def steps(self, config: TrainingConfig):
+        """One step per epoch, on the combined loss; returns each epoch's :class:`HistoryRow`."""
+        def epoch_loss(tape, bound, epoch):
+            seeds = [(config.seed, epoch, g) for g in range(config.games_per_epoch)]
+            game_cost, data_loss = self.episode_losses(tape, bound, seeds)
+            total = game_cost + config.data_loss_weight * data_loss
+            return total, HistoryRow(epoch, float(game_cost.v), float(data_loss.v), float(total.v))
+
+        history = []
+        for epoch in range(config.epochs):
+            history.append((yield partial(epoch_loss, epoch=epoch)))
+        return history
 
 
 @dataclass
@@ -103,63 +109,57 @@ class HistoryRow:
     data_loss: float
     total: float
 
-    def __post_init__(self):
-        self.epoch = int(self.epoch)
-        self.game_cost = float(self.game_cost)
-        self.data_loss = float(self.data_loss)
-        self.total = float(self.total)
 
-
-def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn):
+def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn, step: int,
+               abort_threshold: float):
     """One optimizer step on a fresh tape; returns what ``loss_fn`` hands back.
 
     ``loss_fn(tape, bound)`` records the forward pass, with ``bound`` mapping
     each name in ``nets`` to that network bound as tape leaves, and returns
-    ``(loss, result)``; ``result`` must hold no tape node. The 0-d loss is
-    backpropagated and each network takes one step of its optimizer in
-    ``opts``. The graph is freed when this returns or raises: the tape
-    empties on leaving its ``with`` block, and the nodes the step's frames
-    still hold die with those frames.
+    ``(loss, result)``; ``result`` must hold no tape node. A non-finite loss,
+    a loss above ``abort_threshold`` or a non-finite gradient of any network
+    raises :class:`TrainingDivergence` with the index ``step``; otherwise
+    each network takes one step of its optimizer in ``opts`` on the 0-d
+    loss's gradient. The graph is freed when this returns or raises: the
+    tape empties on leaving its ``with`` block, and the nodes the step's
+    frames still hold die with those frames.
     """
     with Tape() as tape:
         bound = {name: net.bind(tape) for name, net in nets.items()}
         loss, result = loss_fn(tape, bound)
+        if not np.isfinite(loss.v):
+            raise TrainingDivergence(f"non-finite loss at step {step}", step)
+        if loss.v > abort_threshold:
+            raise TrainingDivergence(
+                f"loss {loss.v:.3g} exceeded abort threshold at step {step}", step)
         tape.backward(loss)
-        for name, b in bound.items():
-            opts[name].step(b.grad_arrays())
+        grads = {name: b.grad_arrays() for name, b in bound.items()}
+        if not all(np.isfinite(g).all() for gs in grads.values() for g in gs):
+            raise TrainingDivergence(f"non-finite gradient at step {step}", step)
+        for name, gs in grads.items():
+            opts[name].step(gs)
         return result
 
 
 def train(game: GameInstance, config: TrainingConfig):
-    """Optimize the game's shared networks on the combined loss.
+    """Optimize the game's shared networks: the training loop of every game.
 
-    Per epoch (one :func:`train_step`): roll the ``games_per_epoch``
-    episodes as one batch on a fresh tape, take the episode-averaged loss
-    terms, backpropagate once, and take a single AdaBelief step per network.
-    Episodes use deterministic per-(seed, epoch, game) RNG streams.
+    One AdaBelief optimizer per network and one :func:`train_step` per loss
+    function ``game.steps(config)`` yields, whose result is sent back into
+    it. Returns the networks and what the generator returns.
     """
     nets = game.nets()
     opts = {
         name: AdaBelief(net.parameters(), lr=config.lr) for name, net in nets.items()
     }
-
-    def epoch_loss(tape, bound, epoch):
-        seeds = [(config.seed, epoch, g) for g in range(config.games_per_epoch)]
-        game_cost, data_loss = game.episode_losses(tape, bound, seeds)
-        total = combined_loss(game_cost, data_loss, config.data_loss_weight)
-        if not math.isfinite(total.v):
-            raise TrainingDivergence(f"non-finite loss at epoch {epoch}", epoch)
-        if total.v > config.abort_threshold:
-            raise TrainingDivergence(
-                f"loss {total.v:.3g} exceeded abort threshold at epoch {epoch}", epoch
-            )
-        return total, HistoryRow(epoch, game_cost.v, data_loss.v, total.v)
-
-    history = [
-        train_step(nets, opts, partial(epoch_loss, epoch=epoch))
-        for epoch in range(config.epochs)
-    ]
-    return nets, history
+    steps = game.steps(config)
+    result = None
+    for step in count():
+        try:
+            loss_fn = steps.send(result)
+        except StopIteration as done:
+            return nets, done.value
+        result = train_step(nets, opts, loss_fn, step, config.abort_threshold)
 
 
 def nash_gap(cost_fn: Callable, states: np.ndarray, probe_agent: int,

@@ -57,9 +57,11 @@ def write_inputs(tmp_path):
     for key in ("seed", "epochs"):
         bad_run[key] = tmp_path / f"bad_{key}.ini"
         bad_run[key].write_text(f"[run]\n{key} = abc\n" + TINY)
+    huge_lr = tmp_path / "huge_lr.ini"
+    huge_lr.write_text(TINY.replace("[dice]", "[dice]\nlr = 1e300"))
     return {"config": str(config), "data": str(data), "one_day": str(one_day),
             "sir_config": str(sir_config), "bad_seed": str(bad_run["seed"]),
-            "bad_epochs": str(bad_run["epochs"]), "tmp": tmp_path}
+            "bad_epochs": str(bad_run["epochs"]), "huge_lr": str(huge_lr), "tmp": tmp_path}
 
 
 @pytest.fixture
@@ -97,11 +99,19 @@ EXIT_CASES = [
     ("non-integer seed in config file", 2, ("meeting", "--config", "{bad_seed}")),
     ("non-integer epochs in config file", 2,
      ("meeting", "--mode", "neural", "--config", "{bad_epochs}")),
+    ("seed of 2**64, dice", 2, ("dice", "--seed", str(2**64), "--config", "{config}")),
+    ("seed of 2**64, neural meeting", 2,
+     ("meeting", "--mode", "neural", "--seed", str(2**64), "--config", "{config}")),
+    # the first step leaves weights near 1e300, so the next forward pass
+    # overflows (inf, then inf * 0): its warnings are expected
+    ("dice lr overflows the gradient", 4, ("dice", "--mode", "neural", "--config", "{huge_lr}"),
+     pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+     pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")),
 ]
 
 
-@pytest.mark.parametrize("code,argv", [c[1:] for c in EXIT_CASES],
-                         ids=[c[0] for c in EXIT_CASES])
+@pytest.mark.parametrize("code,argv", [pytest.param(code, argv, id=name, marks=marks)
+                                       for name, code, argv, *marks in EXIT_CASES])
 def test_exit_codes(inputs, capsys, code, argv):
     assert _run(inputs, *argv) == code
     err = capsys.readouterr().err

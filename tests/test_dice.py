@@ -1,8 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from gradcheck import central_diff
+from mfgames import autodiff as ad
+from mfgames import mfg
 from mfgames.games import dice
 from mfgames.games.dice import (
     Bid,
@@ -12,8 +16,8 @@ from mfgames.games.dice import (
     is_legal_successor,
     play_round,
 )
-from mfgames.mfg import TrainingConfig
-from mfgames.nets import AdaBelief, MLPConfig, mlp_init
+from mfgames.mfg import TrainingConfig, train, train_step
+from mfgames.nets import MLP, AdaBelief, MLPConfig, mlp_init
 
 
 def test_bid_probability_at_the_mean_for_many_dice():
@@ -45,23 +49,22 @@ def _loud_net(config, seed=0, scale=20.0):
     return net
 
 
-def test_neural_update_keeps_beliefs_on_simplex_and_bids_legal():
+def test_neural_update_keeps_beliefs_on_simplex_and_bids_legal(monkeypatch):
     config = DiceConfig(n_players=5, dice_per_player=4)
-    net = _loud_net(config)
-    opt = AdaBelief(net.parameters(), lr=0.05)
-    rng = np.random.default_rng(7)
-    theta_hat = np.full((config.n_players, 6), 1.0 / 6.0)
-    lam = np.zeros(config.n_players)
-    pooled = np.zeros(config.n_faces)
-    for _round in range(12):
-        counts = deal(config.n_players, config, rng)
-        outcome = play_round(counts, theta_hat, lam, config, rng)
-        bids = outcome.bids
+    updates = []  # each step's result: the round's new (theta_hat, lam)
+    step = mfg.train_step
+
+    def recording_step(*args):
+        updates.append(step(*args))
+        return updates[-1]
+
+    monkeypatch.setattr(mfg, "train_step", recording_step)
+    game = dice.DiceGame(config, games=1, rounds_per_game=12, net=_loud_net(config))
+    _, records = train(game, TrainingConfig(epochs=1, seed=7, lr=0.05))
+    assert len(updates) == len(records) == 12
+    for (theta_hat, lam), rec in zip(updates, records):
+        bids = rec.outcome.bids
         assert all(is_legal_successor(a, b) for a, b in zip(bids, bids[1:]))
-        pooled += outcome.revealed
-        target = dice._pooled_target(pooled, config)
-        theta_hat, lam = dice._neural_round_update(theta_hat, lam, counts, target, outcome,
-                                                   config, net, opt)
         assert theta_hat.shape == (config.n_players, 6) and lam.shape == (config.n_players,)
         for row, lam_i in zip(theta_hat, lam):
             assert np.all(row > 0.0)
@@ -193,8 +196,9 @@ def test_round_and_updates_leave_their_inputs_unwritten():
     (target,) = _read_only(dice._pooled_target(outcome.revealed.astype(float), config))
     pure = dice._mfg_belief_update(theta_hat, target, config)
     net = _loud_net(config)
-    th, lam_new = dice._neural_round_update(theta_hat, lam, counts, target, outcome, config,
-                                            net, AdaBelief(net.parameters(), lr=0.05))
+    loss = partial(dice._round_loss, theta_hat, lam, counts, target, outcome, config)
+    th, lam_new = train_step({"belief": net}, {"belief": AdaBelief(net.parameters(), lr=0.05)},
+                             loss, 0, 1e6)
     for a, b in zip((counts, theta_hat, lam), before):
         assert np.array_equal(a, b)
     for new in (pure, th, lam_new):
@@ -206,3 +210,48 @@ def test_round_and_updates_leave_their_inputs_unwritten():
 def test_config_rejects_initial_beliefs_off_the_simplex(theta_hat0):
     with pytest.raises(ValueError, match="theta_hat0"):
         DiceConfig(theta_hat0=theta_hat0)
+
+
+def test_round_loss_gradient_matches_finite_differences(monkeypatch):
+    # one neural round's step loss: the tape's parameter gradient against
+    # central differences along random directions of all network parameters
+    config = DiceConfig(n_players=6, dice_per_player=4)
+    rng = np.random.default_rng(11)
+    counts = deal(config.n_players, config, rng)
+    theta_hat = rng.dirichlet(np.ones(config.n_faces), size=config.n_players)
+    lam = np.full(config.n_players, 0.5)
+    outcome = play_round(counts, theta_hat, lam, config, rng)
+    assert outcome.challenge_correct  # so the loss has its challenge term
+    target = dice._pooled_target(outcome.revealed.astype(float), config)
+    loss_fn = partial(dice._round_loss, theta_hat, lam, counts, target, outcome, config)
+    net = mlp_init(MLPConfig(2 * config.n_faces + 2, config.n_faces + 1, seed=3))
+    for b in net.biases:
+        b[:] = rng.normal(0.0, 0.1, b.shape)
+    margins = []  # distance of every max0 argument from its kink at 0
+
+    def recording_max0(x):
+        margins.append(np.abs(x.v).min())
+        return ad.max0(x)
+
+    monkeypatch.setattr(dice, "max0", recording_max0)
+
+    def loss(params, tape):
+        bound = MLP(params[0::2], params[1::2], net.config).bind(tape)
+        return loss_fn(tape, {"belief": bound})[0], bound
+
+    tape = ad.Tape()
+    value, bound = loss(net.parameters(), tape)
+    tape.backward(value)
+    grads = bound.grad_arrays()
+    h = 1e-6
+    for _direction in range(3):
+        d = [rng.normal(size=p.shape) for p in net.parameters()]
+
+        def along(ts):
+            moved = [p + ts[0] * dp for p, dp in zip(net.parameters(), d)]
+            return float(loss(moved, ad.Tape())[0].v)
+
+        want = sum(float(np.sum(g * dp)) for g, dp in zip(grads, d))
+        assert central_diff(along, [0.0], 0, h) == pytest.approx(want, rel=1e-6)
+    # no max0 argument came within the difference step of its kink
+    assert len(margins) == 3 * 7 and min(margins) > 1e3 * h

@@ -7,6 +7,7 @@ to AdaBelief to 1e-9.
 """
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from mfgames import nets
 from mfgames.games import dice, elfarol, meeting, sir
-from mfgames.mfg import TrainingConfig, train
+from mfgames.mfg import TrainingConfig, train, train_step
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 3
@@ -85,8 +86,8 @@ def test_dice_round_update_matches_scalar_tape(step_grads):
     lam = np.full(config.n_players, 0.5)
     outcome = dice.play_round(counts, theta_hat, lam, config, rng)
     target = dice._pooled_target(outcome.revealed.astype(float), config)
-    theta_hat, lam = dice._neural_round_update(theta_hat, lam, counts, target, outcome, config,
-                                               net, opt)
+    loss = partial(dice._round_loss, theta_hat, lam, counts, target, outcome, config)
+    theta_hat, lam = train_step({"belief": net}, {"belief": opt}, loss, 0, 1e6)
     _assert_matches("dice", None, step_grads)
     golden = json.loads((GOLDEN / "dice.json").read_text())
     np.testing.assert_allclose(theta_hat, golden["theta_hat"], rtol=TOL, atol=TOL)

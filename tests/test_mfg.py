@@ -8,7 +8,6 @@ from mfgames.mfg import (
     GameInstance,
     TrainingConfig,
     TrainingDivergence,
-    combined_loss,
     float_cells,
     nash_gap,
     train,
@@ -18,11 +17,28 @@ from mfgames.mfg import (
 from mfgames.nets import MLPConfig, mlp_init
 
 
+class ConstantLosses(GameInstance):
+    """No network; every epoch's loss terms are the given constants."""
+
+    def __init__(self, game_cost, data_loss):
+        self.terms = game_cost, data_loss
+
+    def nets(self):
+        return {}
+
+    def episode_losses(self, tape, bound, episode_seeds):
+        return tuple(tape.value(t) for t in self.terms)
+
+
 def test_combined_loss():
-    assert combined_loss(0.0, 0.0, 1.0) == 0.0
-    assert combined_loss(2.0, 3.0, 1.0) == 5.0
+    def total(game_cost, data_loss, w):
+        config = TrainingConfig(epochs=1, games_per_epoch=1, data_loss_weight=w)
+        return train(ConstantLosses(game_cost, data_loss), config)[1][0].total
+
+    assert total(0.0, 0.0, 1.0) == 0.0
+    assert total(2.0, 3.0, 1.0) == 5.0
     with pytest.raises(ValueError):
-        combined_loss(1.0, 1.0, -0.5)
+        TrainingConfig(epochs=1, data_loss_weight=-0.5)
 
 
 class QuadraticToy(GameInstance):
@@ -92,7 +108,36 @@ def test_train_divergence_abort():
 
     with pytest.raises(TrainingDivergence) as err:
         train(Exploding(), TrainingConfig(epochs=3, games_per_epoch=1))
-    assert err.value.epoch == 0
+    assert err.value.step == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_gradient_diverges_before_any_network_steps():
+    class TwoNets(GameInstance):
+        """Network b outputs 1e-310: its log is finite, its gradient is not."""
+
+        def __init__(self):
+            self._nets = {name: mlp_init(MLPConfig(1, 1, 1, 2, seed=k))
+                          for k, name in enumerate("ab")}
+            self._nets["b"].weights[-1][:] = 0.0
+            self._nets["b"].biases[-1][:] = 1e-310
+
+        def nets(self):
+            return self._nets
+
+        def episode_losses(self, tape, bound, episode_seeds):
+            x = np.ones((1, 1))
+            game_cost = bound["a"].forward(x).sum() + ad.log(bound["b"].forward(x).sum())
+            return game_cost, tape.value(0.0)
+
+    game = TwoNets()
+    before = [p.copy() for net in game.nets().values() for p in net.parameters()]
+    with pytest.raises(TrainingDivergence, match="non-finite gradient at step 0") as err:
+        train(game, TrainingConfig(epochs=2, games_per_epoch=1))
+    assert err.value.step == 0
+    after = [p for net in game.nets().values() for p in net.parameters()]
+    assert all(np.array_equal(p, q) for p, q in zip(after, before))
 
 
 def test_nash_gap_identity_deviation_is_zero():

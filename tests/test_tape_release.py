@@ -68,10 +68,10 @@ def _sir(abort_threshold=1e6):
     return sir.train_sir(dataset, config)
 
 
-def _dice():
+def _dice(abort_threshold=1e6):
     config = dice.DiceConfig(n_players=4, dice_per_player=3)
-    return dice.train_dice(config, TrainingConfig(epochs=1, seed=2), games=2,
-                           rounds_per_game=2, neural=True)
+    training = TrainingConfig(epochs=1, seed=2, abort_threshold=abort_threshold)
+    return dice.train_dice(config, training, games=2, rounds_per_game=2, neural=True)
 
 
 def _diverging(run):
@@ -81,7 +81,7 @@ def _diverging(run):
         try:
             run()
         except TrainingDivergence as err:
-            assert err.epoch == 0
+            assert err.step == 0
         else:
             pytest.fail("training did not diverge")
 
@@ -95,6 +95,7 @@ RUNS = {
     "dice": _dice,
     "meeting_divergence": _diverging(lambda: _meeting(3, abort_threshold=1e-12)),
     "sir_divergence": _diverging(lambda: _sir(abort_threshold=1e-12)),
+    "dice_divergence": _diverging(lambda: _dice(abort_threshold=1e-12)),
 }
 
 
