@@ -220,6 +220,57 @@ def _manifest(inputs, out):
     return json.loads((inputs["tmp"] / out / "manifest.json").read_text())
 
 
+# per game: (flag key, default, file value, flag value), (file-only key,
+# default, file value), and the [run] key seed as 0, then 3, then 5
+RESOLVED = {
+    "meeting": (("agents", 64, 7, 9), ("turns", 15, 4)),
+    "elfarol": (("threshold", 0.9, 0.7, 0.8), ("drift_gain", 0.3, 0.5)),
+    "sir": (("population", 1_000_000, 2_000_000, 3_000_000), ("window", 28, 6)),
+    "dice": (("players", 30, 3, 4), ("likelihood", 0.3, 0.4)),
+}
+
+
+@pytest.mark.parametrize("game", cli.GAMES)
+def test_keys_resolve_flag_then_config_file_then_default(inputs, game):
+    (flag_key, default, in_file, in_flag), (file_key, file_default, file_value) = RESOLVED[game]
+    config = inputs["tmp"] / f"{game}.ini"
+    config.write_text(f"[run]\nseed = 3\n\n[{game}]\n{flag_key} = {in_file}\n"
+                      f"{file_key} = {file_value}\n")
+    data = ("--data", "{data}") if game == "sir" else ()
+    runs = {
+        "default": ((), (0, default, file_default)),
+        "file": (("--config", str(config)), (3, in_file, file_value)),
+        "flag": (("--config", str(config), "--seed", "5", f"--{flag_key}", str(in_flag)),
+                 (5, in_flag, file_value)),
+    }
+    for name, (argv, (seed, flag_value, file_only)) in runs.items():
+        assert _run(inputs, game, "--mode", "standard", *data, *argv, out=name) == 0
+        manifest = _manifest(inputs, name)
+        assert manifest["seed"] == seed
+        assert manifest["parameters"][flag_key] == flag_value
+        assert manifest["parameters"][file_key] == file_only
+
+
+def _flags(parser):
+    return sorted(s for a in parser._actions for s in a.option_strings)
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    shared = ["--config", "--data", "--epochs", "--mode", "--out", "--seed", "-h", "--help"]
+    own = {
+        "meeting": ["--agents"],
+        "elfarol": ["--agents", "--threshold"],
+        "sir": ["--population", "--trajectories"],
+        "dice": ["--dice", "--lambda0", "--players", "--rounds", "--theta"],
+        "run": ["--game", "--agents", "--threshold", "--population", "--trajectories",
+                "--dice", "--lambda0", "--players", "--rounds", "--theta"],
+    }
+    (sub,) = [a for a in cli.build_parser()._actions if a.choices and "run" in a.choices]
+    assert sorted(sub.choices) == sorted(own)
+    for command, flags in own.items():
+        assert _flags(sub.choices[command]) == sorted(shared + flags), command
+
+
 def test_sir_standard_forecasts_with_the_rate_equation(inputs):
     argv = ("sir", "--seed", "5", "--config", "{config}", "--data", "{data}")
     assert _run(inputs, *argv, "--mode", "standard", out="standard") == 0
