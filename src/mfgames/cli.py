@@ -1,10 +1,29 @@
 """Unified command-line front end for the four games.
 
+    mfgames GAME [--config FILE] [--KEY VALUE ...]
+    mfgames run --game GAME [--config FILE] [--KEY VALUE ...]
+
 Runs are fully determined by (game, mode, seed, parameters): outputs are CSV
 trajectories, loss histories, network checkpoints, histogram-ready plot data,
 and a manifest carrying the echoed configuration plus a content hash of every
 emitted byte. Exit codes: 0 ok, 2 configuration (including game parameters
 out of range), 3 data, 4 training divergence or a non-finite integration step.
+
+A config file is a flat INI file. Its [run] section takes mode, seed, out,
+epochs (not dice) and data (sir only), and optionally the game the file is
+for; each game's own section takes that game's keys, and the sections of
+other games are skipped:
+
+    [run]
+    game = sir
+    seed = 3
+
+    [sir]
+    window = 14
+
+Each key a game takes resolves to its flag, else the config file, else the
+game's default. A key the game does not take, as a flag or in the file, is
+a configuration error.
 """
 
 from __future__ import annotations
@@ -35,62 +54,49 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-# key -> (type, default) accepted per game, beyond the shared flags
-_PARAMS: dict[str, dict[str, tuple]] = {
-    "meeting": {
-        "agents": (int, 64),
-        "turns": (int, 15),
-        "quorum": (float, 0.9),
-        "noise_std": (float, 1.0),
-        "sigma": (float, 0.1),
-        "drift_gain": (float, 1.0),
-        "smoothing": (float, 0.6),
-        "scheduled": (float, 15.0),
-        "init_mean": (float, 12.0),
-        "games_per_epoch": (int, 10),
-        "data_weight": (float, 1.0),
-    },
-    "elfarol": {
-        "agents": (int, 64),
-        "turns": (int, 15),
-        "threshold": (float, 0.9),
-        "drift_gain": (float, 0.3),
-        "games_per_epoch": (int, 10),
-        "data_weight": (float, 1.0),
-    },
-    "sir": {
-        "population": (int, 1_000_000),
-        "trajectories": (int, 100),
-        "batch": (int, 5),
-        "window": (int, 28),
-        "layers": (int, 8),
-        "width": (int, 32),
-        "lr": (float, 5e-4),
-    },
-    "dice": {
-        "players": (int, 30),
-        "dice": (int, 15),
-        "faces": (int, 6),
-        "rounds": (int, 100),
-        "rounds_per_game": (int, 10),
-        "lambda0": (float, 0.0),
-        "theta": (str, ""),
-        "likelihood": (float, 0.3),
-        "lr": (float, 5e-4),
-    },
+# One row per key: (type, default per game, where). A game takes the key
+# only if the row gives it a default. ``where`` is "run" for a key of the
+# config file's [run] section, "flag" for a key of the game's own section
+# that is also a flag, and "file" for one that is not; [run] keys are flags.
+_KEYS: dict[str, tuple] = {
+    "mode": (str, dict.fromkeys(GAMES, "standard"), "run"),
+    "seed": (int, dict.fromkeys(GAMES, 0), "run"),
+    "out": (str, dict.fromkeys(GAMES, "out"), "run"),
+    "epochs": (int, {"meeting": 20, "elfarol": 20, "sir": 10}, "run"),
+    "data": (str, {"sir": None}, "run"),
+    "agents": (int, {"meeting": 64, "elfarol": 64}, "flag"),
+    "turns": (int, {"meeting": 15, "elfarol": 15}, "file"),
+    "quorum": (float, {"meeting": 0.9}, "file"),
+    "noise_std": (float, {"meeting": 1.0}, "file"),
+    "sigma": (float, {"meeting": 0.1}, "file"),
+    "drift_gain": (float, {"meeting": 1.0, "elfarol": 0.3}, "file"),
+    "smoothing": (float, {"meeting": 0.6}, "file"),
+    "scheduled": (float, {"meeting": 15.0}, "file"),
+    "init_mean": (float, {"meeting": 12.0}, "file"),
+    "games_per_epoch": (int, {"meeting": 10, "elfarol": 10}, "file"),
+    "data_weight": (float, {"meeting": 1.0, "elfarol": 1.0}, "file"),
+    "threshold": (float, {"elfarol": 0.9}, "flag"),
+    "population": (int, {"sir": 1_000_000}, "flag"),
+    "trajectories": (int, {"sir": 100}, "flag"),
+    "batch": (int, {"sir": 5}, "file"),
+    "window": (int, {"sir": 28}, "file"),
+    "layers": (int, {"sir": 8}, "file"),
+    "width": (int, {"sir": 32}, "file"),
+    "lr": (float, {"sir": 5e-4, "dice": 5e-4}, "file"),
+    "players": (int, {"dice": 30}, "flag"),
+    "dice": (int, {"dice": 15}, "flag"),
+    "faces": (int, {"dice": 6}, "file"),
+    "rounds": (int, {"dice": 100}, "flag"),
+    "rounds_per_game": (int, {"dice": 10}, "file"),
+    "lambda0": (float, {"dice": 0.0}, "flag"),
+    "theta": (str, {"dice": ""}, "flag"),
+    "likelihood": (float, {"dice": 0.3}, "file"),
 }
-_DEFAULT_EPOCHS = {"meeting": 20, "elfarol": 20, "sir": 10, "dice": 0}
-# the parameters each game's subcommand also takes as a flag, typed by
-# _PARAMS; `run --game G` takes the flags of every game and rejects those G
-# does not take
-_FLAGS = {
-    "meeting": ("agents",),
-    "elfarol": ("agents", "threshold"),
-    "sir": ("trajectories", "population"),
-    "dice": ("players", "dice", "rounds", "lambda0", "theta"),
-}
-# the keys of a config file's [run] section and their types
-_RUN_KEYS = {"game": str, "mode": str, "seed": int, "out": str, "epochs": int, "data": str}
+# the TrainingConfig field each key sets; fields no key of the game sets
+# keep their defaults
+_TRAINING_FIELDS = {"epochs": "epochs", "seed": "seed", "lr": "lr",
+                    "games_per_epoch": "games_per_epoch", "batch": "games_per_epoch",
+                    "data_weight": "data_loss_weight"}
 
 
 def _coerce(key: str, typ, value) -> object:
@@ -101,46 +107,26 @@ def _coerce(key: str, typ, value) -> object:
 
 
 def load_config_file(path: str, game: str) -> dict:
-    """Flat INI with a [run] section plus one section per game."""
+    """The keys a config file gives ``game``, typed (see the module docstring)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     out: dict = {}
     for section in parser.sections():
-        if section == "run":
-            for key, value in parser.items(section):
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown key '{key}' in [run]")
-                if key == "game" and value != game:
-                    raise ConfigError(f"config file is for game '{value}', not '{game}'")
-                out[key] = _coerce(key, _RUN_KEYS[key], value)
-        elif section in GAMES:
-            if section != game:
-                continue
-            for key, value in parser.items(section):
-                if key not in _PARAMS[game]:
-                    raise ConfigError(f"unknown key '{key}' for game '{game}'")
-                out[key] = _coerce(key, _PARAMS[game][key][0], value)
-        else:
+        if section not in ("run", *GAMES):
             raise ConfigError(f"unknown section '[{section}]'")
+        if section not in ("run", game):
+            continue
+        for key, value in parser.items(section):
+            if section == "run" and key == "game":
+                if value != game:
+                    raise ConfigError(f"config file is for game '{value}', not '{game}'")
+                continue
+            typ, defaults, where = _KEYS.get(key, (str, {}, None))
+            if game not in defaults or (where == "run") != (section == "run"):
+                raise ConfigError(f"unknown key '{key}' in [{section}] for game '{game}'")
+            out[key] = _coerce(key, typ, value)
     return out
-
-
-def _params_for(game: str, file_cfg: dict, args: argparse.Namespace) -> dict:
-    stray = [key for g in GAMES for key in _FLAGS[g]
-             if key not in _FLAGS[game] and getattr(args, key, None) is not None]
-    if stray:
-        raise ConfigError(f"game '{game}' takes no --{stray[0]}")
-    params = {k: d for k, (_t, d) in _PARAMS[game].items()}
-    for key, value in file_cfg.items():
-        if key in params:
-            params[key] = value
-    for key in _FLAGS[game]:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return params
 
 
 def _sha256(path: Path) -> str:
@@ -179,15 +165,10 @@ def _config(cls, **kwargs):
         raise ConfigError(f"{cls.__name__}: {err}") from None
 
 
-def _training_config(args, params, game: str) -> TrainingConfig:
-    epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS[game]
-    return _config(
-        TrainingConfig,
-        epochs=int(epochs),
-        games_per_epoch=int(params.get("games_per_epoch", 10)),
-        seed=args.seed,
-        data_loss_weight=float(params.get("data_weight", 1.0)),
-    )
+def _training_config(p: dict) -> TrainingConfig:
+    """The run's :class:`TrainingConfig`, from the resolved keys ``p``."""
+    return _config(TrainingConfig, **{
+        field: p[key] for key, field in _TRAINING_FIELDS.items() if key in p})
 
 
 def _write_training(out: Path, history, nets: dict) -> list[Path]:
@@ -200,85 +181,76 @@ def _write_training(out: Path, history, nets: dict) -> list[Path]:
     return written
 
 
-def _run_meeting(args, params, out: Path) -> list[Path]:
+def _run_meeting(p: dict, out: Path, manifest: dict) -> list[Path]:
     config = _config(
         meeting_mod.MeetingConfig,
-        scheduled=params["scheduled"], quorum=params["quorum"],
-        n_agents=params["agents"], noise_std=params["noise_std"],
-        turns=params["turns"], init_mean=params["init_mean"],
-        drift_gain=params["drift_gain"], smoothing=params["smoothing"],
-        sigma=params["sigma"],
+        scheduled=p["scheduled"], quorum=p["quorum"], n_agents=p["agents"],
+        noise_std=p["noise_std"], turns=p["turns"], init_mean=p["init_mean"],
+        drift_gain=p["drift_gain"], smoothing=p["smoothing"], sigma=p["sigma"],
     )
     written = []
-    if args.mode == "standard":
-        states = meeting_mod.run_standard(config, seed=args.seed)
+    if p["mode"] == "standard":
+        states = meeting_mod.run_standard(config, seed=p["seed"])
     else:
         observations = [
-            meeting_mod.generate_observations(seed=args.seed * 1000 + k)
-            for k in range(10)
+            meeting_mod.generate_observations(seed=p["seed"] * 1000 + k) for k in range(10)
         ]
-        training = _training_config(args, params, "meeting")
         game, nets, history = meeting_mod.run_neural(
-            config, observations, training, net_seed=args.seed
+            config, observations, _training_config(p), net_seed=p["seed"]
         )
-        states = meeting_mod.simulate_neural(config, nets, seed=args.seed)
+        states = meeting_mod.simulate_neural(config, nets, seed=p["seed"])
         written = _write_training(out, history, nets)
     meeting_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
 
-def _run_elfarol(args, params, out: Path) -> list[Path]:
+def _run_elfarol(p: dict, out: Path, manifest: dict) -> list[Path]:
     config = _config(
-        elfarol_mod.BarConfig,
-        threshold=params["threshold"], n_agents=params["agents"],
-        turns=params["turns"], drift_gain=params["drift_gain"],
+        elfarol_mod.BarConfig, threshold=p["threshold"], n_agents=p["agents"],
+        turns=p["turns"], drift_gain=p["drift_gain"],
     )
     written = []
-    if args.mode == "standard":
-        states = elfarol_mod.run_standard(config, seed=args.seed)
+    if p["mode"] == "standard":
+        states = elfarol_mod.run_standard(config, seed=p["seed"])
     else:
-        observations = elfarol_mod.generate_attendance_observations(seed=args.seed)
-        training = _training_config(args, params, "elfarol")
+        observations = elfarol_mod.generate_attendance_observations(seed=p["seed"])
         game, nets, history = elfarol_mod.run_neural(
-            config, observations, training, net_seed=args.seed
+            config, observations, _training_config(p), net_seed=p["seed"]
         )
-        states = elfarol_mod.simulate_neural(config, nets, seed=args.seed)
+        states = elfarol_mod.simulate_neural(config, nets, seed=p["seed"])
         written = _write_training(out, history, nets)
     elfarol_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
 
-def _run_sir(args, params, out: Path) -> list[Path]:
-    if not args.data:
+def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
+    if not p["data"]:
         raise ConfigError("sir requires --data FILE")
-    if params["population"] < 1:
+    if p["population"] < 1:
         raise ConfigError("population must be positive")
-    if params["window"] < 1:
+    if p["window"] < 1:
         raise ConfigError("window must be positive")
-    dataset = sir_mod.ingest_csv(args.data, population=params["population"])
-    window = min(params["window"], len(dataset))
-    if args.mode != "standard":  # a bad config fails before the rate fit
-        epochs = args.epochs if args.epochs is not None else _DEFAULT_EPOCHS["sir"]
-        cfg = _config(
-            sir_mod.SIRTrainingConfig,
-            epochs=int(epochs), trajectories=params["trajectories"],
-            batch=params["batch"], lr=params["lr"], seed=args.seed,
-            window=window, hidden_layers=params["layers"], hidden_width=params["width"],
-        )
-    rates, _warn = sir_mod.estimate_rates(dataset, window=window)
+    dataset = sir_mod.ingest_csv(p["data"], population=p["population"])
+    window = min(p["window"], len(dataset))
+    if p["mode"] != "standard":  # a bad config fails before the rate fit
+        training = _training_config(p)
+        config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"], window=window,
+                         hidden_layers=p["layers"], hidden_width=p["width"])
+    rates, unconverged = sir_mod.estimate_rates(dataset, window=window)
+    dates = [date.isoformat() for date in dataset.dates]
+    manifest["rate_fit_unconverged"] = [d for d, no in zip(dates, unconverged) if no]
     days = len(dataset) - 1
     written = []
-    if args.mode == "standard":
+    if p["mode"] == "standard":
         # the pure rate equation driven by the daily fitted rates
         traj = sir_mod.integrate_kolmogorov(dataset.states[0], rates, days)
     else:
-        model, history = sir_mod.train_sir(dataset, cfg, warm_rates=rates)
+        model, history = sir_mod.train_sir(dataset, training, config=config, warm_rates=rates)
         traj = sir_mod.forecast(model, dataset.states[0], days, dataset.measures)
         nets = {"drift": model.drift_net, "diffusion": model.diffusion_net}
         written = _write_training(out, history,
                                   {name: net for name, net in nets.items() if net is not None})
 
-    dates = [date.isoformat() for date in dataset.dates]
     rates_path = out / "rates.csv"
     write_csv(rates_path, ["date", "gamma", "rho", "pi"], [
         [(d, repr(rv.gamma), repr(rv.rho), repr(rv.pi)) for d, rv in zip(dates, rates)]
@@ -291,42 +263,41 @@ def _run_sir(args, params, out: Path) -> list[Path]:
     return [rates_path, forecast_path] + written
 
 
-def _run_dice(args, params, out: Path) -> list[Path]:
-    faces = params["faces"]
+def _run_dice(p: dict, out: Path, manifest: dict) -> list[Path]:
+    faces = p["faces"]
     try:
         theta = (
-            tuple(float(x) for x in params["theta"].split(","))
-            if params["theta"]
+            tuple(float(x) for x in p["theta"].split(","))
+            if p["theta"]
             else (1.0 / faces,) * faces
         )
     except ValueError:
-        raise ConfigError(f"theta must be comma-separated numbers: {params['theta']!r}") from None
+        raise ConfigError(f"theta must be comma-separated numbers: {p['theta']!r}") from None
     if len(theta) != faces:
         raise ConfigError(f"theta must list {faces} probabilities")
     config = _config(
         dice_mod.DiceConfig,
-        n_players=params["players"], dice_per_player=params["dice"], n_faces=faces,
-        theta=theta, likelihood=params["likelihood"], bluff0=params["lambda0"],
+        n_players=p["players"], dice_per_player=p["dice"], n_faces=faces,
+        theta=theta, likelihood=p["likelihood"], bluff0=p["lambda0"],
     )
-    rounds_per_game = params["rounds_per_game"]
+    rounds_per_game = p["rounds_per_game"]
     if rounds_per_game < 1:
         raise ConfigError("rounds_per_game must be positive")
-    games = max(1, params["rounds"] // rounds_per_game)
-    training = _config(TrainingConfig, epochs=1, seed=args.seed, lr=params["lr"])
     net, records = dice_mod.train_dice(
-        config, training, games=games, rounds_per_game=rounds_per_game,
-        neural=(args.mode == "neural"),
+        config, _training_config(p), games=max(1, p["rounds"] // rounds_per_game),
+        rounds_per_game=rounds_per_game, neural=(p["mode"] == "neural"),
     )
     dice_mod.write_round_history(out / "history.csv", records)
     dice_mod.write_analysis_csv(out / "analysis.csv", dice_mod.analyze(records))
     written = [out / "history.csv", out / "analysis.csv"]
     if net is not None:
-        p = out / "checkpoint_drift.json"
-        save_checkpoint(net, p)
-        written.append(p)
+        written.append(out / "checkpoint_drift.json")
+        save_checkpoint(net, written[-1])
     return written
 
 
+# Each runner writes its game's outputs into ``out``, may add entries to the
+# manifest that the content hash does not cover, and returns the paths written.
 _RUNNERS = {
     "meeting": _run_meeting,
     "elfarol": _run_elfarol,
@@ -336,33 +307,33 @@ _RUNNERS = {
 
 
 def run_experiment(args: argparse.Namespace) -> int:
-    if args.game not in GAMES:
-        raise ConfigError(f"unknown game '{args.game}'")
-    file_cfg = load_config_file(args.config, args.game) if args.config else {}
-    # resolution order: flag, then config file, then default
-    args.mode = args.mode or file_cfg.get("mode") or "standard"
-    if args.mode not in MODES:
-        raise ConfigError(f"unknown mode '{args.mode}'")
-    args.seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    if not 0 <= args.seed < 2**64:  # the RNG streams take it as a uint64
-        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
-    args.out = args.out or file_cfg.get("out") or "out"
-    if args.epochs is None and "epochs" in file_cfg:
-        args.epochs = file_cfg["epochs"]
-    args.data = args.data or file_cfg.get("data")
-    params = _params_for(args.game, file_cfg, args)
-    out = Path(args.out)
+    game = args.game
+    if game not in GAMES:
+        raise ConfigError(f"unknown game '{game}'")
+    file_cfg = load_config_file(args.config, game) if args.config else {}
+    p = {}
+    for key, (_typ, defaults, _where) in _KEYS.items():
+        flag = getattr(args, key, None)
+        if game in defaults:  # flag, then config file, then default
+            p[key] = flag if flag is not None else file_cfg.get(key, defaults[game])
+        elif flag is not None:
+            raise ConfigError(f"game '{game}' takes no --{key}")
+    if p["mode"] not in MODES:
+        raise ConfigError(f"unknown mode '{p['mode']}'")
+    if not 0 <= p["seed"] < 2**64:  # the RNG streams take it as a uint64
+        raise ConfigError(f"seed must lie in [0, 2**64), got {p['seed']}")
+    out = Path(p["out"])
     out.mkdir(parents=True, exist_ok=True)
-
-    written = _RUNNERS[args.game](args, params, out)
-
     manifest = {
-        "game": args.game,
-        "mode": args.mode,
-        "seed": args.seed,
-        "parameters": {k: params[k] for k in sorted(params)},
+        "game": game,
+        "mode": p["mode"],
+        "seed": p["seed"],
+        "parameters": {k: p[k] for k in sorted(p) if _KEYS[k][2] != "run"},
         "outputs": {},
     }
+
+    written = _RUNNERS[game](p, out, manifest)
+
     hasher = hashlib.sha256()
     for path in sorted(written):
         digest = _sha256(path)
@@ -375,43 +346,30 @@ def run_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--data", default=None)
-
-
-def _add_flags(p: argparse.ArgumentParser, games) -> None:
-    """One typed flag per game parameter in ``_FLAGS``, once per name."""
-    flags = {key: _PARAMS[game][key][0] for game in games for key in _FLAGS[game]}
-    for key, typ in flags.items():
-        p.add_argument(f"--{key}", type=typ, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mfgames", description=__doc__)
+    """``run --game G`` takes the flags of every game and rejects those G does not take."""
+    parser = argparse.ArgumentParser(prog="mfgames", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run any game by name")
-    run.add_argument("--game", required=True, choices=GAMES)
-    _add_shared(run)
-    _add_flags(run, GAMES)
-
-    helps = {"meeting": "meeting arrival-times game", "elfarol": "El Farol bar game",
-             "sir": "SIR epidemic game", "dice": "liar's dice game"}
-    for game in GAMES:
-        p = sub.add_parser(game, help=helps[game])
-        _add_shared(p)
-        _add_flags(p, (game,))
+    helps = {"run": "run any game by name", "meeting": "meeting arrival-times game",
+             "elfarol": "El Farol bar game", "sir": "SIR epidemic game",
+             "dice": "liar's dice game"}
+    for command, help in helps.items():
+        p = sub.add_parser(command, help=help)
+        if command == "run":
+            p.add_argument("--game", required=True, choices=GAMES)
+        p.add_argument("--config", default=None)
+        for key, (typ, defaults, where) in _KEYS.items():
+            if where != "file" and (command == "run" or command in defaults):
+                p.add_argument(f"--{key}", type=typ, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:  # --help (0) or a usage error (2), printed by argparse
+        return done.code
     if args.command != "run":
         args.game = args.command
     try:

@@ -51,7 +51,7 @@ __all__ = [
     "make_measure_schedule",
     "augment_noise",
     "estimate_rates",
-    "SIRTrainingConfig",
+    "SIRConfig",
     "SIRModel",
     "SIRGame",
     "train_sir",
@@ -490,25 +490,20 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
 
 
 @dataclass(frozen=True)
-class SIRTrainingConfig:
-    epochs: int = 200
-    trajectories: int = 100
-    batch: int = 5
-    lr: float = 5e-4
-    seed: int = 0
-    noise_sigma: float = 0.05
-    window: int = 28
+class SIRConfig:
+    """What SIR training takes beyond :class:`mfgames.mfg.TrainingConfig`."""
+
+    trajectories: int = 100  # noise-augmented copies of the observed series
+    noise_sigma: float = 0.05  # their noise, relative to each compartment's range
+    window: int = 28  # of the rate fit, when train_sir runs it
     hidden_layers: int = 8
     hidden_width: int = 32
-    abort_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.epochs < 0 or self.trajectories < 1 or self.batch < 1:
-            raise ValueError("invalid training sizes")
+        if self.trajectories < 1 or self.noise_sigma < 0:
+            raise ValueError("trajectories must be positive and noise_sigma nonnegative")
         if self.window < 1 or self.hidden_layers < 1 or self.hidden_width < 1:
             raise ValueError("window, hidden_layers and hidden_width must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
 
 
 @dataclass
@@ -560,26 +555,27 @@ def _rollout(m, rates: list[RateVector], measures, days: int, drift, diffusion, 
 class SIRGame(GameInstance):
     """Neural SIR fit to noise-augmented copies of the observed trajectory.
 
-    An epoch's episodes are ``batch`` target rows, visited round-robin over
-    the ``trajectories`` copies, rolled as one (batch, 3) rollout from the
-    dataset's first row. The noise of the whole batch is one (batch, days, 3)
-    draw from the epoch's (seed, epoch) stream. The data loss is the mean
-    squared discrepancy between simulated and observed fractions (no terminal
-    cost); the game cost is zero.
+    An epoch's episodes are ``games_per_epoch`` target rows, visited
+    round-robin over the ``trajectories`` copies, rolled as one (batch, 3)
+    rollout from the dataset's first row. The noise of the whole batch is one
+    (batch, days, 3) draw from the epoch's (seed, epoch) stream. The data loss
+    is the mean squared discrepancy between simulated and observed fractions
+    (no terminal cost); the game cost is zero. ``seed`` seeds the networks
+    and the noisy copies.
     """
 
-    def __init__(self, dataset: EpidemicDataset, config: SIRTrainingConfig,
-                 warm_rates: list[RateVector], use_neural_drift: bool = True):
+    def __init__(self, dataset: EpidemicDataset, config: SIRConfig,
+                 warm_rates: list[RateVector], seed: int = 0, use_neural_drift: bool = True):
         if len(dataset) < 2:
             raise DataError("training needs at least two days of data")
         self.dataset = dataset
         self.rates = warm_rates
         self._targets = np.array([
-            augment_noise(dataset, config.noise_sigma, seed=config.seed + 1000 + k).states
+            augment_noise(dataset, config.noise_sigma, seed=seed + 1000 + k).states
             for k in range(config.trajectories)
         ])
         net = lambda outputs, k: mlp_init(MLPConfig(
-            13, outputs, config.hidden_layers, config.hidden_width, seed=config.seed + k))
+            13, outputs, config.hidden_layers, config.hidden_width, seed=seed + k))
         self._nets = {"drift": net(6, 0)} if use_neural_drift else {}
         self._nets["diffusion"] = net(3, 1)
 
@@ -605,22 +601,25 @@ class SIRGame(GameInstance):
         return tape.value(0.0), sq_sum.sum() * (0.5 / days) * (1.0 / batch)
 
 
-def train_sir(dataset: EpidemicDataset, config: SIRTrainingConfig,
-              use_neural_drift: bool = True,
+def train_sir(dataset: EpidemicDataset, training: TrainingConfig,
+              config: SIRConfig = SIRConfig(), use_neural_drift: bool = True,
               warm_rates: Optional[list[RateVector]] = None):
     """Fit the learned dynamics to daily population observations.
 
     Trains :class:`SIRGame` through :func:`mfgames.mfg.train`, one AdaBelief
-    step per network per epoch. Returns the model and one
+    step per network per epoch. Of ``training`` it uses ``epochs``,
+    ``games_per_epoch`` (the target rows per epoch), ``lr``, ``seed`` (of
+    the networks, the noisy copies and the epochs' noise) and
+    ``abort_threshold``; ``data_loss_weight`` scales the one loss term.
+    Without ``warm_rates`` the rates come from :func:`estimate_rates` over
+    ``config.window`` days. Returns the model and one
     :class:`mfgames.mfg.HistoryRow` per epoch (game cost 0, data loss = total).
     Raises :class:`DataError` on a dataset of fewer than two days.
     """
     if warm_rates is None:
         warm_rates = estimate_rates(dataset, window=min(config.window, len(dataset)))[0]
-    game = SIRGame(dataset, config, warm_rates, use_neural_drift)
-    nets, history = train(game, TrainingConfig(
-        config.epochs, games_per_epoch=config.batch, lr=config.lr, seed=config.seed,
-        abort_threshold=config.abort_threshold))
+    game = SIRGame(dataset, config, warm_rates, training.seed, use_neural_drift)
+    nets, history = train(game, training)
     return SIRModel(nets.get("drift"), nets["diffusion"], warm_rates), history
 
 

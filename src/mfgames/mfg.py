@@ -44,7 +44,7 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    epochs: int
+    epochs: int = 1  # of the default steps; dice takes one step per round instead
     games_per_epoch: int = 10
     lr: float = 5e-4
     seed: int = 0

@@ -8,6 +8,7 @@ can be interpreted over floats (for central differences) or over tape nodes
 import numpy as np
 
 from mfgames import autodiff as ad
+from mfgames.nets import MLP
 
 
 def central_diff(f, xs, i, h=1e-5):
@@ -123,3 +124,39 @@ def array_gradcheck(f, arrays, h=1e-6):
             fd[idx] = (float(f(*up)) - float(f(*dn))) / (2.0 * h)
         fds.append(fd)
     return grads, fds
+
+
+def epoch_directional_derivatives(game, config, rng, n_directions=3, h=1e-6):
+    """Tape and finite-difference derivatives of one epoch's combined loss.
+
+    The loss is that of the first step ``game.steps(config)`` yields. Each of
+    ``n_directions`` directions is one standard normal draw over every
+    parameter of every network of the game; returns ``(tape, fd)`` pairs of
+    the derivative along it, from the tape's gradient and from central
+    differences of step ``h``. Also returns the tape of the unmoved loss.
+    """
+    loss_fn = next(game.steps(config))
+    params = {name: net.parameters() for name, net in game.nets().items()}
+
+    def loss(moved, tape):
+        bound = {name: MLP(ps[0::2], ps[1::2], game.nets()[name].config).bind(tape)
+                 for name, ps in moved.items()}
+        return loss_fn(tape, bound)[0], bound
+
+    tape = ad.Tape()
+    value, bound = loss(params, tape)
+    tape.backward(value)
+    grads = {name: b.grad_arrays() for name, b in bound.items()}
+    pairs = []
+    for _ in range(n_directions):
+        d = {name: [rng.normal(size=p.shape) for p in ps] for name, ps in params.items()}
+
+        def along(ts):
+            moved = {name: [p + ts[0] * dp for p, dp in zip(ps, d[name])]
+                     for name, ps in params.items()}
+            return float(loss(moved, ad.Tape())[0].v)
+
+        want = sum(float(np.sum(g * dp)) for name, gs in grads.items()
+                   for g, dp in zip(gs, d[name]))
+        pairs.append((want, central_diff(along, [0.0], 0, h)))
+    return pairs, tape

@@ -57,11 +57,16 @@ def write_inputs(tmp_path):
     for key in ("seed", "epochs"):
         bad_run[key] = tmp_path / f"bad_{key}.ini"
         bad_run[key].write_text(f"[run]\n{key} = abc\n" + TINY)
+    run_key = {}  # [run] keys that only some games take
+    for key, value in (("epochs", "2"), ("data", str(data))):
+        run_key[key] = tmp_path / f"run_{key}.ini"
+        run_key[key].write_text(f"[run]\n{key} = {value}\n" + TINY)
     huge_lr = tmp_path / "huge_lr.ini"
     huge_lr.write_text(TINY.replace("[dice]", "[dice]\nlr = 1e300"))
     return {"config": str(config), "data": str(data), "one_day": str(one_day),
             "sir_config": str(sir_config), "bad_seed": str(bad_run["seed"]),
-            "bad_epochs": str(bad_run["epochs"]), "huge_lr": str(huge_lr), "tmp": tmp_path}
+            "bad_epochs": str(bad_run["epochs"]), "run_epochs": str(run_key["epochs"]),
+            "run_data": str(run_key["data"]), "huge_lr": str(huge_lr), "tmp": tmp_path}
 
 
 @pytest.fixture
@@ -99,6 +104,14 @@ EXIT_CASES = [
     ("non-integer seed in config file", 2, ("meeting", "--config", "{bad_seed}")),
     ("non-integer epochs in config file", 2,
      ("meeting", "--mode", "neural", "--config", "{bad_epochs}")),
+    # dice never reads epochs, and only sir reads data
+    ("dice --epochs", 2, ("dice", "--epochs", "2", "--config", "{config}")),
+    ("dice [run] epochs", 2, ("dice", "--config", "{run_epochs}")),
+    ("run --game dice --epochs", 2, ("run", "--game", "dice", "--epochs", "2")),
+    *((f"{game} --data", 2, (game, "--data", "{data}", "--config", "{config}"))
+      for game in ("meeting", "elfarol", "dice")),
+    *((f"{game} [run] data", 2, (game, "--config", "{run_data}"))
+      for game in ("meeting", "elfarol", "dice")),
     ("seed of 2**64, dice", 2, ("dice", "--seed", str(2**64), "--config", "{config}")),
     ("seed of 2**64, neural meeting", 2,
      ("meeting", "--mode", "neural", "--seed", str(2**64), "--config", "{config}")),
@@ -171,7 +184,8 @@ def test_training_and_integration_failures_exit_4(inputs, capsys, section, mode)
 @pytest.mark.parametrize("mode", cli.MODES)
 @pytest.mark.parametrize("game", cli.GAMES)
 def test_same_seed_same_content_hash_and_float_loss_cells(inputs, game, mode):
-    argv = (game, "--mode", mode, "--seed", "5", "--epochs", "2", "--config", "{config}")
+    epochs = () if game == "dice" else ("--epochs", "2")  # dice takes no epochs
+    argv = (game, "--mode", mode, "--seed", "5", *epochs, "--config", "{config}")
     if game == "sir":
         argv += ("--data", "{data}")
     hashes = []
@@ -251,19 +265,41 @@ def test_keys_resolve_flag_then_config_file_then_default(inputs, game):
         assert manifest["parameters"][file_key] == file_only
 
 
+@pytest.mark.parametrize("max_iter", [400, 150])  # the fit's own cap, and one too low
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_manifest_lists_the_days_whose_rate_fit_did_not_converge(inputs, monkeypatch,
+                                                                 mode, max_iter):
+    fit = sir.estimate_rates
+    monkeypatch.setattr(sir, "estimate_rates",
+                        lambda dataset, window: fit(dataset, window, max_iter=max_iter))
+    argv = ("sir", "--mode", mode, "--epochs", "1", "--config", "{config}", "--data", "{data}")
+    assert _run(inputs, *argv) == 0
+    dataset = sir.ingest_csv(inputs["data"], population=1_000_000)
+    _rates, unconverged = fit(dataset, window=5, max_iter=max_iter)
+    want = [d.isoformat() for d, no in zip(dataset.dates, unconverged) if no]
+    assert bool(want) == (max_iter == 150)  # the capped fit misses days 0 and 3
+    manifest = _manifest(inputs, "out")
+    assert manifest["rate_fit_unconverged"] == want
+    # the content hash covers the outputs alone
+    hasher = hashlib.sha256()
+    for name, digest in sorted(manifest["outputs"].items()):
+        hasher.update(name.encode() + digest.encode())
+    assert manifest["content_hash"] == hasher.hexdigest()
+
+
 def _flags(parser):
     return sorted(s for a in parser._actions for s in a.option_strings)
 
 
 def test_each_subcommand_takes_exactly_its_flags():
-    shared = ["--config", "--data", "--epochs", "--mode", "--out", "--seed", "-h", "--help"]
+    shared = ["--config", "--mode", "--out", "--seed", "-h", "--help"]
     own = {
-        "meeting": ["--agents"],
-        "elfarol": ["--agents", "--threshold"],
-        "sir": ["--population", "--trajectories"],
+        "meeting": ["--epochs", "--agents"],
+        "elfarol": ["--epochs", "--agents", "--threshold"],
+        "sir": ["--epochs", "--data", "--population", "--trajectories"],
         "dice": ["--dice", "--lambda0", "--players", "--rounds", "--theta"],
-        "run": ["--game", "--agents", "--threshold", "--population", "--trajectories",
-                "--dice", "--lambda0", "--players", "--rounds", "--theta"],
+        "run": ["--game", "--epochs", "--data", "--agents", "--threshold", "--population",
+                "--trajectories", "--dice", "--lambda0", "--players", "--rounds", "--theta"],
     }
     (sub,) = [a for a in cli.build_parser()._actions if a.choices and "run" in a.choices]
     assert sorted(sub.choices) == sorted(own)
@@ -290,8 +326,9 @@ def test_sir_standard_forecasts_with_the_rate_equation(inputs):
 # Every game x mode on the TINY config, as in the determinism test above,
 # plus standard runs large enough to write many rows per turn and many rounds.
 HASH_CASES = {
-    f"{game}-{mode}": (game, "--mode", mode, "--seed", "5", "--epochs", "2",
-                       "--config", "{config}") + (("--data", "{data}") if game == "sir" else ())
+    f"{game}-{mode}": (game, "--mode", mode, "--seed", "5")
+    + (() if game == "dice" else ("--epochs", "2")) + ("--config", "{config}")
+    + (("--data", "{data}") if game == "sir" else ())
     for game in cli.GAMES for mode in cli.MODES
 }
 HASH_CASES["dice-standard-20-players-200-rounds"] = (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import epoch_directional_derivatives
 from mfgames import autodiff as ad
 from mfgames.games.elfarol import (
     BarConfig,
@@ -85,3 +86,18 @@ def test_nash_gap_with_probe_cost():
     cost = lambda profile, i: probe_cost(profile, i, config)
     assert nash_gap(cost, p, 0, np.linspace(0.0, 1.0, 11)) >= 0.0
     assert nash_gap(cost, p, 0, [p[0]]) == 0.0
+
+
+def test_epoch_gradient_matches_finite_differences():
+    # one epoch's combined loss as `mfgames elfarol --mode neural` trains it
+    # at seed 0, on 4 episodes
+    config = BarConfig(n_agents=64, drift_gain=0.3)
+    game = BarGame(config, generate_attendance_observations(seed=0), net_seed=0)
+    training = TrainingConfig(epochs=1, games_per_epoch=4, seed=0)
+    pairs, tape = epoch_directional_derivatives(game, training, np.random.default_rng(0))
+    # clip01's partial of 1 is exact only where no intention is clipped
+    clipped = [n.parents[0].v for n in tape.nodes if n.op == "clip01"]
+    assert len(clipped) == config.turns - 1
+    assert all(np.all((p > 0.01) & (p < 0.99)) for p in clipped)
+    for tape_derivative, fd in pairs:
+        assert fd == pytest.approx(tape_derivative, rel=1e-8)

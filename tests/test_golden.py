@@ -70,9 +70,9 @@ def test_sir_two_epochs_match_scalar_tape(step_grads, name, neural):
     dataset = sir.generate_synthetic_dataset(
         days, seed=SEED, measures=sir.make_measure_schedule(days, seed=SEED), modulate=True
     )
-    config = sir.SIRTrainingConfig(epochs=2, trajectories=4, batch=3, seed=SEED,
-                                   window=days, hidden_layers=2, hidden_width=8)
-    _, history = sir.train_sir(dataset, config, use_neural_drift=neural)
+    training = TrainingConfig(epochs=2, games_per_epoch=3, seed=SEED)
+    config = sir.SIRConfig(trajectories=4, window=days, hidden_layers=2, hidden_width=8)
+    _, history = sir.train_sir(dataset, training, config=config, use_neural_drift=neural)
     _assert_matches(name, history, step_grads)
 
 

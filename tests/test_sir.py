@@ -10,7 +10,7 @@ from mfgames.games.sir import (
     DataError,
     EpidemicDataset,
     RateVector,
-    SIRTrainingConfig,
+    SIRConfig,
     _nelder_mead,
     _net_inputs,
     _rollout,
@@ -28,6 +28,7 @@ from mfgames.games.sir import (
     validate_measures,
     write_dataset_csv,
 )
+from mfgames.mfg import TrainingConfig
 from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init
 
 
@@ -460,9 +461,11 @@ def trajectory_mse(model, dataset):
     return float(np.mean((traj - dataset.states) ** 2))
 
 
+SMALL = SIRConfig(trajectories=4, hidden_layers=3, hidden_width=8, window=14)
+
+
 def _small_cfg(epochs, seed=0):
-    return SIRTrainingConfig(epochs=epochs, trajectories=4, batch=2, seed=seed,
-                             hidden_layers=3, hidden_width=8, window=14)
+    return TrainingConfig(epochs=epochs, games_per_epoch=2, seed=seed)
 
 
 def _renormalising_forecast(model, initial, days, v_series, rates):
@@ -490,7 +493,7 @@ def _renormalising_forecast(model, initial, days, v_series, rates):
 def test_forecast_agrees_with_the_renormalising_loop(neural):
     ds = generate_synthetic_dataset(40, seed=11, measures=make_measure_schedule(40, seed=11),
                                     modulate=True)
-    model, _ = train_sir(ds, _small_cfg(3), use_neural_drift=neural)
+    model, _ = train_sir(ds, _small_cfg(3), config=SMALL, use_neural_drift=neural)
     days = len(ds) - 1
     got = forecast(model, ds.states[0], days, ds.measures)
     want = _renormalising_forecast(model, ds.states[0], days, ds.measures, model.rates)
@@ -499,7 +502,7 @@ def test_forecast_agrees_with_the_renormalising_loop(neural):
 
 def test_noisy_forecast_is_the_rollout_on_the_seeds_draws():
     ds = generate_synthetic_dataset(20, seed=12, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(2))
+    model, _ = train_sir(ds, _small_cfg(2), config=SMALL)
     days = len(ds) - 1
     got = forecast(model, ds.states[0], days, ds.measures, noise_seed=4)
     dB = np.random.default_rng(4).normal(0.0, 1.0, (days, 3))
@@ -518,7 +521,7 @@ def test_noisy_forecast_is_the_rollout_on_the_seeds_draws():
 
 def test_zero_epochs_forecast_equals_warm_start_plus_residual():
     ds = generate_synthetic_dataset(30, seed=4, i0=0.05)
-    model, history = train_sir(ds, _small_cfg(0))
+    model, history = train_sir(ds, _small_cfg(0), config=SMALL)
     assert history == []
     traj = forecast(model, ds.states[0], len(ds) - 1, ds.measures)
     assert traj.shape == (len(ds), 3)
@@ -529,11 +532,9 @@ def test_training_reduces_mse_on_noiseless_synthetic():
     ds = generate_synthetic_dataset(40, seed=5, i0=0.04,
                                     rates=RateVector(0.3, 0.12, 0.0))
     cfg = _small_cfg(60)
-    model0, _ = train_sir(ds, SIRTrainingConfig(
-        epochs=0, trajectories=4, batch=2, seed=0, hidden_layers=3, hidden_width=8,
-        window=14))
+    model0, _ = train_sir(ds, _small_cfg(0), config=SMALL)
     mse0 = trajectory_mse(model0, ds)
-    model, _ = train_sir(ds, cfg)
+    model, _ = train_sir(ds, cfg, config=SMALL)
     mse1 = trajectory_mse(model, ds)
     assert mse1 < mse0
 
@@ -545,7 +546,7 @@ def test_constant_zero_measures_equal_sliced_network():
     from mfgames.nets import MLP, MLPConfig, mlp_forward_np
 
     ds = generate_synthetic_dataset(25, seed=6, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(3))
+    model, _ = train_sir(ds, _small_cfg(3), config=SMALL)
     net = model.drift_net
     clone = MLP(
         [net.weights[0][:, :6].copy()] + [w.copy() for w in net.weights[1:]],
@@ -566,7 +567,7 @@ def test_constant_zero_measures_equal_sliced_network():
 
 def test_simplex_conservation_through_training_steps():
     ds = generate_synthetic_dataset(20, seed=7, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(2))
+    model, _ = train_sir(ds, _small_cfg(2), config=SMALL)
     traj = forecast(model, ds.states[0], len(ds) - 1, ds.measures, noise_seed=3)
     assert np.allclose(traj.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(traj >= 0)
@@ -574,7 +575,7 @@ def test_simplex_conservation_through_training_steps():
 
 def test_forecast_zero_days_and_guards():
     ds = generate_synthetic_dataset(20, seed=8, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(0))
+    model, _ = train_sir(ds, _small_cfg(0), config=SMALL)
     out = forecast(model, ds.states[0], 0, np.zeros((0, 7), dtype=int))
     assert out.shape == (1, 3)
     with pytest.raises(ValueError):
@@ -583,7 +584,7 @@ def test_forecast_zero_days_and_guards():
 
 def test_forecast_frozen_dynamics_constant():
     ds = generate_synthetic_dataset(20, seed=9, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(0))
+    model, _ = train_sir(ds, _small_cfg(0), config=SMALL)
     model.drift_net.zero_()
     zero_rates = [RateVector(0.0, 0.0, 0.0)] * 10
     out = forecast(model, np.array([0.5, 0.3, 0.2]), 10,

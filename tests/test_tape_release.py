@@ -62,10 +62,10 @@ def _elfarol():
 
 def _sir(abort_threshold=1e6):
     dataset = sir.generate_synthetic_dataset(12, seed=1, i0=0.05)
-    config = sir.SIRTrainingConfig(epochs=3, trajectories=4, batch=2, seed=1, window=12,
-                                   hidden_layers=2, hidden_width=8,
-                                   abort_threshold=abort_threshold)
-    return sir.train_sir(dataset, config)
+    training = TrainingConfig(epochs=3, games_per_epoch=2, seed=1,
+                              abort_threshold=abort_threshold)
+    config = sir.SIRConfig(trajectories=4, window=12, hidden_layers=2, hidden_width=8)
+    return sir.train_sir(dataset, training, config=config)
 
 
 def _dice(abort_threshold=1e6):
