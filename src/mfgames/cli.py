@@ -122,7 +122,7 @@ def load_config_file(path: str, game: str) -> dict:
                 if value != game:
                     raise ConfigError(f"config file is for game '{value}', not '{game}'")
                 continue
-            typ, defaults, where = _KEYS.get(key, (str, {}, None))
+            typ, defaults, where = _KEYS.get(key, (None, {}, None))
             if game not in defaults or (where == "run") != (section == "run"):
                 raise ConfigError(f"unknown key '{key}' in [{section}] for game '{game}'")
             out[key] = _coerce(key, typ, value)
