@@ -6,8 +6,10 @@
 Runs are fully determined by (game, mode, seed, parameters): outputs are CSV
 trajectories, loss histories, network checkpoints, histogram-ready plot data,
 and a manifest carrying the echoed configuration plus a content hash of every
-emitted byte. Exit codes: 0 ok, 2 configuration (including game parameters
-out of range), 3 data, 4 training divergence or a non-finite integration step.
+emitted byte. Meeting and El Farol manifests also carry ``exploitability``,
+the final turn's mean gain of the agents' best responses, outside the hash.
+Exit codes: 0 ok, 2 configuration (including game parameters out of range),
+3 data, 4 training divergence or a non-finite integration step.
 
 A config file is a flat INI file. Its [run] section takes mode, seed, out,
 epochs (not dice) and data (sir only), and optionally the game the file is
@@ -188,6 +190,7 @@ def _run_meeting(p: dict, out: Path, manifest: dict) -> list[Path]:
         noise_std=p["noise_std"], turns=p["turns"], init_mean=p["init_mean"],
         drift_gain=p["drift_gain"], smoothing=p["smoothing"], sigma=p["sigma"],
     )
+    training = _training_config(p)
     written = []
     if p["mode"] == "standard":
         states = meeting_mod.run_standard(config, seed=p["seed"])
@@ -195,11 +198,11 @@ def _run_meeting(p: dict, out: Path, manifest: dict) -> list[Path]:
         observations = [
             meeting_mod.generate_observations(seed=p["seed"] * 1000 + k) for k in range(10)
         ]
-        game, nets, history = meeting_mod.run_neural(
-            config, observations, _training_config(p), net_seed=p["seed"]
-        )
+        game, nets, history = meeting_mod.run_neural(config, observations, training,
+                                                     net_seed=p["seed"])
         states = meeting_mod.simulate_neural(config, nets, seed=p["seed"])
         written = _write_training(out, history, nets)
+    manifest["exploitability"] = meeting_mod.exploitability(states[-1].tau_tilde, config)
     meeting_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
@@ -209,16 +212,17 @@ def _run_elfarol(p: dict, out: Path, manifest: dict) -> list[Path]:
         elfarol_mod.BarConfig, threshold=p["threshold"], n_agents=p["agents"],
         turns=p["turns"], drift_gain=p["drift_gain"],
     )
+    training = _training_config(p)
     written = []
     if p["mode"] == "standard":
         states = elfarol_mod.run_standard(config, seed=p["seed"])
     else:
         observations = elfarol_mod.generate_attendance_observations(seed=p["seed"])
-        game, nets, history = elfarol_mod.run_neural(
-            config, observations, _training_config(p), net_seed=p["seed"]
-        )
+        game, nets, history = elfarol_mod.run_neural(config, observations, training,
+                                                     net_seed=p["seed"])
         states = elfarol_mod.simulate_neural(config, nets, seed=p["seed"])
         written = _write_training(out, history, nets)
+    manifest["exploitability"] = elfarol_mod.exploitability(states[-1].p, config)
     elfarol_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
@@ -228,14 +232,12 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
         raise ConfigError("sir requires --data FILE")
     if p["population"] < 1:
         raise ConfigError("population must be positive")
-    if p["window"] < 1:
-        raise ConfigError("window must be positive")
     dataset = sir_mod.ingest_csv(p["data"], population=p["population"])
     window = min(p["window"], len(dataset))
-    if p["mode"] != "standard":  # a bad config fails before the rate fit
-        training = _training_config(p)
-        config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"], window=window,
-                         hidden_layers=p["layers"], hidden_width=p["width"])
+    # in both modes, so that a bad config fails, and before the rate fit
+    training = _training_config(p)
+    config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"], window=window,
+                     hidden_layers=p["layers"], hidden_width=p["width"])
     rates, unconverged = sir_mod.estimate_rates(dataset, window=window)
     dates = [date.isoformat() for date in dataset.dates]
     manifest["rate_fit_unconverged"] = [d for d, no in zip(dates, unconverged) if no]

@@ -32,7 +32,7 @@ __all__ = [
     "BarGame",
     "run_neural",
     "simulate_neural",
-    "probe_cost",
+    "exploitability",
     "write_history",
 ]
 
@@ -89,11 +89,14 @@ def response_target(a, c: float):
 
     For a quiet bar the expected cost (1-p)(c-p) + (p-a)^2 is quadratic with
     its interior minimum at (1 + c + 2a)/4, capped at the threshold where the
-    missed-evening hinge switches off; a crowded bar pins the target to the
-    threshold itself. The target is continuous in a, so the population never
-    gets slammed when the realized attendance crosses the threshold.
+    missed-evening hinge switches off. For a crowded bar p(p-c) + (p-a)^2 is
+    least at (2a + c)/4, raised to the threshold (the target unless a > 1.5c,
+    so always when c >= 2/3) and capped at 1. The target is continuous in a,
+    so the population never gets slammed when the realized attendance
+    crosses the threshold.
     """
-    return np.where(np.less(a, c), np.minimum((1.0 + c + 2.0 * a) / 4.0, c), c)
+    return np.where(np.less(a, c), np.minimum((1.0 + c + 2.0 * a) / 4.0, c),
+                    np.clip((2.0 * a + c) / 4.0, c, 1.0))
 
 
 def best_response_drift(p_i, a: float, c: float, gain: float):
@@ -190,10 +193,16 @@ def run_standard(config: BarConfig, seed: int = 0) -> list[BarState]:
     return _states(_rollout(config, p, [rng]))
 
 
-def probe_cost(p_profile: np.ndarray, i: int, config: BarConfig) -> float:
-    """Expected terminal cost of agent i with the mean field recomputed."""
-    a = float(np.mean(p_profile))
-    return float(expected_bar_cost(float(p_profile[i]), a, config.threshold))
+def exploitability(p, config: BarConfig) -> float:
+    """Mean gain of the agents' best responses to the mean intention a = mean(p).
+
+    With a held, :func:`response_target` is every agent's best response, so
+    this is the mean :func:`expected_bar_cost` minus its value there, 0 when
+    every agent plays it. A deviation's own move of a, (x - p_i)/n, is not counted.
+    """
+    a, c = float(np.mean(p)), config.threshold
+    best = expected_bar_cost(float(response_target(a, c)), a, c)
+    return max(0.0, float(np.mean(expected_bar_cost(np.asarray(p, dtype=float), a, c) - best)))
 
 
 class BarGame(GameInstance):

@@ -35,7 +35,7 @@ __all__ = [
     "MeetingGame",
     "run_neural",
     "simulate_neural",
-    "agent_cost",
+    "exploitability",
     "write_history",
 ]
 
@@ -191,10 +191,16 @@ def run_standard(config: MeetingConfig, seed: int = 0) -> list[ArrivalState]:
     return _states(_rollout(config, tau, eps, dB), eps)
 
 
-def agent_cost(tau_tilde_profile: np.ndarray, i: int, config: MeetingConfig) -> float:
-    """Terminal cost of agent i on a full profile of actual arrivals."""
-    ts = actual_start(tau_tilde_profile, config.scheduled, config.quorum)[0]
-    return float(terminal_cost(float(tau_tilde_profile[i]), config.scheduled, ts))
+def exploitability(tau_tilde, config: MeetingConfig) -> float:
+    """Mean gain of the agents' best responses to the start time ts of ``tau_tilde``.
+
+    With ts held, every arrival in [s, ts] costs ts - s and none costs less,
+    so this is the mean terminal cost minus ts - s, 0 when every agent arrives
+    in [s, ts]. A deviation's own move of ts, by one rank, is not counted.
+    """
+    s = config.scheduled
+    ts = actual_start(tau_tilde, s, config.quorum)
+    return max(0.0, float(np.mean(terminal_cost(tau_tilde, s, ts) - (ts - s))))
 
 
 class MeetingGame(GameInstance):

@@ -187,13 +187,14 @@ def _kolmogorov_path(m0, day_rates, days: int) -> list:
 def integrate_kolmogorov(m0, rates, days: int) -> np.ndarray:
     """Daily Euler integration of the pure rate equation; (days+1, 3) array.
 
-    ``rates`` is one :class:`RateVector` or a per-day list of them. The steps
-    run on Python floats in :func:`_kolmogorov_path`, which on three numbers
-    is several times cheaper than numpy and rounds the same.
+    ``rates`` is one :class:`RateVector` or a per-day list, the last of which
+    holds past its end. The steps run on Python floats in :func:`_kolmogorov_path`,
+    which on three numbers is several times cheaper than numpy and rounds the same.
     """
     m = np.asarray(m0, dtype=float).tolist()
-    per_day = rates if isinstance(rates, (list, tuple)) else [rates] * days
-    day_rates = [(rv.gamma, rv.rho, rv.pi) for rv in per_day]
+    per_day = rates if isinstance(rates, (list, tuple)) else [rates]
+    day_rates = [(rv.gamma, rv.rho, rv.pi)
+                 for rv in (_rates_for_day(per_day, k) for k in range(days))]
     return np.array(_kolmogorov_path(m, day_rates, days)).reshape(days + 1, 3)
 
 

@@ -1,4 +1,4 @@
-"""Population-level orchestration: training, loss histories, Nash probes, CSV output.
+"""Population-level orchestration: training, loss histories, CSV output.
 
 One loop, :func:`train`, trains every game. A game yields the loss function
 of each optimizer step; :func:`train_step` checks the step for divergence,
@@ -12,7 +12,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "GameInstance",
     "train_step",
     "train",
-    "nash_gap",
     "HistoryRow",
     "write_history_csv",
     "write_csv",
@@ -160,31 +158,6 @@ def train(game: GameInstance, config: TrainingConfig):
         except StopIteration as done:
             return nets, done.value
         result = train_step(nets, opts, loss_fn, step, config.abort_threshold)
-
-
-def nash_gap(cost_fn: Callable, states: np.ndarray, probe_agent: int,
-             candidate_controls) -> float:
-    """Largest probed improvement available to one agent by unilateral deviation.
-
-    ``cost_fn(states, i)`` evaluates agent i's cost on a full state profile
-    (the mean field is recomputed inside, so the deviation is visible to it).
-    Returns max over candidates of [J(equilibrium) - J(candidate)]_+; zero
-    means no probed deviation improves the agent.
-    """
-    candidates = list(candidate_controls)
-    if not candidates:
-        raise ValueError("candidate set must be nonempty")
-    states = np.asarray(states, dtype=float)
-    if not 0 <= probe_agent < states.shape[0]:
-        raise ValueError("probe_agent out of range")
-    j_eq = cost_fn(states, probe_agent)
-    gap = 0.0
-    for cand in candidates:
-        deviated = states.copy()
-        deviated[probe_agent] = cand
-        j_dev = cost_fn(deviated, probe_agent)
-        gap = max(gap, j_eq - j_dev)
-    return gap
 
 
 def float_cells(values) -> list[str]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mfgames import cli
-from mfgames.games import sir
+from mfgames.games import elfarol, meeting, sir
 
 TINY = """
 [meeting]
@@ -115,6 +115,11 @@ EXIT_CASES = [
     ("seed of 2**64, dice", 2, ("dice", "--seed", str(2**64), "--config", "{config}")),
     ("seed of 2**64, neural meeting", 2,
      ("meeting", "--mode", "neural", "--seed", str(2**64), "--config", "{config}")),
+    # the standard modes train nothing, but their training keys are checked
+    ("standard meeting --epochs -5", 2, ("meeting", "--mode", "standard", "--epochs", "-5")),
+    ("standard elfarol --epochs -1", 2, ("elfarol", "--mode", "standard", "--epochs", "-1")),
+    ("standard sir --trajectories 0", 2,
+     ("sir", "--mode", "standard", "--trajectories", "0", "--data", "{data}")),
     # the first step leaves weights near 1e300, so the next forward pass
     # overflows (inf, then inf * 0): its warnings are expected
     ("dice lr overflows the gradient", 4, ("dice", "--mode", "neural", "--config", "{huge_lr}"),
@@ -144,8 +149,10 @@ def test_sha256_of_a_file_longer_than_one_chunk(tmp_path):
     ("width", "0", "neural"),
     ("window", "0", "neural"),
     ("window", "0", "standard"),
+    ("width", "0", "standard"),
     ("lr", "0", "neural"),
     ("lr", "-1", "neural"),
+    ("lr", "0", "standard"),
 ])
 def test_sir_config_out_of_range_exits_2(inputs, capsys, key, value, mode):
     config = inputs["tmp"] / "bad.ini"
@@ -209,6 +216,32 @@ def test_same_seed_same_content_hash_and_float_loss_cells(inputs, game, mode):
                 for cell in row.split(",")[1:]:
                     float(cell)
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+@pytest.mark.parametrize("game", cli.GAMES)
+def test_manifest_reports_exploitability_of_the_final_turn(inputs, game, mode):
+    argv = (game, "--mode", mode, "--seed", "5", "--config", "{config}")
+    if game == "sir":
+        argv += ("--data", "{data}")
+    assert _run(inputs, *argv) == 0
+    manifest = _manifest(inputs, "out")
+    if game not in ("meeting", "elfarol"):  # no cost over the population's state
+        assert "exploitability" not in manifest
+        return
+    value = manifest["exploitability"]
+    assert np.isfinite(value) and value >= 0.0
+    # that of the last turn in trajectory.csv
+    rows = (inputs["tmp"] / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    cells = [row.split(",") for row in rows]
+    turns = max(int(c[0]) for c in cells)
+    column = 3 if game == "meeting" else 2  # tau_tilde, or p
+    last = np.array([float(c[column]) for c in cells if int(c[0]) == turns])
+    module, config = {
+        "meeting": (meeting, meeting.MeetingConfig(n_agents=6, turns=3)),
+        "elfarol": (elfarol, elfarol.BarConfig(n_agents=6, turns=3)),
+    }[game]
+    assert value == module.exploitability(last, config)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

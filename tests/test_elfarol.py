@@ -8,12 +8,15 @@ from mfgames.games.elfarol import (
     BarGame,
     bar_cost,
     expected_bar_cost,
+    exploitability,
     generate_attendance_observations,
-    probe_cost,
+    response_target,
     run_standard,
     simulate_neural,
 )
-from mfgames.mfg import TrainingConfig, nash_gap, train
+from mfgames.mfg import TrainingConfig, train
+from probe import bar_cost as probe_cost
+from probe import closed_form_gaps, nash_gap
 
 
 def _loud_game(n_agents=16, turns=6, scale=50.0):
@@ -70,22 +73,78 @@ def test_bar_cost_elementwise_matches_per_agent_branches():
 def test_probe_cost_quiet_bar_against_hand_value():
     # a = 0.18 < c = 0.9: (0.1 - 0.18)^2 + (1 - 0.1)(0.9 - 0.1)
     p = np.array([0.1, 0.2, 0.3, 0.2, 0.1])
-    assert probe_cost(p, 0, BarConfig(n_agents=5)) == pytest.approx(0.7264, abs=1e-12)
+    assert expected_bar_cost(p[0], p.mean(), 0.9) == pytest.approx(0.7264, abs=1e-12)
+    assert probe_cost(BarConfig(n_agents=5))(p, 0) == pytest.approx(0.7264, abs=1e-12)
 
 
 def test_probe_cost_crowded_bar_against_hand_value():
     # a = 0.95 >= c = 0.9: (0.95 - 0.95)^2 + 0.95 (0.95 - 0.9)
     p = np.full(5, 0.95)
-    assert probe_cost(p, 0, BarConfig(n_agents=5)) == pytest.approx(0.0475, abs=1e-12)
+    assert expected_bar_cost(p[0], p.mean(), 0.9) == pytest.approx(0.0475, abs=1e-12)
+    assert probe_cost(BarConfig(n_agents=5))(p, 0) == pytest.approx(0.0475, abs=1e-12)
     assert expected_bar_cost(0.95, 0.95, 0.9) == pytest.approx(0.0475, abs=1e-12)
 
 
 def test_nash_gap_with_probe_cost():
     config = BarConfig(n_agents=5)
     p = np.array([0.1, 0.2, 0.3, 0.2, 0.1])
-    cost = lambda profile, i: probe_cost(profile, i, config)
+    cost = probe_cost(config)
     assert nash_gap(cost, p, 0, np.linspace(0.0, 1.0, 11)) >= 0.0
     assert nash_gap(cost, p, 0, [p[0]]) == 0.0
+
+
+@pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
+def test_response_target_minimizes_the_expected_cost(c):
+    grid = np.linspace(0.0, 1.0, 4001)
+    for a in np.linspace(0.0, 1.0, 41):
+        target = float(response_target(a, c))
+        assert 0.0 <= target <= 1.0
+        assert expected_bar_cost(target, a, c) <= expected_bar_cost(grid, a, c).min() + 1e-15
+    # the crowded branch leaves the threshold once a > 1.5c
+    assert response_target(0.5, 0.3) == pytest.approx(0.325, abs=1e-15)
+    assert expected_bar_cost(0.325, 0.5, 0.3) == pytest.approx(0.03875, abs=1e-15)
+
+
+def test_exploitability_approaches_the_exact_probe_as_n_grows():
+    # A deviation to x moves a by (x - p_i) / n, at most 1/n, and the cost
+    # moves with a at |dJ/da| = 2|x - a| <= 2 while a stays on one side of the
+    # threshold; so an agent's exact gain lies within L/n of the closed form,
+    # L = 2. The probe's grid of step h finds each minimum to within 5h/2,
+    # as the deviated cost's slope in x is at most 4 + L/n < 5.
+    h = 1e-3
+    candidates = np.linspace(0.0, 1.0, 1001)
+    agents = [0, 1, 2, 3]
+    errors = []
+    for n in (40, 160, 640):
+        config = BarConfig(n_agents=n)
+        p = run_standard(config, seed=2)[0].p
+        assert config.threshold - p.mean() > 1.0 / n  # the bar stays quiet
+        cost = probe_cost(config)
+        probed = [nash_gap(cost, p, i, candidates) for i in agents]
+        closed = closed_form_gaps(cost, p, agents, exploitability(p, config))
+        errors.append(np.abs(np.subtract(probed, closed)).max())
+        assert errors[-1] <= 2.0 / n + 2.5 * h
+    # measured: 0.011, 0.0028, 0.0007
+    assert errors[2] < errors[1] < errors[0]
+
+
+def test_exploitability_is_nonnegative_and_zero_at_best_responses():
+    rng = np.random.default_rng(3)
+    for c in (0.3, 0.5, 0.9):
+        config = BarConfig(threshold=c, n_agents=50)
+        for _ in range(20):
+            assert exploitability(rng.uniform(0.0, 1.0, config.n_agents), config) > 0.0
+        # everyone at the threshold: a = c, and the threshold is the best response
+        assert response_target(c, c) == c
+        assert exploitability(np.full(config.n_agents, c), config) == 0.0
+
+
+def test_exploitability_shrinks_over_the_standard_game():
+    # measured at 40 agents: 0.406 at the first turn, 1.8e-5 at the last
+    config = BarConfig(n_agents=40)
+    states = run_standard(config, seed=2)
+    first, last = (exploitability(st.p, config) for st in (states[0], states[-1]))
+    assert 0.0 < last < first
 
 
 def test_epoch_gradient_matches_finite_differences():

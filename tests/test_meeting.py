@@ -7,15 +7,16 @@ from mfgames.games.meeting import (
     MeetingConfig,
     MeetingGame,
     actual_start,
-    agent_cost,
     best_response_drift,
+    exploitability,
     generate_observations,
     run_neural,
     run_standard,
     simulate_neural,
     terminal_cost,
 )
-from mfgames.mfg import TrainingConfig, nash_gap, train
+from mfgames.mfg import TrainingConfig, train
+from probe import closed_form_gaps, meeting_cost, nash_gap
 
 
 def test_actual_start_all_on_time():
@@ -156,17 +157,52 @@ def test_neural_zero_weight_stays_near_standard():
 
 
 def test_nash_gap_shrinks_after_convergence():
+    # measured: the closed form falls from 2.92 to 0.42 over the standard game
     cfg = MeetingConfig(n_agents=40)
     candidates = list(np.linspace(11.0, 17.0, 13))
-
-    def cost(states, i):
-        return agent_cost(states, i, cfg)
-
+    cost = meeting_cost(cfg)
     states = run_standard(cfg, seed=2)
     gap_init = max(nash_gap(cost, states[0].tau_tilde, i, candidates) for i in range(5))
     gap_final = max(nash_gap(cost, states[-1].tau_tilde, i, candidates) for i in range(5))
     assert gap_final <= gap_init
     assert gap_init > 0.0
+    first, last = (exploitability(st.tau_tilde, cfg) for st in (states[0], states[-1]))
+    assert 0.0 < last < first
+
+
+@pytest.mark.parametrize("n_agents", [40, 160, 640])
+def test_exploitability_matches_the_exact_probe(n_agents):
+    # where the quorum start is the schedule s, an agent's deviation cannot
+    # move it below s, so the probe, whose grid holds s, finds the closed
+    # form's best response exactly
+    cfg = MeetingConfig(n_agents=n_agents)
+    cost = meeting_cost(cfg)
+    candidates = cfg.scheduled + np.linspace(-4.0, 4.0, 401)
+    agents = [0, 1, 2, 3]
+    states = run_standard(cfg, seed=2)
+    for st in (states[0], states[-1]):
+        assert actual_start(st.tau_tilde, cfg.scheduled, cfg.quorum)[0] == cfg.scheduled
+        value = exploitability(st.tau_tilde, cfg)
+        probed = [nash_gap(cost, st.tau_tilde, i, candidates) for i in agents]
+        closed = closed_form_gaps(cost, st.tau_tilde, agents, value)
+        np.testing.assert_allclose(probed, closed, rtol=0.0, atol=1e-12)
+        assert max(probed) > 0.0
+
+
+def test_exploitability_is_nonnegative_and_zero_at_best_responses():
+    cfg = MeetingConfig(n_agents=50)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        assert exploitability(rng.normal(15.0, 2.0, cfg.n_agents), cfg) > 0.0
+    # every arrival at s, or every arrival in [s, ts] when ts is the last of them
+    assert exploitability(np.full(cfg.n_agents, cfg.scheduled), cfg) == 0.0
+    everyone = MeetingConfig(n_agents=50, quorum=1.0)
+    spread = rng.uniform(15.0, 16.0, everyone.n_agents)
+    assert exploitability(spread, everyone) == pytest.approx(0.0, abs=1e-14)
+    # an early arrival pays ts - x > ts - s, the best response's cost
+    early = np.full(cfg.n_agents, cfg.scheduled)
+    early[0] = cfg.scheduled - 2.0
+    assert exploitability(early, cfg) == pytest.approx(2.0 / cfg.n_agents, abs=1e-15)
 
 
 def test_epoch_gradient_matches_finite_differences():

@@ -9,12 +9,12 @@ from mfgames.mfg import (
     TrainingConfig,
     TrainingDivergence,
     float_cells,
-    nash_gap,
     train,
     write_csv,
     write_history_csv,
 )
 from mfgames.nets import MLPConfig, mlp_init
+from probe import nash_gap
 
 
 class ConstantLosses(GameInstance):
@@ -138,6 +138,10 @@ def test_non_finite_gradient_diverges_before_any_network_steps():
     assert err.value.step == 0
     after = [p for net in game.nets().values() for p in net.parameters()]
     assert all(np.array_equal(p, q) for p, q in zip(after, before))
+
+
+# the exact probe of tests/probe.py, the reference the games' closed-form
+# exploitability is checked against
 
 
 def test_nash_gap_identity_deviation_is_zero():
