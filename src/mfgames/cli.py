@@ -7,7 +7,9 @@ Runs are fully determined by (game, mode, seed, parameters): outputs are CSV
 trajectories, loss histories, network checkpoints, histogram-ready plot data,
 and a manifest carrying the echoed configuration plus a content hash of every
 emitted byte. Meeting and El Farol manifests also carry ``exploitability``,
-the final turn's mean gain of the agents' best responses, outside the hash.
+the final turn's mean gain of the agents' best responses, outside the hash;
+SIR manifests carry ``rate_fit_window``, the days each window of the rate fit
+spans, and ``rate_fit_unconverged``, the dates whose fit did not converge.
 Exit codes: 0 ok, 2 configuration (including game parameters out of range),
 3 data, 4 training divergence or a non-finite integration step.
 
@@ -35,6 +37,7 @@ import configparser
 import hashlib
 import json
 import sys
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -183,47 +186,47 @@ def _write_training(out: Path, history, nets: dict) -> list[Path]:
     return written
 
 
-def _run_meeting(p: dict, out: Path, manifest: dict) -> list[Path]:
-    config = _config(
-        meeting_mod.MeetingConfig,
-        scheduled=p["scheduled"], quorum=p["quorum"], n_agents=p["agents"],
-        noise_std=p["noise_std"], turns=p["turns"], init_mean=p["init_mean"],
-        drift_gain=p["drift_gain"], smoothing=p["smoothing"], sigma=p["sigma"],
-    )
+# The agent games, meeting and El Farol: per game its module, its config
+# from the resolved keys, its observations from the seed, and the field of a
+# state whose final value the exploitability reads.
+_AGENT_GAMES = {
+    "meeting": (
+        meeting_mod,
+        lambda p: _config(
+            meeting_mod.MeetingConfig,
+            scheduled=p["scheduled"], quorum=p["quorum"], n_agents=p["agents"],
+            noise_std=p["noise_std"], turns=p["turns"], init_mean=p["init_mean"],
+            drift_gain=p["drift_gain"], smoothing=p["smoothing"], sigma=p["sigma"],
+        ),
+        lambda seed: [meeting_mod.generate_observations(seed=seed * 1000 + k) for k in range(10)],
+        "tau_tilde",
+    ),
+    "elfarol": (
+        elfarol_mod,
+        lambda p: _config(
+            elfarol_mod.BarConfig, threshold=p["threshold"], n_agents=p["agents"],
+            turns=p["turns"], drift_gain=p["drift_gain"],
+        ),
+        lambda seed: elfarol_mod.generate_attendance_observations(seed=seed),
+        "p",
+    ),
+}
+
+
+def _run_agents(game: str, p: dict, out: Path, manifest: dict) -> list[Path]:
+    module, make_config, observations, final = _AGENT_GAMES[game]
+    config = make_config(p)
     training = _training_config(p)
     written = []
     if p["mode"] == "standard":
-        states = meeting_mod.run_standard(config, seed=p["seed"])
+        states = module.run_standard(config, seed=p["seed"])
     else:
-        observations = [
-            meeting_mod.generate_observations(seed=p["seed"] * 1000 + k) for k in range(10)
-        ]
-        game, nets, history = meeting_mod.run_neural(config, observations, training,
-                                                     net_seed=p["seed"])
-        states = meeting_mod.simulate_neural(config, nets, seed=p["seed"])
+        _game, nets, history = module.run_neural(config, observations(p["seed"]), training,
+                                                 net_seed=p["seed"])
+        states = module.simulate_neural(config, nets, seed=p["seed"])
         written = _write_training(out, history, nets)
-    manifest["exploitability"] = meeting_mod.exploitability(states[-1].tau_tilde, config)
-    meeting_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
-    return written + [out / "trajectory.csv", out / "plotdata.csv"]
-
-
-def _run_elfarol(p: dict, out: Path, manifest: dict) -> list[Path]:
-    config = _config(
-        elfarol_mod.BarConfig, threshold=p["threshold"], n_agents=p["agents"],
-        turns=p["turns"], drift_gain=p["drift_gain"],
-    )
-    training = _training_config(p)
-    written = []
-    if p["mode"] == "standard":
-        states = elfarol_mod.run_standard(config, seed=p["seed"])
-    else:
-        observations = elfarol_mod.generate_attendance_observations(seed=p["seed"])
-        game, nets, history = elfarol_mod.run_neural(config, observations, training,
-                                                     net_seed=p["seed"])
-        states = elfarol_mod.simulate_neural(config, nets, seed=p["seed"])
-        written = _write_training(out, history, nets)
-    manifest["exploitability"] = elfarol_mod.exploitability(states[-1].p, config)
-    elfarol_mod.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
+    manifest["exploitability"] = module.exploitability(getattr(states[-1], final), config)
+    module.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
 
@@ -233,14 +236,17 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
     if p["population"] < 1:
         raise ConfigError("population must be positive")
     dataset = sir_mod.ingest_csv(p["data"], population=p["population"])
-    window = min(p["window"], len(dataset))
     # in both modes, so that a bad config fails, and before the rate fit
     training = _training_config(p)
-    config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"], window=window,
+    if p["window"] < 1:
+        raise ConfigError("window must be positive")
+    config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"],
                      hidden_layers=p["layers"], hidden_width=p["width"])
+    window = min(p["window"], len(dataset))
     rates, unconverged = sir_mod.estimate_rates(dataset, window=window)
     dates = [date.isoformat() for date in dataset.dates]
     manifest["rate_fit_unconverged"] = [d for d, no in zip(dates, unconverged) if no]
+    manifest["rate_fit_window"] = window
     days = len(dataset) - 1
     written = []
     if p["mode"] == "standard":
@@ -249,9 +255,8 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
     else:
         model, history = sir_mod.train_sir(dataset, training, config=config, warm_rates=rates)
         traj = sir_mod.forecast(model, dataset.states[0], days, dataset.measures)
-        nets = {"drift": model.drift_net, "diffusion": model.diffusion_net}
         written = _write_training(out, history,
-                                  {name: net for name, net in nets.items() if net is not None})
+                                  {"drift": model.drift_net, "diffusion": model.diffusion_net})
 
     rates_path = out / "rates.csv"
     write_csv(rates_path, ["date", "gamma", "rho", "pi"], [
@@ -301,8 +306,8 @@ def _run_dice(p: dict, out: Path, manifest: dict) -> list[Path]:
 # Each runner writes its game's outputs into ``out``, may add entries to the
 # manifest that the content hash does not cover, and returns the paths written.
 _RUNNERS = {
-    "meeting": _run_meeting,
-    "elfarol": _run_elfarol,
+    "meeting": partial(_run_agents, "meeting"),
+    "elfarol": partial(_run_agents, "elfarol"),
     "sir": _run_sir,
     "dice": _run_dice,
 }

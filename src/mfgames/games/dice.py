@@ -48,18 +48,23 @@ __all__ = [
 ]
 
 
+# the belief update: pull towards the pooled revealed distribution, the
+# Dirichlet-style smoothing of that target, and the floor of each belief
+BELIEF_RATE = 1.0
+PRIOR_MASS = 1.0
+BELIEF_FLOOR = 1e-4
+
+
 @dataclass(frozen=True)
 class DiceConfig:
+    """The table and the players' rule; every game starts from uniform beliefs."""
+
     n_players: int = 30
     dice_per_player: int = 15
     n_faces: int = 6
     theta: tuple = (1 / 6,) * 6  # true face odds
     likelihood: float = 0.3  # challenge threshold l
     bluff0: float = 0.0  # initial Poisson bluff rate
-    theta_hat0: Optional[tuple] = None  # initial beliefs; uniform when None
-    belief_rate: float = 1.0  # pull towards the pooled revealed distribution
-    prior_mass: float = 1.0  # Dirichlet-style smoothing of the pooled target
-    belief_floor: float = 1e-4
 
     def __post_init__(self):
         if self.n_players < 2:
@@ -73,10 +78,6 @@ class DiceConfig:
             raise ValueError("likelihood threshold must lie in (0, 1)")
         if self.bluff0 < 0:
             raise ValueError("bluff rate must be nonnegative")
-        if self.theta_hat0 is not None:
-            th0 = np.asarray(self.theta_hat0, dtype=float)
-            if th0.shape != (self.n_faces,) or np.any(th0 < 0) or abs(th0.sum() - 1.0) > 1e-9:
-                raise ValueError("theta_hat0 must be a probability vector over the faces")
 
     @property
     def total_dice(self) -> int:
@@ -299,14 +300,13 @@ _RESIDUAL_SCALE = 0.25
 
 
 def _pooled_target(pooled_counts: np.ndarray, config: DiceConfig) -> np.ndarray:
-    smooth = pooled_counts + config.prior_mass / config.n_faces
+    smooth = pooled_counts + PRIOR_MASS / config.n_faces
     return smooth / smooth.sum()
 
 
-def _mfg_belief_update(theta_hat: np.ndarray, target: np.ndarray,
-                       config: DiceConfig) -> np.ndarray:
+def _mfg_belief_update(theta_hat: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The (players, faces) beliefs pulled towards the target, floored, renormalised."""
-    th = np.clip(theta_hat + config.belief_rate * (target - theta_hat), config.belief_floor, None)
+    th = np.clip(theta_hat + BELIEF_RATE * (target - theta_hat), BELIEF_FLOOR, None)
     th /= th.sum(axis=1, keepdims=True)
     return th
 
@@ -332,9 +332,9 @@ def _round_loss(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
                 (len(theta_hat), 1)),
     ], axis=1)
     out = bound["belief"].forward(feats)  # one (players, faces + 1) pass
-    base = theta_hat + config.belief_rate * (target - theta_hat)
+    base = theta_hat + BELIEF_RATE * (target - theta_hat)
     raw = out[:, :nf] * _RESIDUAL_SCALE + base
-    th = max0(raw - config.belief_floor) + config.belief_floor
+    th = max0(raw - BELIEF_FLOOR) + BELIEF_FLOOR
     th = th / th.sum(axis=1, keepdims=True)
     lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
     per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
@@ -348,7 +348,7 @@ class DiceGame(GameInstance):
     """Seeded games of several rounds each; :meth:`steps` returns one record per round.
 
     Each game deals every round's dice just before it is played and starts
-    from fresh ``theta_hat`` and ``lam`` arrays (beliefs ``theta_hat0``, bluff
+    from fresh ``theta_hat`` and ``lam`` arrays (uniform beliefs, bluff
     rates ``bluff0``). A neural round's update is one step on its
     :func:`_round_loss`, checked for divergence by :func:`mfgames.mfg.train_step`.
     """
@@ -363,15 +363,10 @@ class DiceGame(GameInstance):
 
     def steps(self, training: TrainingConfig):
         config = self.config
-        theta_hat0 = (
-            np.asarray(config.theta_hat0, dtype=float)
-            if config.theta_hat0 is not None
-            else np.full(config.n_faces, 1.0 / config.n_faces)
-        )
         records = []
         for g in range(self.games):
             rng = np.random.default_rng(np.asarray((training.seed, g), dtype=np.uint64))
-            theta_hat = np.tile(theta_hat0, (config.n_players, 1))
+            theta_hat = np.full((config.n_players, config.n_faces), 1.0 / config.n_faces)
             lam = np.full(config.n_players, float(config.bluff0))
             pooled = np.zeros(config.n_faces)
             dice_seen = 0
@@ -385,7 +380,7 @@ class DiceGame(GameInstance):
                     theta_hat, lam = yield partial(_round_loss, theta_hat, lam, counts,
                                                    target, outcome, config)
                 else:
-                    theta_hat = _mfg_belief_update(theta_hat, target, config)
+                    theta_hat = _mfg_belief_update(theta_hat, target)
                 kl = kl_divergence(config.theta, theta_hat.mean(axis=0))
                 records.append(RoundRecord(g, r, outcome, float(lam.mean()), kl, dice_seen))
         return records
@@ -396,8 +391,8 @@ def train_dice(config: DiceConfig, training: TrainingConfig, games: int = 100,
     """Train a :class:`DiceGame` with :func:`mfgames.mfg.train`; returns (net or None, records)."""
     if games < 1 or rounds_per_game < 1:
         raise ValueError("games and rounds_per_game must be positive")
-    net = mlp_init(MLPConfig(2 * config.n_faces + 2, config.n_faces + 1, hidden_layers=3,
-                             hidden_width=8, seed=training.seed)) if neural else None
+    net = mlp_init(MLPConfig(2 * config.n_faces + 2, config.n_faces + 1,
+                             seed=training.seed)) if neural else None
     _nets, records = train(DiceGame(config, games, rounds_per_game, net), training)
     return net, records
 

@@ -37,12 +37,14 @@ __all__ = [
 ]
 
 
+INIT_HIGH = 0.1  # initial intentions p ~ uniform on [0, INIT_HIGH)
+
+
 @dataclass(frozen=True)
 class BarConfig:
     threshold: float = 0.9  # crowding threshold c
     n_agents: int = 200
     turns: int = 15
-    init_high: float = 0.1  # initial p ~ uniform on [0, init_high)
     drift_gain: float = 0.6
 
     def __post_init__(self):
@@ -118,35 +120,23 @@ def sample_attendance(p: np.ndarray, rng) -> tuple[np.ndarray, float]:
     return bits, float(bits.mean())
 
 
-def generate_attendance_observations(n_points: int = 10, series_len: int = 10,
-                                     n_groups: int = 10, samples_per_group: int = 10,
-                                     seed: int = 0, center: float = 0.2,
-                                     center_std: float = 0.05,
-                                     gamma_shape: float = 2.0,
-                                     gamma_scale: float = 0.02) -> np.ndarray:
-    """Observed attendance-rate series, shape (n_points, series_len).
+def generate_attendance_observations(seed: int = 0) -> np.ndarray:
+    """Observed attendance-rate series, shape (10, 10): 10 series of 10 turns.
 
-    Intentions come from the same mixture recipe as the arrival-time data but
-    centred at ``center`` with spreads scaled to the probability domain, then
-    clamped to [0, 1]. Each data point monitors the realized rate of the same
-    intention vector over ``series_len`` subsequent turns.
+    The 100 intentions of a series come from the same mixture recipe as the
+    arrival-time data, 10 groups of 10, but with group means ~ Normal(0.2,
+    0.05) and spreads ~ Gamma(2, 0.02), then clamped to [0, 1]. Each series
+    monitors the realized rate of the same intention vector over 10
+    subsequent turns.
     """
-    if n_points < 1 or series_len < 1 or n_groups < 1 or samples_per_group < 1:
-        raise ValueError("all sizes must be positive")
     rng = np.random.default_rng(seed)
-    out = np.empty((n_points, series_len))
-    n_agents = n_groups * samples_per_group
-    for d in range(n_points):
-        mus = rng.normal(center, center_std, size=n_groups)
-        sigmas = rng.gamma(gamma_shape, gamma_scale, size=n_groups)
-        probs = np.clip(
-            rng.normal(np.repeat(mus, samples_per_group),
-                       np.repeat(sigmas, samples_per_group)),
-            0.0, 1.0,
-        )
-        for turn in range(series_len):
-            bits = rng.random(n_agents) < probs
-            out[d, turn] = bits.mean()
+    out = np.empty((10, 10))
+    for d in range(10):
+        mus = rng.normal(0.2, 0.05, size=10)
+        sigmas = rng.gamma(2.0, 0.02, size=10)
+        probs = np.clip(rng.normal(np.repeat(mus, 10), np.repeat(sigmas, 10)), 0.0, 1.0)
+        for turn in range(10):
+            out[d, turn] = (rng.random(100) < probs).mean()
     return out
 
 
@@ -189,7 +179,7 @@ def _states(turns) -> list[BarState]:
 def run_standard(config: BarConfig, seed: int = 0) -> list[BarState]:
     """Deterministic dynamics (no Brownian term); one snapshot per turn."""
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.0, config.init_high, (1, config.n_agents))
+    p = rng.uniform(0.0, INIT_HIGH, (1, config.n_agents))
     return _states(_rollout(config, p, [rng]))
 
 
@@ -215,16 +205,13 @@ class BarGame(GameInstance):
     data/game tension produces.
     """
 
-    def __init__(self, config: BarConfig, observations: np.ndarray,
-                 net_seed: int = 0, hidden_layers: int = 3, hidden_width: int = 8):
+    def __init__(self, config: BarConfig, observations: np.ndarray, net_seed: int = 0):
         self.config = config
         obs = np.asarray(observations, dtype=float)
         if obs.ndim != 2 or obs.size == 0:
             raise ValueError("observations must be a nonempty 2-D array of rate series")
         self.observations = obs
-        self._nets = {
-            "drift": mlp_init(MLPConfig(4, 1, hidden_layers, hidden_width, seed=net_seed))
-        }
+        self._nets = {"drift": mlp_init(MLPConfig(4, 1, seed=net_seed))}
 
     def nets(self) -> dict[str, MLP]:
         return self._nets
@@ -238,7 +225,7 @@ class BarGame(GameInstance):
         series = self.observations[
             [int(seed[-1]) % self.observations.shape[0] for seed in episode_seeds]
         ]
-        p0 = tape.value(np.array([rng.uniform(0.0, c.init_high, n) for rng in rngs]))
+        p0 = tape.value(np.array([rng.uniform(0.0, INIT_HIGH, n) for rng in rngs]))
         turns = _rollout(c, p0, rngs, bound["drift"].forward)
         p, went, a, _m = turns[-1]
         game_cost = bar_cost(p, a, c.threshold, went).mean()
@@ -262,7 +249,7 @@ def simulate_neural(config: BarConfig, nets: dict[str, MLP],
                     seed: int = 0) -> list[BarState]:
     """Roll the trained dynamics forward on plain arrays (no tape)."""
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.0, config.init_high, (1, config.n_agents))
+    p = rng.uniform(0.0, INIT_HIGH, (1, config.n_agents))
     return _states(_rollout(config, p, [rng], partial(mlp_forward_np, nets["drift"])))
 
 

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+INIT_STD = 1.0  # spread of the initial intended arrivals around init_mean
+
+
 @dataclass(frozen=True)
 class MeetingConfig:
     scheduled: float = 15.0  # s, in hours
@@ -48,7 +51,6 @@ class MeetingConfig:
     noise_std: float = 1.0  # std of the per-agent arrival offset
     turns: int = 15  # game runs over t in [1, turns]
     init_mean: float = 12.0
-    init_std: float = 1.0
     drift_gain: float = 1.0
     smoothing: float = 0.6  # logistic width of the best-response gradient
     sigma: float = 0.1  # fixed Brownian scale of the standard game
@@ -122,23 +124,16 @@ def best_response_drift(tau_tilde, s, ts, gain: float, smoothing: float):
     return -gain * (sigmoid(z1) + 2.0 * sigmoid(z2) - 1.0)
 
 
-def generate_observations(n_groups: int = 10, samples_per_group: int = 10,
-                          seed: int = 0, center: float = 15.0,
-                          center_std: float = 0.5, gamma_shape: float = 2.0,
-                          gamma_scale: float = 0.2) -> np.ndarray:
-    """Pooled arrival samples from a mixture of Gaussians.
+def generate_observations(seed: int = 0) -> np.ndarray:
+    """100 pooled arrival samples from a mixture of 10 Gaussians.
 
-    Group means ~ Normal(center, center_std), group spreads ~ Gamma(shape,
-    scale); each group contributes ``samples_per_group`` draws.
+    Group means ~ Normal(15, 0.5), group spreads ~ Gamma(2, 0.2); each group
+    contributes 10 draws.
     """
-    if n_groups < 1 or samples_per_group < 1:
-        raise ValueError("n_groups and samples_per_group must be positive")
     rng = np.random.default_rng(seed)
-    mus = rng.normal(center, center_std, size=n_groups)
-    sigmas = rng.gamma(gamma_shape, gamma_scale, size=n_groups)
-    return np.concatenate(
-        [rng.normal(m, sd, size=samples_per_group) for m, sd in zip(mus, sigmas)]
-    )
+    mus = rng.normal(15.0, 0.5, size=10)
+    sigmas = rng.gamma(2.0, 0.2, size=10)
+    return np.concatenate([rng.normal(m, sd, size=10) for m, sd in zip(mus, sigmas)])
 
 
 def _grid(config: MeetingConfig) -> TimeGrid:
@@ -183,7 +178,7 @@ def run_standard(config: MeetingConfig, seed: int = 0) -> list[ArrivalState]:
     """Simulate the predefined game; one snapshot per turn."""
     rng = np.random.default_rng(seed)
     n = config.n_agents
-    tau = rng.normal(config.init_mean, config.init_std, n)
+    tau = rng.normal(config.init_mean, INIT_STD, n)
     eps = rng.normal(0.0, config.noise_std, n) if config.noise_std > 0 else np.zeros(n)
     grid = _grid(config)
     dB = (rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))
@@ -204,20 +199,21 @@ def exploitability(tau_tilde, config: MeetingConfig) -> float:
 
 
 class MeetingGame(GameInstance):
-    """Neural variant: drift residual and learned diffusion on (t, tau, start)."""
+    """Neural variant: drift residual and learned diffusion on (t, tau, start).
 
-    def __init__(self, config: MeetingConfig, observations, net_seed: int = 0,
-                 hidden_layers: int = 3, hidden_width: int = 8):
+    ``observations`` is a list of arrival samples, one target per set; the
+    two networks have the default :class:`mfgames.nets.MLPConfig` size.
+    """
+
+    def __init__(self, config: MeetingConfig, observations: list, net_seed: int = 0):
         self.config = config
-        if isinstance(observations, np.ndarray):
-            observations = [observations]
         if not observations or any(len(o) == 0 for o in observations):
             raise ValueError("observations must be nonempty")
         self.observations = [np.sort(np.asarray(o, dtype=float)) for o in observations]
         # quantile-matched targets of the ranked arrivals, one per observation set
         levels = (np.arange(config.n_agents) + 0.5) / config.n_agents
         self._targets = [np.quantile(obs, levels) for obs in self.observations]
-        net_cfg = lambda k: MLPConfig(3, 1, hidden_layers, hidden_width, seed=net_seed + k)
+        net_cfg = lambda k: MLPConfig(3, 1, seed=net_seed + k)
         self._nets = {"drift": mlp_init(net_cfg(0)), "diffusion": mlp_init(net_cfg(1))}
 
     def nets(self) -> dict[str, MLP]:
@@ -231,7 +227,7 @@ class MeetingGame(GameInstance):
         tau0, eps, dB = [], [], []
         for seed in episode_seeds:
             rng = np.random.default_rng(np.asarray(seed, dtype=np.uint64))
-            tau0.append(rng.normal(c.init_mean, c.init_std, n))
+            tau0.append(rng.normal(c.init_mean, INIT_STD, n))
             eps.append(rng.normal(0.0, c.noise_std, n))
             dB.append(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n)))
         eps = np.array(eps)
@@ -261,7 +257,7 @@ def simulate_neural(config: MeetingConfig, nets: dict[str, MLP],
     """Roll the trained dynamics forward on plain arrays (no tape)."""
     rng = np.random.default_rng(seed)
     n = config.n_agents
-    tau = rng.normal(config.init_mean, config.init_std, n)
+    tau = rng.normal(config.init_mean, INIT_STD, n)
     eps = rng.normal(0.0, config.noise_std, n)
     grid = _grid(config)
     dB = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))

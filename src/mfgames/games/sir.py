@@ -6,7 +6,8 @@ network with six outputs corrects the three rates and adds three state
 residuals (projected to zero sum so mass stays conserved); a diffusion
 network scales per-compartment noise. Restriction measures enter as a
 7-entry status vector appended to the network input. Daily rates estimated
-by a rolling Nelder-Mead fit warm-start the dynamics.
+by a rolling Nelder-Mead fit (:func:`estimate_rates`) warm-start the
+dynamics; :func:`train_sir` takes them from its caller.
 
 One day loop, :func:`_rollout`, runs the learned dynamics: on the tape for
 training, where :class:`SIRGame` is trained by :func:`mfgames.mfg.train`, and
@@ -465,29 +466,31 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
                    max_iter: int = 400) -> tuple[list[RateVector], list[bool]]:
     """Daily rates from a rolling Nelder-Mead MSE fit of the rate equation.
 
-    Day d is fit on the window starting at d; trailing days reuse the last
-    window. Candidate rates are clamped at zero inside the objective. Returns
-    the per-day series and a non-convergence warning flag per day.
+    Day d is fit on the window starting at d, each fit warm-started from the
+    last; the ``window - 1`` trailing days reuse the last window's fit.
+    Candidate rates are clamped at zero inside the objective. Returns the
+    per-day series and a non-convergence warning flag per day.
     """
     n = len(dataset)
-    if n < window:
-        raise ValueError(f"dataset length {n} shorter than window {window}")
+    if not 1 <= window <= n:
+        raise ValueError(f"window {window} must lie in [1, dataset length {n}]")
     rates: list[RateVector] = []
     warnings: list[bool] = []
     x = np.array([0.2, 0.1, 0.05])
-    last_fit: tuple[RateVector, bool] | None = None
-    for d in range(n):
-        w0 = min(d, n - window)
-        if d <= n - window or last_fit is None:
-            objective = _window_objective(dataset.states[w0: w0 + window])
-            x, converged = _nelder_mead(objective, x, max_iter, xatol=1e-8, fatol=1e-14)
-            last_fit = (RateVector(*np.clip(x, 0.0, None)), not converged)
-        rates.append(last_fit[0])
-        warnings.append(last_fit[1])
-    return rates, warnings
+    for w0 in range(n - window + 1):
+        objective = _window_objective(dataset.states[w0: w0 + window])
+        x, converged = _nelder_mead(objective, x, max_iter, xatol=1e-8, fatol=1e-14)
+        rates.append(RateVector(*np.clip(x, 0.0, None)))
+        warnings.append(not converged)
+    tail = window - 1
+    return rates + rates[-1:] * tail, warnings + warnings[-1:] * tail
 
 
 # -- training ------------------------------------------------------------------
+
+
+# noise of the augmented copies, relative to each compartment's range
+NOISE_SIGMA = 0.05
 
 
 @dataclass(frozen=True)
@@ -495,23 +498,23 @@ class SIRConfig:
     """What SIR training takes beyond :class:`mfgames.mfg.TrainingConfig`."""
 
     trajectories: int = 100  # noise-augmented copies of the observed series
-    noise_sigma: float = 0.05  # their noise, relative to each compartment's range
-    window: int = 28  # of the rate fit, when train_sir runs it
     hidden_layers: int = 8
     hidden_width: int = 32
 
     def __post_init__(self):
-        if self.trajectories < 1 or self.noise_sigma < 0:
-            raise ValueError("trajectories must be positive and noise_sigma nonnegative")
-        if self.window < 1 or self.hidden_layers < 1 or self.hidden_width < 1:
-            raise ValueError("window, hidden_layers and hidden_width must be positive")
+        if self.trajectories < 1:
+            raise ValueError("trajectories must be positive")
+        if self.hidden_layers < 1 or self.hidden_width < 1:
+            raise ValueError("hidden_layers and hidden_width must be positive")
 
 
 @dataclass
 class SIRModel:
-    drift_net: Optional[MLP]  # None for the deterministic-drift ablation
+    """The trained drift and diffusion networks and their daily warm-start rates."""
+
+    drift_net: MLP
     diffusion_net: MLP
-    rates: list[RateVector]  # daily warm-start series
+    rates: list[RateVector]
 
 
 def _rates_for_day(rates: list[RateVector], k: int) -> RateVector:
@@ -525,21 +528,18 @@ def _rollout(m, rates: list[RateVector], measures, days: int, drift, diffusion, 
     training runs this on the tape, :func:`forecast` on plain arrays. Day k
     uses ``rates[k]`` (the last rate past the series' end) and the measures
     ``measures[k]``. ``drift`` and ``diffusion`` are forward functions of the
-    two networks; ``drift=None`` selects the pure rate equation. ``dB`` holds
-    one standard normal triple per day (``dB[..., k, :]``), or is None to
-    switch the noise off; the diffusion scales it on the day's starting state
-    and its zero-sum part is added. Rows that leave the simplex are clamped at
-    zero and renormalised.
+    two networks, the drift's output entering through :func:`neural_drift`.
+    ``dB`` holds one standard normal triple per day (``dB[..., k, :]``), or
+    is None to switch the noise off; the diffusion scales it on the day's
+    starting state and its zero-sum part is added. Rows that leave the
+    simplex are clamped at zero and renormalised.
     """
     for k in range(days):
         rv = _rates_for_day(rates, k)
         v = measures[k]
         cols = [m[..., c] for c in range(3)]
         x = _net_inputs(cols, rv, v)  # one stack, shared by both networks
-        if drift is not None:
-            dm = neural_drift(cols, rv, drift(x))
-        else:
-            dm = kolmogorov_drift(cols, rv)
+        dm = neural_drift(cols, rv, drift(x))
         if dB is None:
             m = m + stack(dm)
         else:
@@ -556,6 +556,8 @@ def _rollout(m, rates: list[RateVector], measures, days: int, drift, diffusion, 
 class SIRGame(GameInstance):
     """Neural SIR fit to noise-augmented copies of the observed trajectory.
 
+    The copies carry noise of ``NOISE_SIGMA`` times each compartment's range
+    (:func:`augment_noise`); both networks, drift and diffusion, are trained.
     An epoch's episodes are ``games_per_epoch`` target rows, visited
     round-robin over the ``trajectories`` copies, rolled as one (batch, 3)
     rollout from the dataset's first row. The noise of the whole batch is one
@@ -566,19 +568,18 @@ class SIRGame(GameInstance):
     """
 
     def __init__(self, dataset: EpidemicDataset, config: SIRConfig,
-                 warm_rates: list[RateVector], seed: int = 0, use_neural_drift: bool = True):
+                 warm_rates: list[RateVector], seed: int = 0):
         if len(dataset) < 2:
             raise DataError("training needs at least two days of data")
         self.dataset = dataset
         self.rates = warm_rates
         self._targets = np.array([
-            augment_noise(dataset, config.noise_sigma, seed=seed + 1000 + k).states
+            augment_noise(dataset, NOISE_SIGMA, seed=seed + 1000 + k).states
             for k in range(config.trajectories)
         ])
         net = lambda outputs, k: mlp_init(MLPConfig(
             13, outputs, config.hidden_layers, config.hidden_width, seed=seed + k))
-        self._nets = {"drift": net(6, 0)} if use_neural_drift else {}
-        self._nets["diffusion"] = net(3, 1)
+        self._nets = {"drift": net(6, 0), "diffusion": net(3, 1)}
 
     def nets(self) -> dict[str, MLP]:
         return self._nets
@@ -591,9 +592,8 @@ class SIRGame(GameInstance):
         target = self._targets[rows]
         rng = np.random.default_rng(np.asarray((seed, epoch), dtype=np.uint64))
         dB = rng.normal(0.0, 1.0, size=(batch, days, 3))
-        drift = bound["drift"].forward if "drift" in bound else None
         m0 = tape.value(np.tile(self.dataset.states[0], (batch, 1)))
-        states = _rollout(m0, self.rates, self.dataset.measures, days, drift,
+        states = _rollout(m0, self.rates, self.dataset.measures, days, bound["drift"].forward,
                           bound["diffusion"].forward, dB)
         # each day's loss term is recorded right after its state
         sq_sum = 0.0
@@ -603,43 +603,39 @@ class SIRGame(GameInstance):
 
 
 def train_sir(dataset: EpidemicDataset, training: TrainingConfig,
-              config: SIRConfig = SIRConfig(), use_neural_drift: bool = True,
-              warm_rates: Optional[list[RateVector]] = None):
+              config: SIRConfig = SIRConfig(), *, warm_rates: list[RateVector]):
     """Fit the learned dynamics to daily population observations.
 
     Trains :class:`SIRGame` through :func:`mfgames.mfg.train`, one AdaBelief
-    step per network per epoch. Of ``training`` it uses ``epochs``,
+    step per network per epoch, from the daily ``warm_rates`` (as
+    :func:`estimate_rates` fits them). Of ``training`` it uses ``epochs``,
     ``games_per_epoch`` (the target rows per epoch), ``lr``, ``seed`` (of
     the networks, the noisy copies and the epochs' noise) and
     ``abort_threshold``; ``data_loss_weight`` scales the one loss term.
-    Without ``warm_rates`` the rates come from :func:`estimate_rates` over
-    ``config.window`` days. Returns the model and one
-    :class:`mfgames.mfg.HistoryRow` per epoch (game cost 0, data loss = total).
-    Raises :class:`DataError` on a dataset of fewer than two days.
+    Returns the model and one :class:`mfgames.mfg.HistoryRow` per epoch
+    (game cost 0, data loss = total). Raises :class:`DataError` on a dataset
+    of fewer than two days.
     """
-    if warm_rates is None:
-        warm_rates = estimate_rates(dataset, window=min(config.window, len(dataset)))[0]
-    game = SIRGame(dataset, config, warm_rates, training.seed, use_neural_drift)
+    game = SIRGame(dataset, config, warm_rates, training.seed)
     nets, history = train(game, training)
-    return SIRModel(nets.get("drift"), nets["diffusion"], warm_rates), history
+    return SIRModel(nets["drift"], nets["diffusion"], warm_rates), history
 
 
 def forecast(model: SIRModel, initial, days: int, v_series,
-             rates: Optional[list[RateVector]] = None,
              noise_seed: Optional[int] = None) -> np.ndarray:
     """Roll the trained dynamics forward; a (days+1, 3) array on the simplex.
 
-    Deterministic unless ``noise_seed`` is given, in which case the learned
-    diffusion drives zero-sum noise, one (days, 3) draw from that seed.
+    Day k uses the model's warm-start rate of day k (the last one past the
+    series' end). Deterministic unless ``noise_seed`` is given, in which case
+    the learned diffusion drives zero-sum noise, one (days, 3) draw from that
+    seed.
     """
     v_series = validate_measures(np.asarray(v_series).reshape(-1, N_MEASURES))
     if v_series.shape[0] < days:
         raise ValueError("v_series shorter than the forecast horizon")
-    if rates is None:
-        rates = model.rates
-    drift = None if model.drift_net is None else partial(mlp_forward_np, model.drift_net)
     dB = (None if noise_seed is None
           else np.random.default_rng(noise_seed).normal(0.0, 1.0, (days, 3)))
     m = np.asarray(initial, dtype=float)
-    return np.array([m, *_rollout(m, rates, v_series, days, drift,
+    return np.array([m, *_rollout(m, model.rates, v_series, days,
+                                  partial(mlp_forward_np, model.drift_net),
                                   partial(mlp_forward_np, model.diffusion_net), dB)])

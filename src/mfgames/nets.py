@@ -152,15 +152,16 @@ class AdaBelief:
     s <- b2*s + (1-b2)*(g-m)^2
     theta <- theta - lr * m_hat / (sqrt(s_hat) + eps)
     with the usual bias corrections and eps added to s before correction.
+    Only the learning rate is set per optimizer.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float = 5e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-16):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-16
+
+    def __init__(self, params: list[np.ndarray], lr: float = 5e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.s = [np.zeros_like(p) for p in params]

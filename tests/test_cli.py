@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from mfgames import cli
-from mfgames.games import elfarol, meeting, sir
+from mfgames.games import dice, elfarol, meeting, sir
 
 TINY = """
 [meeting]
@@ -296,6 +297,43 @@ def test_keys_resolve_flag_then_config_file_then_default(inputs, game):
         assert manifest["seed"] == seed
         assert manifest["parameters"][flag_key] == flag_value
         assert manifest["parameters"][file_key] == file_only
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_manifest_reports_the_window_the_rate_fit_used(inputs, monkeypatch, mode):
+    # the 12-day CSV is shorter than the default window of 28 days
+    fit, windows = sir.estimate_rates, []
+    monkeypatch.setattr(sir, "estimate_rates",
+                        lambda dataset, window: windows.append(window) or fit(dataset, window))
+    config = inputs["tmp"] / "short.ini"
+    # per run: the config line, the window key it resolves to, the window used
+    runs = {"default": ("", 28, 12), "five": ("window = 5\n", 5, 5)}
+    for name, (line, key, used) in runs.items():
+        config.write_text("[sir]\nlayers = 1\nwidth = 4\n" + line)
+        argv = ("sir", "--mode", mode, "--epochs", "1", "--trajectories", "2",
+                "--data", "{data}", "--config", str(config))
+        assert _run(inputs, *argv, out=name) == 0
+        manifest = _manifest(inputs, name)
+        assert manifest["parameters"]["window"] == key
+        assert manifest["rate_fit_window"] == used == windows[-1]
+
+
+def test_every_game_config_field_is_set_by_the_cli(inputs, monkeypatch):
+    # a field no key sets would only ever hold its default
+    built = {}
+    config = cli._config
+
+    def recording_config(cls, **kwargs):
+        built[cls] = set(kwargs)
+        return config(cls, **kwargs)
+
+    monkeypatch.setattr(cli, "_config", recording_config)
+    for game in cli.GAMES:
+        data = ("--data", "{data}") if game == "sir" else ()
+        assert _run(inputs, game, "--mode", "standard", "--config", "{config}", *data,
+                    out=game) == 0
+    for cls in (meeting.MeetingConfig, elfarol.BarConfig, sir.SIRConfig, dice.DiceConfig):
+        assert built[cls] == {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
 @pytest.mark.parametrize("max_iter", [400, 150])  # the fit's own cap, and one too low

@@ -64,16 +64,16 @@ def test_elfarol_epoch_matches_scalar_tape(step_grads):
     _assert_matches("elfarol", history, step_grads)
 
 
-@pytest.mark.parametrize("name,neural", [("sir", True), ("sir_no_drift", False)])
-def test_sir_two_epochs_match_scalar_tape(step_grads, name, neural):
+def test_sir_two_epochs_match_scalar_tape(step_grads):
     days = 12
     dataset = sir.generate_synthetic_dataset(
         days, seed=SEED, measures=sir.make_measure_schedule(days, seed=SEED), modulate=True
     )
     training = TrainingConfig(epochs=2, games_per_epoch=3, seed=SEED)
-    config = sir.SIRConfig(trajectories=4, window=days, hidden_layers=2, hidden_width=8)
-    _, history = sir.train_sir(dataset, training, config=config, use_neural_drift=neural)
-    _assert_matches(name, history, step_grads)
+    config = sir.SIRConfig(trajectories=4, hidden_layers=2, hidden_width=8)
+    rates, _ = sir.estimate_rates(dataset, window=days)
+    _, history = sir.train_sir(dataset, training, config=config, warm_rates=rates)
+    _assert_matches("sir", history, step_grads)
 
 
 def test_dice_round_update_matches_scalar_tape(step_grads):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import epoch_directional_derivatives
+from mfgames.games import meeting
 from mfgames.games.meeting import (
     ArrivalState,
     MeetingConfig,
@@ -64,7 +65,7 @@ def test_cost_shift_equivariance():
 def test_observations_statistics():
     means = []
     for seed in range(10):
-        obs = generate_observations(n_groups=10, samples_per_group=10, seed=seed)
+        obs = generate_observations(seed=seed)
         assert obs.shape == (100,)
         assert np.all(np.isfinite(obs))
         means.append(obs.mean())
@@ -89,12 +90,14 @@ def test_standard_start_never_before_schedule():
 def test_standard_degenerate_population_stays_degenerate():
     # all noise off and identical initial times: agents remain identical and
     # drift towards the cost minimum at the scheduled time
-    cfg = MeetingConfig(n_agents=20, noise_std=0.0, sigma=0.0, init_std=0.0,
-                        init_mean=12.0)
-    states = run_standard(cfg, seed=0)
-    for st in states:
-        assert np.ptp(st.tau) == 0.0
-    assert abs(states[-1].tau[0] - cfg.scheduled) < abs(states[0].tau[0] - cfg.scheduled)
+    cfg = MeetingConfig(n_agents=20, noise_std=0.0, sigma=0.0)
+    states = meeting._rollout(cfg, np.full(cfg.n_agents, 12.0), np.zeros(cfg.n_agents), None)
+    assert len(states) == cfg.turns
+    for tau in states:
+        assert np.ptp(tau) == 0.0
+    assert abs(states[-1][0] - cfg.scheduled) < abs(states[0][0] - cfg.scheduled)
+    # with no arrival noise the standard game's actual arrivals are the intended ones
+    assert all(np.array_equal(st.tau, st.tau_tilde) for st in run_standard(cfg, seed=0))
 
 
 def test_standard_distribution_narrows():

@@ -35,7 +35,7 @@ def test_meeting_rollout_on_tape_equals_rollout_on_arrays(neural, smoothing):
     cfg = meeting.MeetingConfig(n_agents=40, smoothing=smoothing)
     game = meeting.MeetingGame(cfg, [meeting.generate_observations(seed=1)], net_seed=3)
     rng = np.random.default_rng(0)
-    tau0 = rng.normal(cfg.init_mean, cfg.init_std, (3, cfg.n_agents))
+    tau0 = rng.normal(cfg.init_mean, meeting.INIT_STD, (3, cfg.n_agents))
     eps = rng.normal(0.0, cfg.noise_std, (3, cfg.n_agents))
     dB = rng.normal(0.0, 0.3, (cfg.turns - 1, 3, cfg.n_agents))
     tape, on_tape, on_arrays = _forwards(game.nets())
@@ -86,8 +86,7 @@ def test_sir_drift_on_tape_matches_drift_on_arrays():
 
 
 @pytest.mark.parametrize("noisy", [True, False])
-@pytest.mark.parametrize("neural", [True, False])
-def test_sir_rollout_on_tape_equals_rollout_on_arrays(neural, noisy):
+def test_sir_rollout_on_tape_equals_rollout_on_arrays(noisy):
     # the residual mean and the renormalisation divide on arrays and multiply
     # by a reciprocal on the tape, so the states agree to rounding
     days = 12
@@ -102,8 +101,7 @@ def test_sir_rollout_on_tape_equals_rollout_on_arrays(neural, noisy):
     tape, on_tape, on_arrays = _forwards(nets)
 
     def roll(m, forwards):
-        drift = forwards["drift"] if neural else None
-        return list(sir._rollout(m, rates, dataset.measures, days, drift,
+        return list(sir._rollout(m, rates, dataset.measures, days, forwards["drift"],
                                  forwards["diffusion"], dB))
 
     taped, plain = roll(tape.value(m0), on_tape), roll(m0, on_arrays)

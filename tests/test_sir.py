@@ -335,6 +335,13 @@ def test_rate_estimation_window_precondition():
         estimate_rates(ds, window=28)
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_rate_estimation_rejects_an_empty_window(window):
+    ds = generate_synthetic_dataset(10, seed=0)
+    with pytest.raises(ValueError, match="window"):
+        estimate_rates(ds, window=window)
+
+
 def _counted(f):
     def g(x):
         g.calls += 1
@@ -471,11 +478,15 @@ def trajectory_mse(model, dataset):
     return float(np.mean((traj - dataset.states) ** 2))
 
 
-SMALL = SIRConfig(trajectories=4, hidden_layers=3, hidden_width=8, window=14)
+SMALL = SIRConfig(trajectories=4, hidden_layers=3, hidden_width=8)
 
 
-def _small_cfg(epochs, seed=0):
-    return TrainingConfig(epochs=epochs, games_per_epoch=2, seed=seed)
+def _train_small(ds, epochs, warm_rates=None):
+    """``train_sir`` on ``SMALL`` from the rates of a 14-day fit, unless given."""
+    if warm_rates is None:
+        warm_rates, _ = estimate_rates(ds, window=14)
+    training = TrainingConfig(epochs=epochs, games_per_epoch=2, seed=0)
+    return train_sir(ds, training, config=SMALL, warm_rates=warm_rates)
 
 
 def _renormalising_forecast(model, initial, days, v_series, rates):
@@ -486,11 +497,7 @@ def _renormalising_forecast(model, initial, days, v_series, rates):
     out = [m.copy()]
     for k in range(days):
         rv = rates[k] if k < len(rates) else rates[-1]
-        v = v_series[k]
-        if model.drift_net is not None:
-            dm = _drift(m, rv, v, model.drift_net)
-        else:
-            dm = np.array(kolmogorov_drift(m, rv))
+        dm = _drift(m, rv, v_series[k], model.drift_net)
         m = np.clip(m + dm, 0.0, None)
         s = m.sum()
         if s > 0:
@@ -499,11 +506,10 @@ def _renormalising_forecast(model, initial, days, v_series, rates):
     return np.array(out)
 
 
-@pytest.mark.parametrize("neural", [True, False])
-def test_forecast_agrees_with_the_renormalising_loop(neural):
+def test_forecast_agrees_with_the_renormalising_loop():
     ds = generate_synthetic_dataset(40, seed=11, measures=make_measure_schedule(40, seed=11),
                                     modulate=True)
-    model, _ = train_sir(ds, _small_cfg(3), config=SMALL, use_neural_drift=neural)
+    model, _ = _train_small(ds, 3)
     days = len(ds) - 1
     got = forecast(model, ds.states[0], days, ds.measures)
     want = _renormalising_forecast(model, ds.states[0], days, ds.measures, model.rates)
@@ -512,7 +518,7 @@ def test_forecast_agrees_with_the_renormalising_loop(neural):
 
 def test_noisy_forecast_is_the_rollout_on_the_seeds_draws():
     ds = generate_synthetic_dataset(20, seed=12, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(2), config=SMALL)
+    model, _ = _train_small(ds, 2)
     days = len(ds) - 1
     got = forecast(model, ds.states[0], days, ds.measures, noise_seed=4)
     dB = np.random.default_rng(4).normal(0.0, 1.0, (days, 3))
@@ -531,7 +537,7 @@ def test_noisy_forecast_is_the_rollout_on_the_seeds_draws():
 
 def test_zero_epochs_forecast_equals_warm_start_plus_residual():
     ds = generate_synthetic_dataset(30, seed=4, i0=0.05)
-    model, history = train_sir(ds, _small_cfg(0), config=SMALL)
+    model, history = _train_small(ds, 0)
     assert history == []
     traj = forecast(model, ds.states[0], len(ds) - 1, ds.measures)
     assert traj.shape == (len(ds), 3)
@@ -541,10 +547,9 @@ def test_zero_epochs_forecast_equals_warm_start_plus_residual():
 def test_training_reduces_mse_on_noiseless_synthetic():
     ds = generate_synthetic_dataset(40, seed=5, i0=0.04,
                                     rates=RateVector(0.3, 0.12, 0.0))
-    cfg = _small_cfg(60)
-    model0, _ = train_sir(ds, _small_cfg(0), config=SMALL)
+    model0, _ = _train_small(ds, 0)
     mse0 = trajectory_mse(model0, ds)
-    model, _ = train_sir(ds, cfg, config=SMALL)
+    model, _ = _train_small(ds, 60)
     mse1 = trajectory_mse(model, ds)
     assert mse1 < mse0
 
@@ -556,7 +561,7 @@ def test_constant_zero_measures_equal_sliced_network():
     from mfgames.nets import MLP, MLPConfig, mlp_forward_np
 
     ds = generate_synthetic_dataset(25, seed=6, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(3), config=SMALL)
+    model, _ = _train_small(ds, 3)
     net = model.drift_net
     clone = MLP(
         [net.weights[0][:, :6].copy()] + [w.copy() for w in net.weights[1:]],
@@ -577,7 +582,7 @@ def test_constant_zero_measures_equal_sliced_network():
 
 def test_simplex_conservation_through_training_steps():
     ds = generate_synthetic_dataset(20, seed=7, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(2), config=SMALL)
+    model, _ = _train_small(ds, 2)
     traj = forecast(model, ds.states[0], len(ds) - 1, ds.measures, noise_seed=3)
     assert np.allclose(traj.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(traj >= 0)
@@ -590,7 +595,7 @@ def test_epoch_gradient_matches_finite_differences():
     ds = generate_synthetic_dataset(30, seed=0, measures=make_measure_schedule(30, seed=0),
                                     modulate=True)
     rates, _ = estimate_rates(ds, window=14)
-    game = SIRGame(ds, SIRConfig(trajectories=10, window=14), rates, seed=0)
+    game = SIRGame(ds, SIRConfig(trajectories=10), rates, seed=0)
     training = TrainingConfig(epochs=1, games_per_epoch=5, seed=0)
     pairs, _tape = epoch_directional_derivatives(game, training, np.random.default_rng(0),
                                                  h=1e-7)
@@ -618,20 +623,31 @@ def test_year_long_forecast_from_a_60_day_fit_stays_on_the_simplex():
 
 def test_forecast_zero_days_and_guards():
     ds = generate_synthetic_dataset(20, seed=8, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(0), config=SMALL)
+    model, _ = _train_small(ds, 0)
     out = forecast(model, ds.states[0], 0, np.zeros((0, 7), dtype=int))
     assert out.shape == (1, 3)
     with pytest.raises(ValueError):
         forecast(model, ds.states[0], 5, np.zeros((3, 7), dtype=int))
 
 
+def test_zeroed_drift_forecasts_the_rate_equation():
+    # the drift network's output is a correction: at zero, the forecast is
+    # the standard game's rate equation on the same daily rates
+    ds = generate_synthetic_dataset(40, seed=10, measures=make_measure_schedule(40, seed=10),
+                                    modulate=True)
+    model, _ = _train_small(ds, 2)
+    model.drift_net.zero_()
+    days = len(ds) - 1
+    got = forecast(model, ds.states[0], days, ds.measures)
+    want = integrate_kolmogorov(ds.states[0], model.rates, days)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
 def test_forecast_frozen_dynamics_constant():
     ds = generate_synthetic_dataset(20, seed=9, i0=0.05)
-    model, _ = train_sir(ds, _small_cfg(0), config=SMALL)
+    model, _ = _train_small(ds, 0, warm_rates=[RateVector(0.0, 0.0, 0.0)] * 10)
     model.drift_net.zero_()
-    zero_rates = [RateVector(0.0, 0.0, 0.0)] * 10
-    out = forecast(model, np.array([0.5, 0.3, 0.2]), 10,
-                   np.zeros((10, 7), dtype=int), rates=zero_rates)
+    out = forecast(model, np.array([0.5, 0.3, 0.2]), 10, np.zeros((10, 7), dtype=int))
     assert np.allclose(out, np.tile([0.5, 0.3, 0.2], (11, 1)))
 
 

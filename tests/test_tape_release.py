@@ -64,8 +64,9 @@ def _sir(abort_threshold=1e6):
     dataset = sir.generate_synthetic_dataset(12, seed=1, i0=0.05)
     training = TrainingConfig(epochs=3, games_per_epoch=2, seed=1,
                               abort_threshold=abort_threshold)
-    config = sir.SIRConfig(trajectories=4, window=12, hidden_layers=2, hidden_width=8)
-    return sir.train_sir(dataset, training, config=config)
+    config = sir.SIRConfig(trajectories=4, hidden_layers=2, hidden_width=8)
+    rates, _ = sir.estimate_rates(dataset, window=12)
+    return sir.train_sir(dataset, training, config=config, warm_rates=rates)
 
 
 def _dice(abort_threshold=1e6):
