@@ -15,7 +15,11 @@ A fused computation can be one node whose VJP computes every parent's
 adjoint in one call (:func:`_joint`). :func:`mlp`, a whole LipSwish network,
 is one: its VJP walks back through the layers with the expressions of the
 one-layer ``affine`` and of ``lipswish``, so its adjoints are bit for bit
-those of a node per layer.
+those of a node per layer. Given weights stacked ``(n, out, in)``, one
+:func:`mlp` node runs ``n`` networks of one input width and depth on one
+input, one ``np.matmul`` per layer (the "vmap over networks" ensemble
+pattern); :func:`stack_padded` builds such stacks from each network's own
+nodes, and its VJP hands each network its slice.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "affine",
     "mlp",
     "stack",
+    "stack_padded",
     "take_along_axis",
     "where",
 ]
@@ -330,37 +335,62 @@ def mlp(x, weights, biases):
     layers, ``lipswish`` between them. Its parents (the Values among them) are
     each layer's weight and bias, last layer first, then x: the order in which
     its VJP walks back over the layer inputs and slopes the forward pass kept.
+
+    Stacked weights ``(n, out, in)`` and biases ``(n, out)`` hold ``n``
+    networks of one input width and depth (see :func:`stack_padded`). They
+    all run on the one input ``x``, one ``np.matmul`` per layer over every
+    network, and the output is ``(n, ..., out)``; the VJP gives each stacked
+    weight and bias its ``(n, ...)`` adjoint, and ``x`` the sum of the
+    networks' adjoints.
     """
     ws = [_val(w) for w in weights]
+    bs = [_val(b) for b in biases]
     tape = _tape_of((x, *weights, *biases))
     inputs, slopes = [], []
     h = _val(x)
+    stacked = np.ndim(ws[0]) == 3
+    if stacked:  # the input's rows, shared by the networks
+        batch = np.shape(h)[:-1]
+        h = np.reshape(h, (-1, ws[0].shape[-1]))
+        bs = [b[:, None, :] for b in bs]
     last = len(ws) - 1
     for k in range(last + 1):
         if tape is not None:
             inputs.append(h)
-        h = h @ ws[k].T + _val(biases[k])
+        h = h @ ws[k].mT + bs[k]
         if k != last and tape is None:
             h = h * _sigmoid(h) / 1.1
         elif k != last:
             s = _sigmoid(h)
             slopes.append((s + h * s * (1.0 - s)) / 1.1)
             h = h * s / 1.1
+    if stacked:
+        h = h.reshape(len(ws[0]), *batch, h.shape[-1])
     if tape is None:
         return h
     every = [p for k in range(last, -1, -1) for p in (weights[k], biases[k])] + [x]
 
     def vjp_all(g):
+        if stacked:
+            g = g.reshape(len(ws[0]), -1, g.shape[-1])
         out = []
         for k in range(last, -1, -1):
             if k != last:
                 g = g * slopes[k]
-            n_out, n_in = ws[k].shape
-            out += [g.reshape(-1, n_out).T @ inputs[k].reshape(-1, n_in),
-                    g.reshape(-1, n_out).sum(axis=0)]
+            n_out, n_in = ws[k].shape[-2:]
+            if stacked:
+                out += [g.mT @ inputs[k], g.sum(axis=1)]
+            else:
+                out += [g.reshape(-1, n_out).T @ inputs[k].reshape(-1, n_in),
+                        g.reshape(-1, n_out).sum(axis=0)]
             if k:
                 g = g @ ws[k]
-        out.append(g @ ws[0] if isinstance(x, Value) else None)
+        if not isinstance(x, Value):
+            out.append(None)
+        elif stacked:
+            out.append((g @ ws[0]).sum(axis=0).reshape(x.shape))
+        else:
+            out.append(g @ ws[0])
         return [a for a, p in zip(out, every) if isinstance(p, Value)]
 
     parents = [p for p in every if isinstance(p, Value)]
@@ -399,6 +429,32 @@ def stack(xs):
 
 def _slice_vjp(k, shape):
     return lambda g: _unbroadcast(np.take(g, k, axis=-1), shape)
+
+
+def stack_padded(xs):
+    """Stack Values and arrays along a new first axis, each zero-padded at the
+    end of every axis to the largest shape; the VJP hands each its own slice.
+
+    Stacks networks' weights and biases for one stacked :func:`mlp`: a padded
+    output row of a last layer only adds zero outputs.
+    """
+    shapes = [np.shape(_val(x)) for x in xs]
+    out = np.zeros((len(xs), *np.max(shapes, axis=0)))
+    slices = [tuple(map(slice, shape)) for shape in shapes]
+    for k, (x, cut) in enumerate(zip(xs, slices)):
+        out[(k, *cut)] = _val(x)
+    tape = _tape_of(xs)
+    if tape is None:
+        return out
+    parents = []
+    for k, (x, cut) in enumerate(zip(xs, slices)):
+        if isinstance(x, Value):
+            parents += [x, _part_vjp((k, *cut))]
+    return Value(out, tape, "stack_padded", tuple(parents))
+
+
+def _part_vjp(index):
+    return lambda g: g[index]
 
 
 def take_along_axis(x, indices, axis):

@@ -238,10 +238,12 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
     dataset = sir_mod.ingest_csv(p["data"], population=p["population"])
     # in both modes, so that a bad config fails, and before the rate fit
     training = _training_config(p)
-    if p["window"] < 1:
-        raise ConfigError("window must be positive")
+    if p["window"] < 2:
+        raise ConfigError("window must be at least 2 days")
     config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"],
                      hidden_layers=p["layers"], hidden_width=p["width"])
+    if len(dataset) < 2:
+        raise sir_mod.DataError("the rate fit needs at least two days of data")
     window = min(p["window"], len(dataset))
     rates, unconverged = sir_mod.estimate_rates(dataset, window=window)
     dates = [date.isoformat() for date in dataset.dates]

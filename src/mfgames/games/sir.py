@@ -11,7 +11,12 @@ dynamics; :func:`train_sir` takes them from its caller.
 
 One day loop, :func:`_rollout`, runs the learned dynamics: on the tape for
 training, where :class:`SIRGame` is trained by :func:`mfgames.mfg.train`, and
-on plain arrays for :func:`forecast`. The rate fit keeps its own loop on
+on plain arrays for :func:`forecast`. Both networks read the same 13 inputs,
+so they run stacked (:func:`mfgames.nets.stack_nets`), one call a day, and
+the day step is a few operations on whole ``(batch, 3)`` states; its fixed
+linear maps (the state's place among the inputs, the stoichiometry, the
+zero-sum projection) are affine maps with constant weights. On the tape a
+day is 21 nodes. The rate fit keeps its own loop on
 Python floats, :func:`_kolmogorov_path`, which is far cheaper on three
 numbers; :func:`integrate_kolmogorov` wraps it for the standard game. That
 loop inlines the transition terms of :func:`kolmogorov_drift`, as it runs a
@@ -32,9 +37,9 @@ import numpy as np
 # first training epoch (augment_noise, mlp_init) does not pay for the import
 import numpy.random
 
-from ..autodiff import Tape, Value, absval, max0, square, stack, where
+from ..autodiff import Tape, Value, absval, affine, max0, square, where
 from ..mfg import GameInstance, TrainingConfig, train, write_csv
-from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
+from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
 __all__ = [
     "RateVector",
@@ -122,31 +127,42 @@ def kolmogorov_drift(m, rates: RateVector):
     return (-t_si - t_vac, t_si - t_rec, t_rec + t_vac)
 
 
-def _net_inputs(m, rates: RateVector, v):
-    """The 13 network inputs (compartments, rates, measures), stacked last."""
-    return stack([m[0], m[1], m[2], rates.gamma, rates.rho, rates.pi]
-                 + [float(x) for x in v])
+# The day step's fixed linear maps, as affine weights (out, in). Each entry but
+# the zero-sum projection's is 0 or +-1, so those maps select and add terms
+# in the rate equation's own order, without rounding.
+_EMBED = np.eye(6 + N_MEASURES, 3)  # the state, first of the 13 network inputs
+_RATE_OUTPUTS = np.eye(3, 6)  # the drift network's rate corrections
+_ZERO_SUM = np.eye(3) - 1.0 / 3.0
+_RESIDUAL_OUTPUTS = np.hstack([np.zeros((3, 3)), _ZERO_SUM])  # its residuals, zero-sum
+_S_I_S = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+_I_0_0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # plus (0, 1, 1)
+# (gamma S I, rho I, pi S) -> (dS, dI, dR)
+_STOICHIOMETRY = np.array([[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
 
 
-def neural_drift(m, rates: RateVector, out):
+def _net_inputs(m, rates, v):
+    """The 13 network inputs: the state(s) ``m`` (..., 3), then the day's
+    ``rates`` (gamma, rho, pi) and measures ``v``; one affine node on the tape."""
+    return affine(m, _EMBED, np.concatenate([np.zeros(3), rates, v]))
+
+
+def neural_drift(m, rates, out):
     """Drift with learned rate corrections and zero-sum state residuals.
 
-    ``m`` holds the three compartments: a (3,) array, or the three columns of
-    a batch of states (arrays or tape Values of shape (batch,)). ``out`` is
-    the drift network's (..., 6) output on the day's inputs. Returns the
-    three drift components, generic over plain arrays and Values.
+    ``m`` is a state (3,) or a batch of states (..., 3), an array or a tape
+    Value; ``rates`` is the day's (gamma, rho, pi) and ``out`` the drift
+    network's (..., 6) output on the day's inputs. The corrected rates
+    ``max0(out[..., :3] + rates)`` scale the transitions ``(gamma S I, rho I,
+    pi S)``, which the stoichiometry maps to (dS, dI, dR), and the residuals
+    ``out[..., 3:]``, projected to zero sum, are added. Returns the (..., 3)
+    drift, in nine operations on (..., 3) arrays. The transitions keep the
+    rate equation's order of operations, so a zero network gives
+    :func:`kolmogorov_drift` bit for bit.
     """
-    g = max0(out[..., 0] + rates.gamma)
-    r = max0(out[..., 1] + rates.rho)
-    p = max0(out[..., 2] + rates.pi)
-    mean_resid = (out[..., 3] + out[..., 4] + out[..., 5]) / 3.0
-    r0 = out[..., 3] - mean_resid
-    r1 = out[..., 4] - mean_resid
-    r2 = out[..., 5] - mean_resid
-    t_si = g * m[0] * m[1]
-    t_rec = r * m[1]
-    t_vac = p * m[0]
-    return (-t_si - t_vac + r0, t_si - t_rec + r1, t_rec + t_vac + r2)
+    corrected = max0(affine(out, _RATE_OUTPUTS, rates))
+    transitions = (corrected * affine(m, _S_I_S, 0.0)
+                   * affine(m, _I_0_0, np.array([0.0, 1.0, 1.0])))
+    return affine(transitions, _STOICHIOMETRY, 0.0) + affine(out, _RESIDUAL_OUTPUTS, 0.0)
 
 
 def _kolmogorov_path(m0, day_rates, days: int) -> list:
@@ -469,11 +485,13 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
     Day d is fit on the window starting at d, each fit warm-started from the
     last; the ``window - 1`` trailing days reuse the last window's fit.
     Candidate rates are clamped at zero inside the objective. Returns the
-    per-day series and a non-convergence warning flag per day.
+    per-day series and a non-convergence warning flag per day. A window needs
+    at least two days: over one day the objective compares the day with
+    itself, so every candidate scores 0.
     """
     n = len(dataset)
-    if not 1 <= window <= n:
-        raise ValueError(f"window {window} must lie in [1, dataset length {n}]")
+    if not 2 <= window <= n:
+        raise ValueError(f"window {window} must lie in [2, dataset length {n}]")
     rates: list[RateVector] = []
     warnings: list[bool] = []
     x = np.array([0.2, 0.1, 0.05])
@@ -521,31 +539,27 @@ def _rates_for_day(rates: list[RateVector], k: int) -> RateVector:
     return rates[k] if k < len(rates) else rates[-1]
 
 
-def _rollout(m, rates: list[RateVector], measures, days: int, drift, diffusion, dB):
+def _rollout(m, rates: list[RateVector], measures, days: int, nets, dB):
     """The learned dynamics from ``m``; yields the state after each day.
 
     ``m`` is a (3,) state or a (batch, 3) batch, an ndarray or a tape Value:
     training runs this on the tape, :func:`forecast` on plain arrays. Day k
     uses ``rates[k]`` (the last rate past the series' end) and the measures
-    ``measures[k]``. ``drift`` and ``diffusion`` are forward functions of the
-    two networks, the drift's output entering through :func:`neural_drift`.
-    ``dB`` holds one standard normal triple per day (``dB[..., k, :]``), or
-    is None to switch the noise off; the diffusion scales it on the day's
-    starting state and its zero-sum part is added. Rows that leave the
-    simplex are clamped at zero and renormalised.
+    ``measures[k]``. ``nets`` is the forward function of the drift and
+    diffusion networks stacked (:func:`mfgames.nets.stack_nets`), called once
+    a day on the day's inputs: its output ``[0]`` is the drift network's,
+    which enters through :func:`neural_drift`, and ``[1, ..., :3]`` the
+    diffusion network's. ``dB`` holds one standard normal triple per day
+    (``dB[..., k, :]``), or is None to switch the noise off; the diffusion
+    scales it on the day's starting state and its zero-sum projection is
+    added. Rows that leave the simplex are clamped at zero and renormalised.
     """
     for k in range(days):
-        rv = _rates_for_day(rates, k)
-        v = measures[k]
-        cols = [m[..., c] for c in range(3)]
-        x = _net_inputs(cols, rv, v)  # one stack, shared by both networks
-        dm = neural_drift(cols, rv, drift(x))
-        if dB is None:
-            m = m + stack(dm)
-        else:
-            noise = absval(diffusion(x)) * dB[..., k, :]
-            nmean = noise.sum(axis=-1, keepdims=True) * (1.0 / 3.0)
-            m = m + stack(dm) + noise - nmean
+        rv = _rates_for_day(rates, k).as_array()
+        out = nets(_net_inputs(m, rv, measures[k]))
+        m = m + neural_drift(m, rv, out[0])
+        if dB is not None:
+            m = m + affine(absval(out[1, ..., :3]) * dB[..., k, :], _ZERO_SUM, 0.0)
         clamp = np.any((m.v if isinstance(m, Value) else m) < 0.0, axis=-1, keepdims=True)
         if clamp.any():
             pos = max0(m)
@@ -558,7 +572,9 @@ class SIRGame(GameInstance):
 
     The copies carry noise of ``NOISE_SIGMA`` times each compartment's range
     (:func:`augment_noise`); both networks, drift and diffusion, are trained.
-    An epoch's episodes are ``games_per_epoch`` target rows, visited
+    A copy is built the first time an epoch reads it; each has its own seed,
+    so the order they are built in does not matter. An epoch's episodes are
+    ``games_per_epoch`` target rows, visited
     round-robin over the ``trajectories`` copies, rolled as one (batch, 3)
     rollout from the dataset's first row. The noise of the whole batch is one
     (batch, days, 3) draw from the epoch's (seed, epoch) stream. The data loss
@@ -573,10 +589,9 @@ class SIRGame(GameInstance):
             raise DataError("training needs at least two days of data")
         self.dataset = dataset
         self.rates = warm_rates
-        self._targets = np.array([
-            augment_noise(dataset, NOISE_SIGMA, seed=seed + 1000 + k).states
-            for k in range(config.trajectories)
-        ])
+        self._trajectories = config.trajectories
+        self._seed = seed
+        self._copies: dict[int, np.ndarray] = {}
         net = lambda outputs, k: mlp_init(MLPConfig(
             13, outputs, config.hidden_layers, config.hidden_width, seed=seed + k))
         self._nets = {"drift": net(6, 0), "diffusion": net(3, 1)}
@@ -584,17 +599,24 @@ class SIRGame(GameInstance):
     def nets(self) -> dict[str, MLP]:
         return self._nets
 
+    def _target(self, k: int) -> np.ndarray:
+        """The states of noisy copy ``k``, built on first use."""
+        if k not in self._copies:
+            self._copies[k] = augment_noise(self.dataset, NOISE_SIGMA,
+                                            seed=self._seed + 1000 + k).states
+        return self._copies[k]
+
     def episode_losses(self, tape: Tape, bound, episode_seeds):
         seed, epoch, _g = episode_seeds[0]
         batch = len(episode_seeds)
         days = len(self.dataset) - 1
-        rows = [(epoch * batch + g) % len(self._targets) for _s, _e, g in episode_seeds]
-        target = self._targets[rows]
+        rows = [(epoch * batch + g) % self._trajectories for _s, _e, g in episode_seeds]
+        target = np.array([self._target(k) for k in rows])
         rng = np.random.default_rng(np.asarray((seed, epoch), dtype=np.uint64))
         dB = rng.normal(0.0, 1.0, size=(batch, days, 3))
         m0 = tape.value(np.tile(self.dataset.states[0], (batch, 1)))
-        states = _rollout(m0, self.rates, self.dataset.measures, days, bound["drift"].forward,
-                          bound["diffusion"].forward, dB)
+        nets = stack_nets([bound["drift"], bound["diffusion"]])
+        states = _rollout(m0, self.rates, self.dataset.measures, days, nets.forward, dB)
         # each day's loss term is recorded right after its state
         sq_sum = 0.0
         for k, m in enumerate(states):
@@ -636,6 +658,6 @@ def forecast(model: SIRModel, initial, days: int, v_series,
     dB = (None if noise_seed is None
           else np.random.default_rng(noise_seed).normal(0.0, 1.0, (days, 3)))
     m = np.asarray(initial, dtype=float)
+    nets = stack_nets([model.drift_net, model.diffusion_net])
     return np.array([m, *_rollout(m, model.rates, v_series, days,
-                                  partial(mlp_forward_np, model.drift_net),
-                                  partial(mlp_forward_np, model.diffusion_net), dB)])
+                                  partial(mlp_forward_np, nets), dB)])

@@ -7,16 +7,21 @@ multiplies their effective capacity. One layer loop serves both plain arrays
 and the tape: on arrays it records nothing, while on the tape a network is
 one leaf per weight matrix and per bias vector, and a forward pass over a
 whole batch of agents or trajectories is one node (:func:`autodiff.mlp`).
+Networks that read the same input can run as one: :func:`stack_nets` stacks
+their layers, and a forward pass of the stack is one call and one node,
+whose output holds each network's output in turn. On the tape the stack is
+built from each network's own leaves, so each keeps its gradient, its
+optimizer and its checkpoint.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Value, lipswish, mlp, stack
+from .autodiff import Tape, Value, lipswish, mlp, stack, stack_padded
 
 __all__ = [
     "MLPConfig",
@@ -24,6 +29,7 @@ __all__ = [
     "BoundMLP",
     "mlp_init",
     "mlp_forward_np",
+    "stack_nets",
     "AdaBelief",
     "save_checkpoint",
     "load_checkpoint",
@@ -73,7 +79,9 @@ class MLP:
             b[:] = 0.0
 
     def bind(self, tape: Tape) -> "BoundMLP":
-        return BoundMLP(self, tape)
+        """Register every parameter array as a leaf of ``tape``."""
+        return BoundMLP([tape.value(w) for w in self.weights],
+                        [tape.value(b) for b in self.biases])
 
 
 def mlp_init(config: MLPConfig) -> MLP:
@@ -94,27 +102,28 @@ def mlp_init(config: MLPConfig) -> MLP:
 
 
 class BoundMLP:
-    """A network's parameter arrays registered as leaves of one tape.
+    """A network's parameters as nodes of one tape.
 
-    Binding once per training step lets several forward evaluations share the
-    same parameter nodes, so ``backward`` accumulates their gradients in one
-    place.
+    :meth:`MLP.bind` registers each parameter array as a leaf. Binding once
+    per training step lets several forward evaluations share the same
+    parameter nodes, so ``backward`` accumulates their gradients in one
+    place. :func:`stack_nets` builds a stacked network's nodes from its
+    networks' leaves.
     """
 
-    def __init__(self, net: MLP, tape: Tape):
-        self.net = net
-        self.tape = tape
-        self.wnodes = [tape.value(w) for w in net.weights]
-        self.bnodes = [tape.value(b) for b in net.biases]
+    def __init__(self, wnodes: list[Value], bnodes: list[Value]):
+        self.wnodes = wnodes
+        self.bnodes = bnodes
 
     def forward(self, xs) -> Value:
         """Evaluate the network on inputs of shape (..., input_dim).
 
         ``xs`` is a Value or an ndarray; a list of Values and floats is first
         stacked along a new last axis. Returns a Value of shape (..., output_dim):
-        one tape node for the whole call (see :func:`autodiff.mlp`).
+        one tape node for the whole call (see :func:`autodiff.mlp`); a stacked
+        network's is (networks, ..., output_dim).
         """
-        return _forward(xs, self.wnodes, self.bnodes, self.net.config.input_dim)
+        return _forward(xs, self.wnodes, self.bnodes)
 
     def grad_arrays(self) -> list[np.ndarray]:
         """Gradients in the same order/shape as ``MLP.parameters()``."""
@@ -127,10 +136,10 @@ class BoundMLP:
 
 def mlp_forward_np(net: MLP, x) -> np.ndarray:
     """Forward pass on plain arrays (or a list of them), recording nothing."""
-    return _forward(x, net.weights, net.biases, net.config.input_dim)
+    return _forward(x, net.weights, net.biases)
 
 
-def _forward(x, weights, biases, input_dim: int):
+def _forward(x, weights, biases):
     """The layer loop (:func:`autodiff.mlp`) after a check of the input's shape.
 
     Generic over plain arrays and tape Values, so one loop serves
@@ -140,9 +149,38 @@ def _forward(x, weights, biases, input_dim: int):
     if isinstance(x, (list, tuple)):
         x = stack(x)
     shape = x.shape if isinstance(x, Value) else np.shape(x)
+    input_dim = np.shape(weights[0].v if isinstance(weights[0], Value) else weights[0])[-1]
     if not shape or shape[-1] != input_dim:
         raise ValueError(f"expected {input_dim} inputs, got shape {shape}")
     return mlp(x, weights, biases)
+
+
+def stack_nets(nets):
+    """Networks of one input width and depth as one network on a shared input.
+
+    Each layer's weights are stacked as (networks, out, in) and its biases as
+    (networks, out), a narrower layer zero-padded to the widest, so one
+    forward pass of the stack (:func:`autodiff.mlp`) runs every network with
+    one matrix product per layer. Its output is (networks, ..., widest
+    output); network k's output is ``out[k, ..., :its output_dim]``.
+    ``nets`` are MLPs, giving an MLP of arrays, or BoundMLPs of one tape,
+    giving a BoundMLP whose nodes are ``stack_padded`` nodes of their leaves,
+    recorded once: the gradients of every call of the stack land on each
+    network's own leaves.
+    """
+    bound = isinstance(nets[0], BoundMLP)
+    weights = [n.wnodes if bound else n.weights for n in nets]
+    biases = [n.bnodes if bound else n.biases for n in nets]
+    if len({len(ws) for ws in weights}) != 1:
+        raise ValueError("stacked networks must have the same number of layers")
+    if len({(w[0].v if bound else w[0]).shape[-1] for w in weights}) != 1:
+        raise ValueError("stacked networks must have the same input width")
+    weights = [stack_padded(layer) for layer in zip(*weights)]
+    biases = [stack_padded(layer) for layer in zip(*biases)]
+    if bound:
+        return BoundMLP(weights, biases)
+    return MLP(weights, biases, replace(nets[0].config, hidden_width=weights[0].shape[-2],
+                                        output_dim=weights[-1].shape[-2]))
 
 
 class AdaBelief:

@@ -274,6 +274,12 @@ ARRAY_CASES = {
     "mlp_broadcast": (lambda w0, b0, w1, b1, x, c: ad.square(
         ad.mlp(x, [w0, w1], [b0, b1]) * c).sum(),
         [(3, 4), (3,), (2, 3), (2,), (3, 1, 4), (5, 2)]),
+    # networks 4 -> 3 -> 2 and 4 -> 3 -> 1 stacked (the second padded to 2
+    # outputs) and run as one node on a (2, 3, 4) input
+    "mlp_stacked": (lambda w0, b0, w1, b1, v0, c0, v1, c1, x: tanh(ad.mlp(
+        x, [ad.stack_padded([w0, v0]), ad.stack_padded([w1, v1])],
+        [ad.stack_padded([b0, c0]), ad.stack_padded([b1, c1])]) * np.arange(1.0, 3.0)).sum(),
+        [(3, 4), (3,), (2, 3), (2,), (3, 4), (3,), (1, 3), (1,), (2, 3, 4)]),
 }
 
 

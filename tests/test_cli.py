@@ -94,7 +94,7 @@ EXIT_CASES = [
     ("missing data file", 3, ("sir", "--data", "{tmp}/absent.csv")),
     ("malformed data file", 3, ("sir", "--data", "{config}")),
     ("one-day data file, neural", 3, ("sir", "--mode", "neural", "--data", "{one_day}")),
-    ("one-day data file, standard", 0, ("sir", "--mode", "standard", "--data", "{one_day}")),
+    ("one-day data file, standard", 3, ("sir", "--mode", "standard", "--data", "{one_day}")),
     ("run flag meeting does not take", 2, ("run", "--game", "meeting", "--players", "5")),
     ("run flag dice does not take", 2, ("run", "--game", "dice", "--agents", "3")),
     ("negative seed, meeting", 2, ("meeting", "--seed", "-1", "--config", "{config}")),
@@ -150,6 +150,9 @@ def test_sha256_of_a_file_longer_than_one_chunk(tmp_path):
     ("width", "0", "neural"),
     ("window", "0", "neural"),
     ("window", "0", "standard"),
+    # a one-day window fits nothing
+    ("window", "1", "neural"),
+    ("window", "1", "standard"),
     ("width", "0", "standard"),
     ("lr", "0", "neural"),
     ("lr", "-1", "neural"),

@@ -14,6 +14,7 @@ from mfgames.nets import (
     mlp_forward_np,
     mlp_init,
     save_checkpoint,
+    stack_nets,
 )
 from gradcheck import central_diff
 
@@ -292,3 +293,65 @@ def test_checkpoint_rejects_bad_shapes(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+# SIR's two networks: 13 inputs, 8 x 32 hidden, 6 and 3 outputs
+STACKED = [MLPConfig(13, 6, 8, 32, seed=1), MLPConfig(13, 3, 8, 32, seed=2)]
+
+
+@pytest.mark.parametrize("shape", [(13,), (5, 13), (2, 5, 13)])
+def test_stacked_networks_equal_separate_calls_on_arrays(shape):
+    nets = [mlp_init(c) for c in STACKED]
+    x = np.random.default_rng(3).normal(size=shape)
+    out = mlp_forward_np(stack_nets(nets), x)
+    assert out.shape == (2, *shape[:-1], 6)
+    # on one row or one batch of rows (SIR's inputs) the widest network's
+    # products are those of its separate call, bit for bit; the stack runs
+    # more leading axes as one batch, and the narrower network's last layer
+    # is a wider product, so there the sums may round differently (measured:
+    # within 4.6e-16 of the output's scale)
+    if len(shape) <= 2:
+        assert np.array_equal(out[0], mlp_forward_np(nets[0], x))
+    np.testing.assert_allclose(out[0], mlp_forward_np(nets[0], x), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(out[1, ..., :3], mlp_forward_np(nets[1], x), rtol=0.0, atol=1e-15)
+    assert np.all(out[1, ..., 3:] == 0.0)
+
+
+def test_stacked_network_adjoints_equal_separate_calls():
+    # every adjoint is bit for bit that of the separate calls: each network's
+    # slice of each stacked product is the product its own call makes, and
+    # the padded rows of the narrower network's last layer carry zeros
+    nets = [mlp_init(c) for c in STACKED]
+    rng = np.random.default_rng(4)
+    for net in nets:
+        for b in net.biases:
+            b[:] = rng.normal(scale=0.1, size=b.shape)
+    x = rng.normal(size=(5, 13))
+    weights = [rng.normal(size=(5, c.output_dim)) for c in STACKED]
+
+    def run(stacked):
+        tape = ad.Tape()
+        bound = [net.bind(tape) for net in nets]
+        xv = tape.value(x)
+        if stacked:
+            out = stack_nets(bound).forward(xv)
+            outs = [out[0], out[1, ..., :3]]
+        else:
+            outs = [b.forward(xv) for b in bound]
+        tape.backward(sum(ad.square(o * w).sum() for o, w in zip(outs, weights)))
+        ops = [n.op for n in tape.nodes]
+        return [g for b in bound for g in b.grad_arrays()] + [xv.g], ops
+
+    got, ops = run(True)
+    want, _ = run(False)
+    assert ops.count("mlp") == 1 and ops.count("stack_padded") == 2 * 9
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_stack_nets_rejects_networks_that_do_not_share_an_input():
+    with pytest.raises(ValueError, match="layers"):
+        stack_nets([mlp_init(MLPConfig(13, 6, 8, 32)), mlp_init(MLPConfig(13, 3, 7, 32))])
+    with pytest.raises(ValueError, match="input width"):
+        stack_nets([mlp_init(MLPConfig(13, 6, 8, 32)), mlp_init(MLPConfig(12, 3, 8, 32))])

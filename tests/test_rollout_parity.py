@@ -8,9 +8,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mfgames.autodiff import Tape, stack
+from mfgames.autodiff import Tape
 from mfgames.games import elfarol, meeting, sir
-from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init
+from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
 
 def _forwards(nets):
@@ -63,19 +63,16 @@ def test_elfarol_rollout_on_tape_equals_rollout_on_arrays():
 
 
 def test_sir_drift_on_tape_matches_drift_on_arrays():
-    # the residual mean is a true division on arrays and a reciprocal multiply
-    # on the tape, each side keeping its pinned bits, so the states agree to
-    # rounding rather than bit for bit
+    # both sides run the same (batch, 3) operations on the same shapes
     net = mlp_init(MLPConfig(13, 6, 2, 8, seed=5))
     dataset = sir.generate_synthetic_dataset(
         10, seed=1, measures=sir.make_measure_schedule(10, seed=1), modulate=True)
-    rates = sir.RateVector(0.25, 0.1, 0.01)
+    rates = sir.RateVector(0.25, 0.1, 0.01).as_array()
     m0 = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
     tape, on_tape, on_arrays = _forwards({"drift": net})
 
     def drift(m, v, forward):
-        cols = [m[:, c] for c in range(3)]
-        return stack(sir.neural_drift(cols, rates, forward(sir._net_inputs(cols, rates, v))))
+        return sir.neural_drift(m, rates, forward(sir._net_inputs(m, rates, v)))
 
     m_tape, m = tape.value(m0), m0
     for k in range(len(dataset) - 1):
@@ -87,22 +84,22 @@ def test_sir_drift_on_tape_matches_drift_on_arrays():
 
 @pytest.mark.parametrize("noisy", [True, False])
 def test_sir_rollout_on_tape_equals_rollout_on_arrays(noisy):
-    # the residual mean and the renormalisation divide on arrays and multiply
-    # by a reciprocal on the tape, so the states agree to rounding
+    # the renormalisation divides on arrays and multiplies by a reciprocal on
+    # the tape, so the states agree to rounding
     days = 12
     dataset = sir.generate_synthetic_dataset(
         days + 1, seed=1, measures=sir.make_measure_schedule(days + 1, seed=1), modulate=True)
     rates = [sir.RateVector(0.25 + 0.01 * k, 0.1, 0.01) for k in range(5)]
-    nets = {"drift": mlp_init(MLPConfig(13, 6, 2, 8, seed=5)),
-            "diffusion": mlp_init(MLPConfig(13, 3, 2, 8, seed=6))}
+    nets = [mlp_init(MLPConfig(13, 6, 2, 8, seed=5)), mlp_init(MLPConfig(13, 3, 2, 8, seed=6))]
     rng = np.random.default_rng(2)
     m0 = np.vstack([[0.97, 0.03, 0.0], rng.dirichlet(np.ones(3), size=3)])
     dB = rng.normal(0.0, 1.0, (4, days, 3)) if noisy else None
-    tape, on_tape, on_arrays = _forwards(nets)
+    tape = Tape()
+    on_tape = stack_nets([net.bind(tape) for net in nets]).forward
+    on_arrays = partial(mlp_forward_np, stack_nets(nets))
 
-    def roll(m, forwards):
-        return list(sir._rollout(m, rates, dataset.measures, days, forwards["drift"],
-                                 forwards["diffusion"], dB))
+    def roll(m, forward):
+        return list(sir._rollout(m, rates, dataset.measures, days, forward, dB))
 
     taped, plain = roll(tape.value(m0), on_tape), roll(m0, on_arrays)
     assert len(taped) == len(plain) == days

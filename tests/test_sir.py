@@ -5,9 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gradcheck import epoch_directional_derivatives
+from gradcheck import array_gradcheck, epoch_directional_derivatives
+from mfgames import autodiff as ad
 from mfgames.games.sir import (
     CSV_HEADER,
+    NOISE_SIGMA,
     DataError,
     EpidemicDataset,
     RateVector,
@@ -31,11 +33,12 @@ from mfgames.games.sir import (
     write_dataset_csv,
 )
 from mfgames.mfg import TrainingConfig
-from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init
+from mfgames.nets import BoundMLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
 
 def _drift(m, rates, v, net):
-    return np.array(neural_drift(m, rates, mlp_forward_np(net, _net_inputs(m, rates, v))))
+    rates = rates.as_array()
+    return neural_drift(m, rates, mlp_forward_np(net, _net_inputs(m, rates, v)))
 
 
 def test_disease_free_equilibrium():
@@ -335,7 +338,7 @@ def test_rate_estimation_window_precondition():
         estimate_rates(ds, window=28)
 
 
-@pytest.mark.parametrize("window", [0, -3])
+@pytest.mark.parametrize("window", [0, 1, -3])
 def test_rate_estimation_rejects_an_empty_window(window):
     ds = generate_synthetic_dataset(10, seed=0)
     with pytest.raises(ValueError, match="window"):
@@ -522,8 +525,8 @@ def test_noisy_forecast_is_the_rollout_on_the_seeds_draws():
     days = len(ds) - 1
     got = forecast(model, ds.states[0], days, ds.measures, noise_seed=4)
     dB = np.random.default_rng(4).normal(0.0, 1.0, (days, 3))
-    forwards = [partial(mlp_forward_np, net) for net in (model.drift_net, model.diffusion_net)]
-    want = [ds.states[0], *_rollout(ds.states[0], model.rates, ds.measures, days, *forwards, dB)]
+    forward = partial(mlp_forward_np, stack_nets([model.drift_net, model.diffusion_net]))
+    want = [ds.states[0], *_rollout(ds.states[0], model.rates, ds.measures, days, forward, dB)]
     assert np.array_equal(got, np.array(want))
     # as in training, the diffusion sees the day's starting state, not the
     # state after the drift
@@ -602,6 +605,64 @@ def test_epoch_gradient_matches_finite_differences():
     # measured: relative errors 2.7e-9, 3.8e-9 and 1.1e-9
     for tape_derivative, fd in pairs:
         assert fd == pytest.approx(tape_derivative, rel=1e-7)
+
+
+def test_day_step_gradient_matches_finite_differences():
+    # one noisy day from two interior states, through stacked networks
+    # 13 -> 4 -> 6 and 13 -> 4 -> 3; the rates, the networks' biases and the
+    # noise keep every max0, absval and clamp away from its kink
+    rng = np.random.default_rng(5)
+    params = [p + rng.normal(scale=0.1, size=p.shape)
+              for c in (MLPConfig(13, 6, 1, 4, seed=5), MLPConfig(13, 3, 1, 4, seed=6))
+              for p in mlp_init(c).parameters()]
+    params[2], params[3] = 0.1 * params[2], 0.1 * params[3]  # small drift corrections
+    params[7] = params[7] + 1.0  # the diffusion's output bias, away from absval's kink
+    m0 = np.array([[0.9, 0.08, 0.02], [0.6, 0.3, 0.1]])
+    rates = [RateVector(0.3, 0.2, 0.15)]
+    measures = np.array([[0, 1, 2, 0, 1, 0, 2]])
+    dB = 0.01 * rng.normal(size=(2, 1, 3))
+    weight = rng.normal(size=(2, 3))
+
+    def day(m, w0, b0, w1, b1, u0, c0, u1, c1):
+        forward = partial(ad.mlp, weights=[ad.stack_padded([w0, u0]), ad.stack_padded([w1, u1])],
+                          biases=[ad.stack_padded([b0, c0]), ad.stack_padded([b1, c1])])
+        m1 = next(_rollout(m, rates, measures, 1, forward, dB))
+        assert np.all((m1.v if isinstance(m1, ad.Value) else m1) > 0.0)
+        return (m1 * weight).sum()
+
+    grads, fds = array_gradcheck(day, [m0, *params])
+    for g, fd in zip(grads, fds):
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("days", [10, 60])
+def test_a_training_step_records_about_20_nodes_a_day(days, monkeypatch):
+    # the paper's 8 x 32 networks, run once a day as one stacked call; a day
+    # is about 20 nodes, so per-column recording (49 a day) fails the budget
+    ds = generate_synthetic_dataset(days, seed=1, measures=make_measure_schedule(days, seed=1),
+                                    modulate=True)
+    game = SIRGame(ds, SIRConfig(trajectories=10), [RateVector(0.25, 0.1, 0.01)], seed=0)
+    calls = []
+    forward = BoundMLP.forward
+    monkeypatch.setattr(BoundMLP, "forward", lambda self, x: calls.append(x) or forward(self, x))
+    tape = ad.Tape()
+    bound = {name: net.bind(tape) for name, net in game.nets().items()}
+    game.episode_losses(tape, bound, [(0, 0, g) for g in range(5)])
+    assert len(calls) == days - 1
+    assert len(tape) <= 30 * days + 60
+
+
+def test_noisy_copies_are_built_when_an_epoch_first_reads_them():
+    ds = generate_synthetic_dataset(15, seed=3)
+    game = SIRGame(ds, SIRConfig(trajectories=100, hidden_layers=1, hidden_width=4),
+                   [RateVector(0.25, 0.1, 0.01)], seed=7)
+    assert game._copies == {}
+    tape = ad.Tape()
+    bound = {name: net.bind(tape) for name, net in game.nets().items()}
+    game.episode_losses(tape, bound, [(7, 2, g) for g in range(5)])  # epoch 2: rows 10-14
+    assert sorted(game._copies) == [10, 11, 12, 13, 14]
+    for k, states in game._copies.items():
+        assert np.array_equal(states, augment_noise(ds, NOISE_SIGMA, seed=7 + 1000 + k).states)
 
 
 def test_year_long_forecast_from_a_60_day_fit_stays_on_the_simplex():
