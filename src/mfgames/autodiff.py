@@ -377,10 +377,10 @@ def mlp(x, weights, biases):
         for k in range(last, -1, -1):
             if k != last:
                 g = g * slopes[k]
-            n_out, n_in = ws[k].shape[-2:]
             if stacked:
                 out += [g.mT @ inputs[k], g.sum(axis=1)]
             else:
+                n_out, n_in = ws[k].shape
                 out += [g.reshape(-1, n_out).T @ inputs[k].reshape(-1, n_in),
                         g.reshape(-1, n_out).sum(axis=0)]
             if k:

@@ -149,7 +149,7 @@ def _forward(x, weights, biases):
     if isinstance(x, (list, tuple)):
         x = stack(x)
     shape = x.shape if isinstance(x, Value) else np.shape(x)
-    input_dim = np.shape(weights[0].v if isinstance(weights[0], Value) else weights[0])[-1]
+    input_dim = weights[0].shape[-1]
     if not shape or shape[-1] != input_dim:
         raise ValueError(f"expected {input_dim} inputs, got shape {shape}")
     return mlp(x, weights, biases)
@@ -173,7 +173,7 @@ def stack_nets(nets):
     biases = [n.bnodes if bound else n.biases for n in nets]
     if len({len(ws) for ws in weights}) != 1:
         raise ValueError("stacked networks must have the same number of layers")
-    if len({(w[0].v if bound else w[0]).shape[-1] for w in weights}) != 1:
+    if len({ws[0].shape[-1] for ws in weights}) != 1:
         raise ValueError("stacked networks must have the same input width")
     weights = [stack_padded(layer) for layer in zip(*weights)]
     biases = [stack_padded(layer) for layer in zip(*biases)]
