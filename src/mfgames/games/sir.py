@@ -574,9 +574,9 @@ class SIRGame(GameInstance):
     (:func:`augment_noise`); both networks, drift and diffusion, are trained.
     A copy is built the first time an epoch reads it; each has its own seed,
     so the order they are built in does not matter. An epoch's episodes are
-    ``games_per_epoch`` target rows, visited
-    round-robin over the ``trajectories`` copies, rolled as one (batch, 3)
-    rollout from the dataset's first row. The noise of the whole batch is one
+    ``games_per_epoch`` target rows, visited round-robin over the
+    ``trajectories`` copies, rolled as one (batch, 3) rollout from the
+    dataset's first row. The noise of the whole batch is one
     (batch, days, 3) draw from the epoch's (seed, epoch) stream. The data loss
     is the mean squared discrepancy between simulated and observed fractions
     (no terminal cost); the game cost is zero. ``seed`` seeds the networks
