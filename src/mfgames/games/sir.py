@@ -12,11 +12,12 @@ dynamics; :func:`train_sir` takes them from its caller.
 One day loop, :func:`_rollout`, runs the learned dynamics: on the tape for
 training, where :class:`SIRGame` is trained by :func:`mfgames.mfg.train`, and
 on plain arrays for :func:`forecast`. Both networks read the same 13 inputs,
-so they run stacked (:func:`mfgames.nets.stack_nets`), one call a day, and
-the day step is a few operations on whole ``(batch, 3)`` states; its fixed
-linear maps (the state's place among the inputs, the stoichiometry, the
-zero-sum projection) are affine maps with constant weights. On the tape a
-day is 21 nodes. The rate fit keeps its own loop on
+so they run stacked (:func:`mfgames.nets.stack_nets`), one call a day, on
+whole ``(batch, 3)`` states. The rest of the day, the drift and the noise
+(:func:`_day_step`), is one tape node with a hand-written VJP, as a network
+call is. On the tape a day is those two nodes and the inputs' affine node,
+4 more on a day that clamps a row back onto the simplex; training adds 3
+for the day's loss term. The rate fit keeps its own loop on
 Python floats, :func:`_kolmogorov_path`, which is far cheaper on three
 numbers; :func:`integrate_kolmogorov` wraps it for the standard game. That
 loop inlines the transition terms of :func:`kolmogorov_drift`, as it runs a
@@ -37,7 +38,7 @@ import numpy as np
 # first training epoch (augment_noise, mlp_init) does not pay for the import
 import numpy.random
 
-from ..autodiff import Tape, Value, absval, affine, max0, square, where
+from ..autodiff import Tape, Value, _joint, _tape_of, _val, affine, max0, square, where
 from ..mfg import GameInstance, TrainingConfig, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
@@ -48,7 +49,6 @@ __all__ = [
     "N_MEASURES",
     "CSV_HEADER",
     "kolmogorov_drift",
-    "neural_drift",
     "integrate_kolmogorov",
     "validate_measures",
     "ingest_csv",
@@ -87,9 +87,6 @@ class RateVector:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.gamma < 0 or self.rho < 0 or self.pi < 0:
             raise ValueError("rates must be nonnegative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.gamma, self.rho, self.pi])
 
 
 def validate_measures(v) -> np.ndarray:
@@ -135,7 +132,8 @@ _RATE_OUTPUTS = np.eye(3, 6)  # the drift network's rate corrections
 _ZERO_SUM = np.eye(3) - 1.0 / 3.0
 _RESIDUAL_OUTPUTS = np.hstack([np.zeros((3, 3)), _ZERO_SUM])  # its residuals, zero-sum
 _S_I_S = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-_I_0_0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # plus (0, 1, 1)
+_I_0_0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_I_0_0_BIAS = np.array([0.0, 1.0, 1.0])
 # (gamma S I, rho I, pi S) -> (dS, dI, dR)
 _STOICHIOMETRY = np.array([[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
 
@@ -146,23 +144,63 @@ def _net_inputs(m, rates, v):
     return affine(m, _EMBED, np.concatenate([np.zeros(3), rates, v]))
 
 
-def neural_drift(m, rates, out):
-    """Drift with learned rate corrections and zero-sum state residuals.
+def _day_step(m, rates, out, dB):
+    """One day of the learned dynamics, before the clamp.
 
-    ``m`` is a state (3,) or a batch of states (..., 3), an array or a tape
-    Value; ``rates`` is the day's (gamma, rho, pi) and ``out`` the drift
-    network's (..., 6) output on the day's inputs. The corrected rates
-    ``max0(out[..., :3] + rates)`` scale the transitions ``(gamma S I, rho I,
-    pi S)``, which the stoichiometry maps to (dS, dI, dR), and the residuals
-    ``out[..., 3:]``, projected to zero sum, are added. Returns the (..., 3)
-    drift, in nine operations on (..., 3) arrays. The transitions keep the
-    rate equation's order of operations, so a zero network gives
-    :func:`kolmogorov_drift` bit for bit.
+    ``m`` is a state (3,) or a batch of states (..., 3), ``rates`` the day's
+    (gamma, rho, pi) and ``out`` the stacked networks' (networks, ..., 6)
+    output on the day's inputs: ``out[0]`` is the drift network's and
+    ``out[1, ..., :3]``, read only when there is noise, the diffusion
+    network's. The corrected rates ``max0(out[0, ..., :3] + rates)`` scale
+    the transitions ``(gamma S I, rho I, pi S)``, which the stoichiometry
+    maps to (dS, dI, dR), and the residuals ``out[0, ..., 3:]``, projected to
+    zero sum, are added. ``dB`` is the day's (..., 3) standard normals, or
+    None for no noise: the diffusion's absolute value scales it, and its
+    zero-sum projection is added. The transitions keep the rate equation's
+    order of operations, so with a zero drift network and no noise the step
+    is ``m + kolmogorov_drift(m, rates)`` bit for bit.
+
+    Generic over arrays and tape Values like :func:`mfgames.autodiff.mlp`:
+    on the tape it is one node, parents ``m`` and ``out``. Its forward pass
+    and VJP use the expressions of a node per operation (the affine maps,
+    ``max0``, ``absval``, the products and sums), and the VJP sums each
+    adjoint in the order that graph's sweep would, so the adjoints are bit
+    for bit the same.
     """
-    corrected = max0(affine(out, _RATE_OUTPUTS, rates))
-    transitions = (corrected * affine(m, _S_I_S, 0.0)
-                   * affine(m, _I_0_0, np.array([0.0, 1.0, 1.0])))
-    return affine(transitions, _STOICHIOMETRY, 0.0) + affine(out, _RESIDUAL_OUTPUTS, 0.0)
+    mv, ov = _val(m), _val(out)
+    drift = ov[0]
+    pre = drift @ _RATE_OUTPUTS.mT + rates
+    corrected = np.where(pre > 0.0, pre, 0.0)
+    sis = mv @ _S_I_S.mT + 0.0
+    t_rate = corrected * sis
+    i00 = mv @ _I_0_0.mT + _I_0_0_BIAS
+    transitions = t_rate * i00
+    new = mv + ((transitions @ _STOICHIOMETRY.mT + 0.0)
+                + (drift @ _RESIDUAL_OUTPUTS.mT + 0.0))
+    if dB is not None:
+        diffusion = ov[1, ..., :3]
+        new = new + ((np.abs(diffusion) * dB) @ _ZERO_SUM.mT + 0.0)
+    tape = _tape_of((m, out))
+    if tape is None:
+        return new
+    slope = (pre > 0.0) * 1.0
+
+    def vjp_all(g):
+        # the per-operation graph's sweep, from the last operation back
+        g_transitions = g @ _STOICHIOMETRY
+        g_t_rate = g_transitions * i00
+        g_m = g + (g_transitions * t_rate) @ _I_0_0
+        g_m = g_m + (g_t_rate * corrected) @ _S_I_S
+        g_out = np.zeros(ov.shape)
+        g_out[0] = g @ _RESIDUAL_OUTPUTS + (g_t_rate * sis * slope) @ _RATE_OUTPUTS
+        if dB is not None:  # the noise's slice, scattered on its own
+            g_noise = np.zeros(ov.shape)
+            g_noise[1, ..., :3] = (g @ _ZERO_SUM) * dB * np.sign(diffusion)
+            g_out = g_noise + g_out
+        return [a for a, p in ((g_m, m), (g_out, out)) if isinstance(p, Value)]
+
+    parents = [p for p in (m, out) if isinstance(p, Value)]
+    return Value(new, tape, "sir_day", _joint(parents, vjp_all))
 
 
 def _kolmogorov_path(m0, day_rates, days: int) -> list:
@@ -209,10 +247,16 @@ def integrate_kolmogorov(m0, rates, days: int) -> np.ndarray:
     which on three numbers is several times cheaper than numpy and rounds the same.
     """
     m = np.asarray(m0, dtype=float).tolist()
-    per_day = rates if isinstance(rates, (list, tuple)) else [rates]
-    day_rates = [(rv.gamma, rv.rho, rv.pi)
-                 for rv in (_rates_for_day(per_day, k) for k in range(days))]
-    return np.array(_kolmogorov_path(m, day_rates, days)).reshape(days + 1, 3)
+    per_day = list(rates) if isinstance(rates, (list, tuple)) else [rates]
+    path = _kolmogorov_path(m, _daily_rates(per_day, days), days)
+    return np.array(path).reshape(days + 1, 3)
+
+
+def _daily_rates(rates: list[RateVector], days: int) -> list[tuple]:
+    """Day k's ``(gamma, rho, pi)`` for k < ``days``; the last rate holds past
+    the series' end."""
+    held = rates[:days] + rates[-1:] * (days - len(rates))
+    return [(rv.gamma, rv.rho, rv.pi) for rv in held]
 
 
 # -- data ---------------------------------------------------------------------
@@ -535,10 +579,6 @@ class SIRModel:
     rates: list[RateVector]
 
 
-def _rates_for_day(rates: list[RateVector], k: int) -> RateVector:
-    return rates[k] if k < len(rates) else rates[-1]
-
-
 def _rollout(m, rates: list[RateVector], measures, days: int, nets, dB):
     """The learned dynamics from ``m``; yields the state after each day.
 
@@ -547,19 +587,18 @@ def _rollout(m, rates: list[RateVector], measures, days: int, nets, dB):
     uses ``rates[k]`` (the last rate past the series' end) and the measures
     ``measures[k]``. ``nets`` is the forward function of the drift and
     diffusion networks stacked (:func:`mfgames.nets.stack_nets`), called once
-    a day on the day's inputs: its output ``[0]`` is the drift network's,
-    which enters through :func:`neural_drift`, and ``[1, ..., :3]`` the
-    diffusion network's. ``dB`` holds one standard normal triple per day
-    (``dB[..., k, :]``), or is None to switch the noise off; the diffusion
-    scales it on the day's starting state and its zero-sum projection is
-    added. Rows that leave the simplex are clamped at zero and renormalised.
+    a day on the day's inputs; :func:`_day_step` applies its output to the
+    day's starting state. ``dB`` holds one standard normal triple per day
+    (``dB[..., k, :]``), or is None to switch the noise off. Rows that leave
+    the simplex are clamped at zero and renormalised. On the tape a day is
+    the inputs' affine node, the network node and the day step's node, plus
+    four nodes on a day that clamps.
     """
+    day_rates = np.array(_daily_rates(rates, days))
     for k in range(days):
-        rv = _rates_for_day(rates, k).as_array()
+        rv = day_rates[k]
         out = nets(_net_inputs(m, rv, measures[k]))
-        m = m + neural_drift(m, rv, out[0])
-        if dB is not None:
-            m = m + affine(absval(out[1, ..., :3]) * dB[..., k, :], _ZERO_SUM, 0.0)
+        m = _day_step(m, rv, out, None if dB is None else dB[..., k, :])
         clamp = np.any((m.v if isinstance(m, Value) else m) < 0.0, axis=-1, keepdims=True)
         if clamp.any():
             pos = max0(m)

@@ -11,6 +11,7 @@ import pytest
 from mfgames.autodiff import Tape
 from mfgames.games import elfarol, meeting, sir
 from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init, stack_nets
+from sir_reference import rate_array
 
 
 def _forwards(nets):
@@ -63,23 +64,26 @@ def test_elfarol_rollout_on_tape_equals_rollout_on_arrays():
 
 
 def test_sir_drift_on_tape_matches_drift_on_arrays():
-    # both sides run the same (batch, 3) operations on the same shapes
+    # both sides run the same day step, a drift network stacked alone and no
+    # noise, on the same (batch, 3) shapes, so they agree bit for bit
     net = mlp_init(MLPConfig(13, 6, 2, 8, seed=5))
     dataset = sir.generate_synthetic_dataset(
         10, seed=1, measures=sir.make_measure_schedule(10, seed=1), modulate=True)
-    rates = sir.RateVector(0.25, 0.1, 0.01).as_array()
+    rates = rate_array(sir.RateVector(0.25, 0.1, 0.01))
     m0 = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
-    tape, on_tape, on_arrays = _forwards({"drift": net})
+    tape = Tape()
+    on_tape = stack_nets([net.bind(tape)]).forward
+    on_arrays = partial(mlp_forward_np, stack_nets([net]))
 
-    def drift(m, v, forward):
-        return sir.neural_drift(m, rates, forward(sir._net_inputs(m, rates, v)))
+    def day(m, v, forward):
+        return sir._day_step(m, rates, forward(sir._net_inputs(m, rates, v)), None)
 
     m_tape, m = tape.value(m0), m0
     for k in range(len(dataset) - 1):
         v = dataset.measures[k]
-        m_tape = m_tape + drift(m_tape, v, on_tape["drift"])
-        m = m + drift(m, v, on_arrays["drift"])
-        np.testing.assert_allclose(m_tape.v, m, rtol=0.0, atol=1e-15)
+        m_tape = day(m_tape, v, on_tape)
+        m = day(m, v, on_arrays)
+        assert np.array_equal(m_tape.v, m)
 
 
 @pytest.mark.parametrize("noisy", [True, False])
