@@ -247,14 +247,14 @@ def integrate_kolmogorov(m0, rates, days: int) -> np.ndarray:
     which on three numbers is several times cheaper than numpy and rounds the same.
     """
     m = np.asarray(m0, dtype=float).tolist()
-    per_day = list(rates) if isinstance(rates, (list, tuple)) else [rates]
+    per_day = rates if isinstance(rates, (list, tuple)) else [rates]
     path = _kolmogorov_path(m, _daily_rates(per_day, days), days)
     return np.array(path).reshape(days + 1, 3)
 
 
-def _daily_rates(rates: list[RateVector], days: int) -> list[tuple]:
-    """Day k's ``(gamma, rho, pi)`` for k < ``days``; the last rate holds past
-    the series' end."""
+def _daily_rates(rates, days: int) -> list[tuple]:
+    """Day k's ``(gamma, rho, pi)`` for k < ``days``, from a list or tuple of
+    :class:`RateVector`; the last rate holds past the series' end."""
     held = rates[:days] + rates[-1:] * (days - len(rates))
     return [(rv.gamma, rv.rho, rv.pi) for rv in held]
 
