@@ -15,8 +15,8 @@ from mfgames.games.sir import (
     RateVector,
     SIRConfig,
     SIRGame,
-    _nelder_mead,
     _day_step,
+    _nelder_mead,
     _net_inputs,
     _rollout,
     _window_objective,
