@@ -193,7 +193,7 @@ def _day_step(m, rates, out, dB):
         g_m = g_m + (g_t_rate * corrected) @ _S_I_S
         g_out = np.zeros(ov.shape)
         g_out[0] = g @ _RESIDUAL_OUTPUTS + (g_t_rate * sis * slope) @ _RATE_OUTPUTS
-        if dB is not None:  # the noise's slice, scattered on its own
+        if dB is not None:  # scattered on its own and added, as that graph sums the slices
             g_noise = np.zeros(ov.shape)
             g_noise[1, ..., :3] = (g @ _ZERO_SUM) * dB * np.sign(diffusion)
             g_out = g_noise + g_out
