@@ -28,6 +28,11 @@ other games are skipped:
 Each key a game takes resolves to its flag, else the config file, else the
 game's default. A key the game does not take, as a flag or in the file, is
 a configuration error.
+
+numpy's BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is set in
+the environment (importing :mod:`mfgames` sets it to 1 when unset): the
+products here are too small to gain from a thread pool, and starting one
+costs every run CPU time. Outputs are the same bytes at any thread count.
 """
 
 from __future__ import annotations

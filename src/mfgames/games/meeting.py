@@ -275,11 +275,12 @@ def write_history(path, states: list[ArrivalState], histogram) -> None:
     the files are written one turn at a time.
     """
     hist_path, hist_header, hist_block = histogram
+    agents = list(map(str, range(len(states[0].tau)))) if states else []
 
     def blocks():
         for turn, st in enumerate(states, start=1):
             tt = float_cells(st.tau_tilde)
-            yield (zip(repeat(str(turn)), map(str, range(len(st.tau))), float_cells(st.tau), tt),
+            yield (zip(repeat(str(turn)), agents, float_cells(st.tau), tt),
                    hist_block(turn, tt))
 
     write_csvs([(path, ["turn", "agent", "tau", "tau_tilde"]), (hist_path, hist_header)],

@@ -195,7 +195,7 @@ def write_csvs(files, blocks) -> None:
             fh.write(",".join(header) + "\r\n")
         for item in blocks:
             for fh, block in zip(handles, item):
-                fh.write("".join([",".join(row) + "\r\n" for row in block]))
+                fh.write("\r\n".join([*map(",".join, block), ""]))
 
 
 def write_history_csv(path, history: list[HistoryRow]) -> None:
