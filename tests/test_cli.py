@@ -267,35 +267,35 @@ def test_sir_standard_run_loads_no_scipy(inputs):
     assert proc.stdout.strip() == "0 []"
 
 
-def _env_without_blas_threads():
+def _env_with_blas_threads(threads):
+    """The environment with ``OPENBLAS_NUM_THREADS`` set to ``threads``, or unset for None.
+
+    Importing mfgames in this process has set it, and subprocesses inherit it.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("OPENBLAS_NUM_THREADS")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
     return env
 
 
 # this module imports numpy before mfgames, so only a fresh process sees the default
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
 def test_import_sets_one_blas_thread_unless_preset(preset, expected):
-    env = _env_without_blas_threads()
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
     code = "import os, mfgames; print(os.environ['OPENBLAS_NUM_THREADS'])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=_env_with_blas_threads(preset), check=True)
     assert proc.stdout.strip() == expected
 
 
 def test_blas_thread_count_leaves_the_bytes_unchanged(tmp_path):
     hashes = []
     for threads in (None, "2"):
-        env = _env_without_blas_threads()
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"threads-{threads}"
         subprocess.run([sys.executable, "-m", "mfgames.cli", "meeting", "--mode", "neural",
                         "--epochs", "0", "--agents", "5000", "--out", str(out)],
-                       capture_output=True, env=env, check=True)
+                       capture_output=True, env=_env_with_blas_threads(threads), check=True)
         hashes.append(json.loads((out / "manifest.json").read_text())["content_hash"])
     assert hashes[0] == hashes[1]
 
