@@ -13,9 +13,9 @@ plain numpy result and records nothing.
 
 A fused computation can be one node whose VJP computes every parent's
 adjoint in one call (:func:`_joint`). :func:`mlp`, a whole LipSwish network,
-is one: its VJP walks back through the layers with the expressions of the
-one-layer ``affine`` and of ``lipswish``, so its adjoints are bit for bit
-those of a node per layer. Given weights stacked ``(n, out, in)``, one
+is one: its VJP walks back through the layers with the expressions of an
+affine node and of a LipSwish node, so its adjoints are bit for bit those of
+a node per layer. Given weights stacked ``(n, out, in)``, one
 :func:`mlp` node runs ``n`` networks of one input width and depth on one
 input, one ``np.matmul`` per layer (the "vmap over networks" ensemble
 pattern); :func:`stack_padded` builds such stacks from each network's own
@@ -29,15 +29,11 @@ import numpy as np
 __all__ = [
     "Tape",
     "Value",
-    "exp",
-    "log",
     "max0",
     "sigmoid",
     "square",
-    "lipswish",
     "clip01",
     "absval",
-    "affine",
     "mlp",
     "stack",
     "stack_padded",
@@ -277,16 +273,6 @@ def _unary(x, op, value, partial):
     return Value(v, x.tape, op, (x, _scale(x, partial(x.v, v))))
 
 
-def exp(x):
-    return _unary(x, "exp", np.exp, lambda x, e: e)
-
-
-def log(x):
-    if np.any(_val(x) <= 0.0):
-        raise ValueError(f"log of non-positive value {np.min(_val(x))}")
-    return _unary(x, "log", np.log, lambda x, _v: 1.0 / x)
-
-
 def max0(x):
     """max(x, 0); the flat branch (x <= 0) has zero local partial."""
     return _unary(x, "max0", lambda x: np.where(x > 0.0, x, 0.0),
@@ -299,15 +285,6 @@ def sigmoid(x):
 
 def square(x):
     return _unary(x, "square", lambda x: x * x, lambda x, _v: 2.0 * x)
-
-
-def lipswish(x):
-    """x * sigmoid(x) / 1.1, Lipschitz with constant <= 1."""
-    if not isinstance(x, Value):
-        return x * _sigmoid(x) / 1.1
-    s = _sigmoid(x.v)
-    d = (s + x.v * s * (1.0 - s)) / 1.1
-    return Value(x.v * s / 1.1, x.tape, "lipswish", (x, _scale(x, d)))
 
 
 def clip01(x):
@@ -325,16 +302,13 @@ def absval(x):
 # -- array primitives ----------------------------------------------------------
 
 
-def affine(x, w, b):
-    """Batched ``x @ w.T + b`` for x of shape (..., in), w (out, in), b (out,)."""
-    return mlp(x, [w], [b])
-
-
 def mlp(x, weights, biases):
     """LipSwish network on x of shape (..., in), one node on the tape: affine
-    layers, ``lipswish`` between them. Its parents (the Values among them) are
-    each layer's weight and bias, last layer first, then x: the order in which
-    its VJP walks back over the layer inputs and slopes the forward pass kept.
+    layers ``h @ w.T + b``, LipSwish ``h * sigmoid(h) / 1.1`` (Lipschitz with
+    constant <= 1) between them; one layer is the affine map alone. Its
+    parents (the Values among them) are each layer's weight and bias, last
+    layer first, then x: the order in which its VJP walks back over the layer
+    inputs and slopes the forward pass kept.
 
     Stacked weights ``(n, out, in)`` and biases ``(n, out)`` hold ``n``
     networks of one input width and depth (see :func:`stack_padded`). They

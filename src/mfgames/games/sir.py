@@ -15,14 +15,14 @@ on plain arrays for :func:`forecast`. Both networks read the same 13 inputs,
 so they run stacked (:func:`mfgames.nets.stack_nets`), one call a day, on
 whole ``(batch, 3)`` states. The rest of the day, the drift and the noise
 (:func:`_day_step`), is one tape node with a hand-written VJP, as a network
-call is. On the tape a day is those two nodes and the inputs' affine node,
-4 more on a day that clamps a row back onto the simplex; training adds 3
-for the day's loss term. The rate fit keeps its own loop on
-Python floats, :func:`_kolmogorov_path`, which is far cheaper on three
-numbers; :func:`integrate_kolmogorov` wraps it for the standard game. That
-loop inlines the transition terms of :func:`kolmogorov_drift`, as it runs a
-few hundred thousand days per fit; tests pin its bits to a numpy loop over
-:func:`kolmogorov_drift`.
+call is. On the tape a day is those two nodes and the inputs' one-layer
+:func:`mfgames.autodiff.mlp` node, 4 more on a day that clamps a row back
+onto the simplex; training adds 3 for the day's loss term. The pure rate
+equation has one loop, on Python floats, :func:`_kolmogorov_path`, which is
+far cheaper on three numbers: the rate fit runs it a few hundred thousand
+days per fit, and :func:`integrate_kolmogorov` wraps it for the standard
+game and the synthetic data. Tests pin its bits to a numpy loop over the
+rate equation's transition terms.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 # first training epoch (augment_noise, mlp_init) does not pay for the import
 import numpy.random
 
-from ..autodiff import Tape, Value, _joint, _tape_of, _val, affine, max0, square, where
+from ..autodiff import Tape, Value, _joint, _tape_of, _val, max0, mlp, square, where
 from ..mfg import GameInstance, TrainingConfig, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
@@ -48,7 +48,6 @@ __all__ = [
     "DataError",
     "N_MEASURES",
     "CSV_HEADER",
-    "kolmogorov_drift",
     "integrate_kolmogorov",
     "validate_measures",
     "ingest_csv",
@@ -112,18 +111,6 @@ class EpidemicDataset:
         return len(self.dates)
 
 
-def kolmogorov_drift(m, rates: RateVector):
-    """Forward rate equation for the compartment fractions (sums to zero).
-
-    Shared transition terms are computed once and reused so the three
-    components cancel exactly up to float rounding.
-    """
-    t_si = rates.gamma * m[0] * m[1]
-    t_rec = rates.rho * m[1]
-    t_vac = rates.pi * m[0]
-    return (-t_si - t_vac, t_si - t_rec, t_rec + t_vac)
-
-
 # The day step's fixed linear maps, as affine weights (out, in). Each entry but
 # the zero-sum projection's is 0 or +-1, so those maps select and add terms
 # in the rate equation's own order, without rounding.
@@ -140,8 +127,9 @@ _STOICHIOMETRY = np.array([[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]
 
 def _net_inputs(m, rates, v):
     """The 13 network inputs: the state(s) ``m`` (..., 3), then the day's
-    ``rates`` (gamma, rho, pi) and measures ``v``; one affine node on the tape."""
-    return affine(m, _EMBED, np.concatenate([np.zeros(3), rates, v]))
+    ``rates`` (gamma, rho, pi) and measures ``v``; one affine map, a one-layer
+    network node on the tape."""
+    return mlp(m, [_EMBED], [np.concatenate([np.zeros(3), rates, v])])
 
 
 def _day_step(m, rates, out, dB):
@@ -158,7 +146,8 @@ def _day_step(m, rates, out, dB):
     None for no noise: the diffusion's absolute value scales it, and its
     zero-sum projection is added. The transitions keep the rate equation's
     order of operations, so with a zero drift network and no noise the step
-    is ``m + kolmogorov_drift(m, rates)`` bit for bit.
+    is a day of the pure rate equation (:func:`_kolmogorov_path`) before its
+    clamp, bit for bit.
 
     Generic over arrays and tape Values like :func:`mfgames.autodiff.mlp`:
     on the tape it is one node, parents ``m`` and ``out``. Its forward pass
@@ -208,9 +197,10 @@ def _kolmogorov_path(m0, day_rates, days: int) -> list:
 
     ``m0`` is three floats and ``day_rates[k]`` day k's ``(gamma, rho, pi)``.
     Returns the flat list ``[s0, i0, r0, s1, i1, r1, ...]`` of ``days + 1``
-    states. This is the rate fit's inner loop, so the transition terms of
-    :func:`kolmogorov_drift` are inlined here, in the same order of
-    operations: on three numbers a call per day costs more than the step.
+    states. The transitions ``gamma S I``, ``rho I`` and ``pi S`` are each
+    computed once and shared, so the day's three changes sum to zero up to
+    rounding. This is the rate fit's inner loop, on floats because on three
+    numbers a call per day costs more than the step.
     The clamp is ``max(x, 0.0)``: it keeps NaN, as ``np.clip`` does, and
     also -0.0, which ``np.clip`` turns into 0.0 (-0.0 needs -0.0 rates, and
     the fit's clipped candidates are never -0.0). A state is renormalised
@@ -342,12 +332,17 @@ def write_dataset_csv(dataset: EpidemicDataset, path) -> None:
 
 
 def make_measure_schedule(days: int, seed: int = 0, n_active: int = 3) -> np.ndarray:
-    """A plausible measure history: a few measures switching level in blocks."""
+    """A plausible measure history: a few measures switching level in blocks.
+
+    Each active measure holds 2 to 4 blocks, and at most one a day.
+    """
+    if days < 1:
+        raise ValueError("a measure schedule needs at least one day")
     rng = np.random.default_rng(seed)
     v = np.zeros((days, N_MEASURES), dtype=int)
     active = rng.choice(N_MEASURES, size=min(n_active, N_MEASURES), replace=False)
     for m in active:
-        k = rng.integers(2, 5)
+        k = min(rng.integers(2, 5), days)
         cuts = np.sort(rng.choice(np.arange(1, days), size=k - 1, replace=False))
         bounds = [0, *cuts.tolist(), days]
         for b0, b1 in zip(bounds[:-1], bounds[1:]):
@@ -378,29 +373,23 @@ def generate_synthetic_dataset(days: int, seed: int = 0,
 
     With ``modulate`` the daily transmission rate is scaled down by active
     restriction measures, giving the benchmark signal a drift the plain model
-    cannot represent. Raw counts are fabricated so fixtures round-trip through
-    :func:`ingest_csv`.
+    cannot represent. The states are :func:`integrate_kolmogorov`'s path on
+    the daily rates. Raw counts are fabricated so fixtures round-trip through
+    :func:`ingest_csv`: the cumulative recoveries and vaccinations sum each
+    day's ``rho I`` and ``pi S`` in day order.
     """
+    if days < 1:
+        raise ValueError("a dataset needs at least one day")
     if measures is None:
         measures = np.zeros((days, N_MEASURES), dtype=int)
     measures = validate_measures(measures)
     if measures.shape[0] < days:
         raise ValueError("measure schedule shorter than requested span")
-    m = np.array([1.0 - i0, i0, 0.0])
-    states = [m.copy()]
-    cum_rec, cum_vac = 0.0, 0.0
-    recs, vacs = [0.0], [0.0]
-    for k in range(days - 1):
-        day_rates = effective_rates(rates, measures[k]) if modulate else rates
-        dm = np.asarray(kolmogorov_drift(m, day_rates))
-        cum_rec += day_rates.rho * m[1]
-        cum_vac += day_rates.pi * m[0]
-        m = np.clip(m + dm, 0.0, None)
-        m = m / m.sum()
-        states.append(m.copy())
-        recs.append(cum_rec)
-        vacs.append(cum_vac)
-    states = np.array(states)
+    day_rates = [effective_rates(rates, v) if modulate else rates for v in measures[:days - 1]]
+    states = integrate_kolmogorov([1.0 - i0, i0, 0.0], day_rates, days - 1)
+    flows = [(0.0, 0.0)] + [(rv.rho * i, rv.pi * s)
+                            for rv, (s, i, _r) in zip(day_rates, states.tolist())]
+    recs, vacs = np.cumsum(flows, axis=0).T
     dates = [start + datetime.timedelta(days=k) for k in range(days)]
     raw = np.zeros((days, 4), dtype=int)
     for k in range(days):

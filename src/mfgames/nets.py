@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Value, lipswish, mlp, stack, stack_padded
+from .autodiff import Tape, Value, mlp, stack, stack_padded
 
 __all__ = [
     "MLPConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "AdaBelief",
     "save_checkpoint",
     "load_checkpoint",
-    "lipswish",
 ]
 
 
@@ -71,12 +70,6 @@ class MLP:
             out.append(w)
             out.append(b)
         return out
-
-    def zero_(self) -> None:
-        """Zero every parameter in place; the network output becomes exactly 0."""
-        for w, b in zip(self.weights, self.biases):
-            w[:] = 0.0
-            b[:] = 0.0
 
     def bind(self, tape: Tape) -> "BoundMLP":
         """Register every parameter array as a leaf of ``tape``."""

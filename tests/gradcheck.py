@@ -24,6 +24,25 @@ def tanh(x):
     return 2.0 * ad.sigmoid(2.0 * x) - 1.0
 
 
+def exp(x):
+    return ad._unary(x, "exp", np.exp, lambda x, e: e)
+
+
+def log(x):
+    return ad._unary(x, "log", np.log, lambda x, _v: 1.0 / x)
+
+
+def lipswish(x):
+    """x * sigmoid(x) / 1.1 as one node: the activation ``ad.mlp`` applies
+    between layers, in the expressions of its forward pass and VJP, so a
+    node per layer is the reference its adjoints are pinned against."""
+    if not isinstance(x, ad.Value):
+        return x * ad._sigmoid(x) / 1.1
+    s = ad._sigmoid(x.v)
+    d = (s + x.v * s * (1.0 - s)) / 1.1
+    return ad.Value(x.v * s / 1.1, x.tape, "lipswish", (x, ad._scale(x, d)))
+
+
 def _div_safe(a, b):
     return a / (ad.square(b) + 0.5)
 
@@ -31,11 +50,11 @@ def _div_safe(a, b):
 _UNARY = [
     ("tanh", tanh),
     ("sigmoid", ad.sigmoid),
-    ("lipswish", ad.lipswish),
+    ("lipswish", lipswish),
     ("square", ad.square),
     ("max0", ad.max0),
-    ("exp_bounded", lambda x: ad.exp(tanh(x))),
-    ("log_safe", lambda x: ad.log(ad.square(x) + 0.5)),
+    ("exp_bounded", lambda x: exp(tanh(x))),
+    ("log_safe", lambda x: log(ad.square(x) + 0.5)),
     ("neg", lambda x: -x),
 ]
 

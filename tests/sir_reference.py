@@ -1,11 +1,17 @@
-"""SIR's day step as a node per operation: the reference that the one-node
-:func:`mfgames.games.sir._day_step` is pinned against, bit for bit, as the
-per-layer ``affine`` and ``lipswish`` graph is for ``autodiff.mlp``.
+"""References for SIR's program code, pinned against it bit for bit.
+
+The rate equation's transition terms (:func:`kolmogorov_drift`) and the
+synthetic-data loop written on them (:func:`synthetic_dataset`); SIR's day
+step as a node per operation (:func:`day_step`), the reference that the
+one-node :func:`mfgames.games.sir._day_step` is pinned against, as the
+per-layer affine and LipSwish graph is for ``autodiff.mlp``.
 """
+
+import datetime
 
 import numpy as np
 
-from mfgames.autodiff import absval, affine, max0
+from mfgames.autodiff import absval, max0, mlp
 from mfgames.games.sir import (
     _I_0_0,
     _I_0_0_BIAS,
@@ -14,7 +20,63 @@ from mfgames.games.sir import (
     _S_I_S,
     _STOICHIOMETRY,
     _ZERO_SUM,
+    N_MEASURES,
+    EpidemicDataset,
+    RateVector,
+    effective_rates,
+    validate_measures,
 )
+
+
+def kolmogorov_drift(m, rates):
+    """Forward rate equation for the compartment fractions (sums to zero).
+
+    Shared transition terms are computed once and reused so the three
+    components cancel exactly up to float rounding.
+    """
+    t_si = rates.gamma * m[0] * m[1]
+    t_rec = rates.rho * m[1]
+    t_vac = rates.pi * m[0]
+    return (-t_si - t_vac, t_si - t_rec, t_rec + t_vac)
+
+
+def synthetic_dataset(days, seed=0, rates=RateVector(0.25, 0.1, 0.01), i0=0.02,
+                      measures=None, modulate=False, population=1_000_000,
+                      start=datetime.date(2020, 8, 1)):
+    """``generate_synthetic_dataset`` on its own numpy loop over
+    :func:`kolmogorov_drift`, summing the recoveries and vaccinations as it
+    goes: the loop it ran before it stepped ``integrate_kolmogorov``."""
+    if measures is None:
+        measures = np.zeros((days, N_MEASURES), dtype=int)
+    measures = validate_measures(measures)
+    m = np.array([1.0 - i0, i0, 0.0])
+    states = [m.copy()]
+    cum_rec, cum_vac = 0.0, 0.0
+    recs, vacs = [0.0], [0.0]
+    for k in range(days - 1):
+        day_rates = effective_rates(rates, measures[k]) if modulate else rates
+        dm = np.asarray(kolmogorov_drift(m, day_rates))
+        cum_rec += day_rates.rho * m[1]
+        cum_vac += day_rates.pi * m[0]
+        m = np.clip(m + dm, 0.0, None)
+        m = m / m.sum()
+        states.append(m.copy())
+        recs.append(cum_rec)
+        vacs.append(cum_vac)
+    states = np.array(states)
+    dates = [start + datetime.timedelta(days=k) for k in range(days)]
+    raw = np.zeros((days, 4), dtype=int)
+    for k in range(days):
+        recovered = int(round(recs[k] * population))
+        vacc = int(round(vacs[k] * population))
+        active = int(round(states[k, 1] * population))
+        raw[k] = [active + recovered, recovered, 0, vacc]
+    return EpidemicDataset(dates, states, measures[:days].copy(), raw, population)
+
+
+def affine(x, w, b):
+    """Batched ``x @ w.T + b``: a one-layer network node."""
+    return mlp(x, [w], [b])
 
 
 def rate_array(rates) -> np.ndarray:

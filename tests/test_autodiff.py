@@ -8,7 +8,9 @@ from gradcheck import (
     array_gradcheck,
     central_diff,
     eval_program,
+    exp,
     gradcheck_program,
+    lipswish,
     random_program,
     tanh,
     well_conditioned,
@@ -145,7 +147,7 @@ def test_repeated_backward_accumulates():
 def test_tape_is_topologically_ordered():
     tape = ad.Tape()
     x, y = tape.value(1.0), tape.value(2.0)
-    z = tanh(x * y + ad.exp(y))
+    z = tanh(x * y + exp(y))
     for node in tape.nodes:
         for k in range(0, len(node.parents), 2):
             assert node.parents[k].i < node.i
@@ -155,7 +157,7 @@ def test_tape_is_topologically_ordered():
 def test_leaves_have_no_parents_and_values_unchanged():
     tape = ad.Tape()
     x = tape.value(1.25)
-    y = ad.exp(x)
+    y = exp(x)
     before = (x.v, y.v)
     tape.backward(y)
     assert x.parents == ()
@@ -164,9 +166,6 @@ def test_leaves_have_no_parents_and_values_unchanged():
 
 def test_domain_errors():
     tape = ad.Tape()
-    x = tape.value(-1.0)
-    with pytest.raises(ValueError):
-        ad.log(x)
     zero = tape.value(0.0)
     with pytest.raises(ZeroDivisionError):
         tape.value(1.0) / zero
@@ -183,7 +182,7 @@ def test_affine_matches_scalar_built_dot():
 
     t1 = ad.Tape()
     w, x, b = t1.value(ws), t1.value(xs), t1.value(bs)
-    out1 = ad.affine(x, w, b)
+    out1 = ad.mlp(x, [w], [b])
     t1.backward(out1.sum())
 
     t2 = ad.Tape()
@@ -226,7 +225,7 @@ def test_clip01_straight_through():
 
 def test_float_fallbacks_match_node_values():
     rng = np.random.default_rng(9)
-    for fn in (ad.exp, tanh, ad.sigmoid, ad.square, ad.lipswish, ad.max0):
+    for fn in (exp, tanh, ad.sigmoid, ad.square, lipswish, ad.max0):
         x = float(rng.uniform(-2, 2))
         tape = ad.Tape()
         assert fn(x) == fn(tape.value(x)).v
@@ -240,9 +239,9 @@ _MASK = _RNG.uniform(size=(3, 4)) < 0.5
 
 ARRAY_CASES = {
     # weights (2, 4), biases (2,), inputs (3, 4): one batched affine node
-    "affine": (lambda w, b, x: tanh(ad.affine(x, w, b)).sum(),
+    "affine": (lambda w, b, x: tanh(ad.mlp(x, [w], [b])).sum(),
                [(2, 4), (2,), (3, 4)]),
-    "affine_4d_input": (lambda w, b, x: ad.square(ad.affine(x, w, b)).sum(),
+    "affine_4d_input": (lambda w, b, x: ad.square(ad.mlp(x, [w], [b])).sum(),
                         [(2, 4), (2,), (2, 3, 4)]),
     # (3, 1) column against a (4,) row and a 0-d scalar
     "broadcast_add": (lambda a, b, c: ad.sigmoid(a + b + c).sum(), [(3, 1), (4,), ()]),
@@ -295,8 +294,6 @@ def test_array_op_gradients_match_finite_differences(name):
 
 def test_array_domain_checks_cover_every_element():
     tape = ad.Tape()
-    with pytest.raises(ValueError):
-        ad.log(tape.value([1.0, 2.0, -1e-300]))
     with pytest.raises(ZeroDivisionError):
         tape.value([1.0, 2.0]) / tape.value([3.0, 0.0])
     with pytest.raises(ZeroDivisionError):
@@ -308,5 +305,5 @@ def test_array_domain_checks_cover_every_element():
 def test_batched_ops_are_one_node_each():
     tape = ad.Tape()
     x = tape.value(np.ones((10, 64)))
-    y = ad.lipswish(x * 2.0 + 1.0).sum()
+    y = lipswish(x * 2.0 + 1.0).sum()
     assert len(tape) == 5 and y.shape == ()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgames import autodiff as ad
-from gradcheck import tanh
+from gradcheck import exp, lipswish, log, tanh
 
 
 def reference_adjoints(tape, root):
@@ -48,10 +48,10 @@ def _unary_ops(rng):
     """Ops on one Value; each may decline (return None) for a shape it cannot take."""
     nd = lambda f: (lambda x: f(x) if x.shape else None)
     return [
-        ad.sigmoid, tanh, ad.lipswish, ad.square, ad.max0, ad.absval, ad.clip01,
+        ad.sigmoid, tanh, lipswish, ad.square, ad.max0, ad.absval, ad.clip01,
         lambda x: -x,
-        lambda x: ad.exp(tanh(x)),
-        lambda x: ad.log(ad.square(x) + 0.5),
+        lambda x: exp(tanh(x)),
+        lambda x: log(ad.square(x) + 0.5),
         lambda x: 1.5 / (ad.square(x) + 0.5),
         lambda x: x - 0.25,
         lambda x: x * np.linspace(-1.0, 1.0, 3),
@@ -75,7 +75,7 @@ def _binary_ops(rng, w, b):
             rng.random(np.broadcast_shapes(x.shape, y.shape)) < 0.5, x, y),
         lambda x, y: ad.stack([x, y, 0.5]).sum(axis=-1),
         # an affine layer on a length-3 last axis, weights and biases as leaves
-        lambda x, _y: ad.affine(x, w, b) if x.shape[-1:] == (3,) else None,
+        lambda x, _y: ad.mlp(x, [w], [b]) if x.shape[-1:] == (3,) else None,
     ]
 
 

@@ -129,7 +129,8 @@ def test_neural_zeroed_nets_is_bitwise_standard():
     cfg = MeetingConfig(n_agents=12, sigma=0.0)
     game = MeetingGame(cfg, [generate_observations(seed=1)])
     for net in game.nets().values():
-        net.zero_()
+        for p in net.parameters():
+            p[:] = 0.0
     neural = simulate_neural(cfg, game.nets(), seed=9)
     standard = run_standard(cfg, seed=9)
     for a, b in zip(neural, standard):

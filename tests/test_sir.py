@@ -26,7 +26,6 @@ from mfgames.games.sir import (
     generate_synthetic_dataset,
     ingest_csv,
     integrate_kolmogorov,
-    kolmogorov_drift,
     make_measure_schedule,
     train_sir,
     validate_measures,
@@ -34,12 +33,24 @@ from mfgames.games.sir import (
 )
 from mfgames.mfg import TrainingConfig
 from mfgames.nets import BoundMLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
-from sir_reference import day_step, neural_drift, rate_array
+from sir_reference import (
+    day_step,
+    kolmogorov_drift,
+    neural_drift,
+    rate_array,
+    synthetic_dataset,
+)
 
 
 def _drift(m, rates, v, net):
     rates = rate_array(rates)
     return neural_drift(m, rates, mlp_forward_np(net, _net_inputs(m, rates, v)))
+
+
+def _zero(net):
+    """Zero every parameter in place; the network's output becomes exactly 0."""
+    for p in net.parameters():
+        p[:] = 0.0
 
 
 def test_disease_free_equilibrium():
@@ -64,7 +75,7 @@ def test_drift_conserves_mass_randomized():
 
 def test_neural_drift_zero_network_matches_pure():
     net = mlp_init(MLPConfig(13, 6, 3, 8, seed=0))
-    net.zero_()
+    _zero(net)
     m = np.array([0.7, 0.2, 0.1])
     rates = RateVector(0.25, 0.1, 0.01)
     v = np.zeros(7, dtype=int)
@@ -86,7 +97,7 @@ def test_neural_drift_conserves_mass_random_networks():
 def test_neural_drift_rate_cancellation():
     # mu_gamma = -gamma with other outputs zero kills the infection term
     net = mlp_init(MLPConfig(13, 6, 3, 8, seed=0))
-    net.zero_()
+    _zero(net)
     rates = RateVector(0.3, 0.0, 0.0)
     net.biases[-1][0] = -0.3
     m = np.array([0.5, 0.5, 0.0])
@@ -275,7 +286,54 @@ def test_synthetic_roundtrip_through_csv(tmp_path):
     assert np.allclose(back.states, ds.states, atol=2e-3)
 
 
+# (days, seed, modulated, other arguments); a modulated case's schedule is
+# make_measure_schedule(days, seed)
+SYNTHETIC_CASES = {
+    # the benchmark's 60-day inputs, for every program seed
+    **{f"benchmark seed {seed}": (60, seed, True, {}) for seed in range(16)},
+    **{f"{days} days": (days, 0, False, {}) for days in (1, 2, 3, 4, 29, 365)},
+    **{f"{days} days modulated": (days, days, True, {}) for days in (1, 2, 3, 4, 29, 365)},
+    # a compartment clamped every day, no epidemic at all, and no susceptibles
+    "extreme rates": (80, 0, False, {"rates": RateVector(50.0, 3.0, 2.0)}),
+    "zero rates": (30, 0, False, {"rates": RateVector(0.0, 0.0, 0.0)}),
+    "all infected": (30, 0, False, {"i0": 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
+def test_synthetic_dataset_equals_the_reference_loop_bit_for_bit(name):
+    days, seed, modulated, kwargs = SYNTHETIC_CASES[name]
+    if modulated:
+        kwargs = dict(kwargs, modulate=True, measures=make_measure_schedule(days, seed=seed))
+    got = generate_synthetic_dataset(days, seed=seed, **kwargs)
+    want = synthetic_dataset(days, seed=seed, **kwargs)
+    assert got.dates == want.dates and got.population == want.population
+    for a, b in ((got.states, want.states), (got.raw, want.raw),
+                 (got.measures, want.measures)):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_synthetic_dataset_rejects_a_short_schedule_and_no_days():
+    with pytest.raises(ValueError, match="shorter than requested span"):
+        generate_synthetic_dataset(10, measures=make_measure_schedule(9))
+    with pytest.raises(ValueError, match="at least one day"):
+        generate_synthetic_dataset(0)
+
+
+def test_write_dataset_csv_needs_raw_counts(tmp_path):
+    ds = generate_synthetic_dataset(5)
+    ds.raw = None
+    with pytest.raises(ValueError, match="no raw counts"):
+        write_dataset_csv(ds, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
+
+
 # -- noise augmentation ------------------------------------------------------
+
+
+def test_augment_rejects_a_negative_sigma():
+    with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        augment_noise(generate_synthetic_dataset(10), -0.01)
 
 
 def test_augment_sigma_zero_is_exact_copy():
@@ -755,7 +813,7 @@ def test_zeroed_drift_forecasts_the_rate_equation():
     ds = generate_synthetic_dataset(40, seed=10, measures=make_measure_schedule(40, seed=10),
                                     modulate=True)
     model, _ = _train_small(ds, 2)
-    model.drift_net.zero_()
+    _zero(model.drift_net)
     days = len(ds) - 1
     got = forecast(model, ds.states[0], days, ds.measures)
     want = integrate_kolmogorov(ds.states[0], model.rates, days)
@@ -765,7 +823,7 @@ def test_zeroed_drift_forecasts_the_rate_equation():
 def test_forecast_frozen_dynamics_constant():
     ds = generate_synthetic_dataset(20, seed=9, i0=0.05)
     model, _ = _train_small(ds, 0, warm_rates=[RateVector(0.0, 0.0, 0.0)] * 10)
-    model.drift_net.zero_()
+    _zero(model.drift_net)
     out = forecast(model, np.array([0.5, 0.3, 0.2]), 10, np.zeros((10, 7), dtype=int))
     assert np.allclose(out, np.tile([0.5, 0.3, 0.2], (11, 1)))
 
@@ -774,3 +832,19 @@ def test_measure_schedule_valid():
     v = make_measure_schedule(50, seed=0)
     validate_measures(v)
     assert v.shape == (50, 7)
+
+
+@pytest.mark.parametrize("days", [1, 2, 3])
+def test_measure_schedule_of_a_short_span(days):
+    # at most one block a day; before that cap, numpy raised "Cannot take a
+    # larger sample than population" for most seeds
+    for seed in range(20):
+        v = make_measure_schedule(days, seed=seed)
+        validate_measures(v)
+        assert v.shape == (days, 7)
+
+
+@pytest.mark.parametrize("days", [0, -3])
+def test_measure_schedule_needs_a_day(days):
+    with pytest.raises(ValueError, match="at least one day"):
+        make_measure_schedule(days)
