@@ -16,6 +16,4 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import autodiff, mfg, nets, sde  # the package's first numpy import
 
-__version__ = "0.1.0"
-
-__all__ = ["autodiff", "nets", "sde", "mfg", "__version__"]
+__all__ = ["autodiff", "nets", "sde", "mfg"]

@@ -9,10 +9,13 @@ the creation-ordered tape, which is topologically sorted by construction, and
 land on the leaves.
 
 Every primitive is generic: given plain floats or ndarrays it returns the
-plain numpy result and records nothing.
+plain numpy result and records nothing. A node's value is that numpy result
+bit for bit (a quotient is numpy's quotient), so an expression gives the
+same numbers on the tape and on arrays. Only this module asks whether an
+input is a node; others read a node's array with :func:`plain`.
 
 A fused computation can be one node whose VJP computes every parent's
-adjoint in one call (:func:`_joint`). :func:`mlp`, a whole LipSwish network,
+adjoint in one call (:func:`fused`). :func:`mlp`, a whole LipSwish network,
 is one: its VJP walks back through the layers with the expressions of an
 affine node and of a LipSwish node, so its adjoints are bit for bit those of
 a node per layer. Given weights stacked ``(n, out, in)``, one
@@ -29,6 +32,8 @@ import numpy as np
 __all__ = [
     "Tape",
     "Value",
+    "plain",
+    "fused",
     "max0",
     "sigmoid",
     "square",
@@ -131,16 +136,16 @@ class Value:
         if isinstance(other, Value):
             _check_divisor(other.v)
             inv = 1.0 / other.v
-            return Value(self.v * inv, self.tape, "div",
+            return Value(self.v / other.v, self.tape, "div",
                          (self, _scale(self, inv), other, _scale(other, -self.v * inv * inv)))
         _check_divisor(other)
         inv = 1.0 / np.asarray(other, dtype=float)
-        return Value(self.v * inv, self.tape, "div", (self, _scale(self, inv)))
+        return Value(self.v / other, self.tape, "div", (self, _scale(self, inv)))
 
     def __rtruediv__(self, other):
         _check_divisor(self.v)
         inv = 1.0 / self.v
-        return Value(other * inv, self.tape, "div", (self, _scale(self, -other * inv * inv)))
+        return Value(other / self.v, self.tape, "div", (self, _scale(self, -other * inv * inv)))
 
     def __neg__(self):
         return Value(-self.v, self.tape, "neg", (self, _scale(self, -1.0)))
@@ -249,8 +254,30 @@ def _tape_of(args):
     return None
 
 
-def _val(x):
+def plain(x):
+    """The array a node holds; anything that is not a node, as it is."""
     return x.v if isinstance(x, Value) else x
+
+
+def fused(op, value, inputs, vjp_all):
+    """``value``, computed from ``inputs``, as one node whose parents are the
+    nodes among them; without one, ``value`` itself. ``vjp_all(g)`` returns
+    every input's adjoint in order. A sweep calls the parents' VJPs in order,
+    once each: the first computes all, and each hands out the next and drops it.
+    """
+    tape = _tape_of(inputs)
+    if tape is None:
+        return value
+    keep = [isinstance(x, Value) for x in inputs]
+    pending = []
+
+    def vjp(g):
+        if not pending:
+            pending.extend(reversed([a for a, k in zip(vjp_all(g), keep) if k]))
+        return pending.pop()
+
+    return Value(value, tape, op, tuple(item for x, k in zip(inputs, keep) if k
+                                        for item in (x, vjp)))
 
 
 # -- elementwise primitives, generic over Value, float and ndarray ------------
@@ -317,11 +344,11 @@ def mlp(x, weights, biases):
     weight and bias its ``(n, ...)`` adjoint, and ``x`` the sum of the
     networks' adjoints.
     """
-    ws = [_val(w) for w in weights]
-    bs = [_val(b) for b in biases]
-    tape = _tape_of((x, *weights, *biases))
+    ws = [plain(w) for w in weights]
+    bs = [plain(b) for b in biases]
+    taped = _tape_of((x, *weights, *biases)) is not None
     inputs, slopes = [], []
-    h = _val(x)
+    h = plain(x)
     stacked = np.ndim(ws[0]) == 3
     if stacked:  # the input's rows, shared by the networks
         batch = np.shape(h)[:-1]
@@ -329,10 +356,10 @@ def mlp(x, weights, biases):
         bs = [b[:, None, :] for b in bs]
     last = len(ws) - 1
     for k in range(last + 1):
-        if tape is not None:
+        if taped:
             inputs.append(h)
         h = h @ ws[k].mT + bs[k]
-        if k != last and tape is None:
+        if k != last and not taped:
             h = h * _sigmoid(h) / 1.1
         elif k != last:
             s = _sigmoid(h)
@@ -340,9 +367,6 @@ def mlp(x, weights, biases):
             h = h * s / 1.1
     if stacked:
         h = h.reshape(len(ws[0]), *batch, h.shape[-1])
-    if tape is None:
-        return h
-    every = [p for k in range(last, -1, -1) for p in (weights[k], biases[k])] + [x]
 
     def vjp_all(g):
         if stacked:
@@ -365,44 +389,20 @@ def mlp(x, weights, biases):
             out.append((g @ ws[0]).sum(axis=0).reshape(x.shape))
         else:
             out.append(g @ ws[0])
-        return [a for a, p in zip(out, every) if isinstance(p, Value)]
+        return out
 
-    parents = [p for p in every if isinstance(p, Value)]
-    return Value(h, tape, "mlp", _joint(parents, vjp_all))
-
-
-def _joint(parents, vjp_all):
-    """Flat ``(parent, vjp)`` pairs sharing one call of ``vjp_all(g)``, which
-    returns the parents' adjoints in order. A sweep calls the VJPs in order,
-    once each: the first computes all, and each hands out the next and drops it.
-    """
-    pending = []
-
-    def vjp(g):
-        if not pending:
-            pending.extend(reversed(vjp_all(g)))
-        return pending.pop()
-
-    return tuple(item for p in parents for item in (p, vjp))
+    every = [p for k in range(last, -1, -1) for p in (weights[k], biases[k])]
+    return fused("mlp", h, every + [x], vjp_all)
 
 
 def stack(xs):
     """Stack Values, arrays and floats along a new last axis, broadcasting them first."""
-    out = np.empty(np.broadcast_shapes(*(np.shape(_val(x)) for x in xs)) + (len(xs),))
+    shapes = [np.shape(plain(x)) for x in xs]
+    out = np.empty(np.broadcast_shapes(*shapes) + (len(xs),))
     for k, x in enumerate(xs):
-        out[..., k] = _val(x)
-    tape = _tape_of(xs)
-    if tape is None:
-        return out
-    parents = []
-    for k, x in enumerate(xs):
-        if isinstance(x, Value):
-            parents += [x, _slice_vjp(k, x.shape)]
-    return Value(out, tape, "stack", tuple(parents))
-
-
-def _slice_vjp(k, shape):
-    return lambda g: _unbroadcast(np.take(g, k, axis=-1), shape)
+        out[..., k] = plain(x)
+    return fused("stack", out, xs, lambda g: [
+        _unbroadcast(np.take(g, k, axis=-1), shape) for k, shape in enumerate(shapes)])
 
 
 def stack_padded(xs):
@@ -412,23 +412,12 @@ def stack_padded(xs):
     Stacks networks' weights and biases for one stacked :func:`mlp`: a padded
     output row of a last layer only adds zero outputs.
     """
-    shapes = [np.shape(_val(x)) for x in xs]
+    shapes = [np.shape(plain(x)) for x in xs]
     out = np.zeros((len(xs), *np.max(shapes, axis=0)))
-    slices = [tuple(map(slice, shape)) for shape in shapes]
-    for k, (x, cut) in enumerate(zip(xs, slices)):
-        out[(k, *cut)] = _val(x)
-    tape = _tape_of(xs)
-    if tape is None:
-        return out
-    parents = []
-    for k, (x, cut) in enumerate(zip(xs, slices)):
-        if isinstance(x, Value):
-            parents += [x, _part_vjp((k, *cut))]
-    return Value(out, tape, "stack_padded", tuple(parents))
-
-
-def _part_vjp(index):
-    return lambda g: g[index]
+    parts = [(k, *map(slice, shape)) for k, shape in enumerate(shapes)]
+    for x, part in zip(xs, parts):
+        out[part] = plain(x)
+    return fused("stack_padded", out, xs, lambda g: [g[part] for part in parts])
 
 
 def take_along_axis(x, indices, axis):
@@ -449,13 +438,6 @@ def take_along_axis(x, indices, axis):
 
 def where(mask, a, b):
     """Elementwise ``a`` where ``mask`` holds, else ``b``; each side gets its share."""
-    out = np.where(mask, _val(a), _val(b))
-    tape = _tape_of((a, b))
-    if tape is None:
-        return out
-    parents = []
-    if isinstance(a, Value):
-        parents += [a, _scale(a, np.asarray(mask, dtype=float))]
-    if isinstance(b, Value):
-        parents += [b, _scale(b, np.logical_not(mask) * 1.0)]
-    return Value(out, tape, "where", tuple(parents))
+    shapes = np.shape(plain(a)), np.shape(plain(b))
+    return fused("where", np.where(mask, plain(a), plain(b)), (a, b), lambda g: [
+        _unbroadcast(g * m, shape) for m, shape in zip((mask, np.logical_not(mask)), shapes)])

@@ -10,7 +10,8 @@ emitted byte. Meeting and El Farol manifests also carry ``exploitability``,
 the final turn's mean gain of the agents' best responses, outside the hash;
 SIR manifests carry ``rate_fit_window``, the days each window of the rate fit
 spans, and ``rate_fit_unconverged``, the dates whose fit did not converge.
-Exit codes: 0 ok, 2 configuration (including game parameters out of range),
+Exit codes: 0 ok, 2 configuration (including game parameters out of range
+and numbers that are not finite),
 3 data, 4 training divergence or a non-finite integration step.
 
 A config file is a flat INI file. Its [run] section takes mode, seed, out,
@@ -41,6 +42,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from functools import partial
 from itertools import repeat
@@ -110,10 +112,14 @@ _TRAINING_FIELDS = {"epochs": "epochs", "seed": "seed", "lr": "lr",
 
 
 def _coerce(key: str, typ, value) -> object:
+    """A flag's or config file's string as the key's type; a float must be finite."""
     try:
-        return typ(value)
+        out = typ(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key '{key}' expects {typ.__name__}, got {value!r}") from None
+    if typ is float and not math.isfinite(out):
+        raise ConfigError(f"key '{key}' expects a finite number, got {value!r}")
+    return out
 
 
 def load_config_file(path: str, game: str) -> dict:
@@ -326,10 +332,11 @@ def run_experiment(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown game '{game}'")
     file_cfg = load_config_file(args.config, game) if args.config else {}
     p = {}
-    for key, (_typ, defaults, _where) in _KEYS.items():
+    for key, (typ, defaults, _where) in _KEYS.items():
         flag = getattr(args, key, None)
         if game in defaults:  # flag, then config file, then default
-            p[key] = flag if flag is not None else file_cfg.get(key, defaults[game])
+            p[key] = (_coerce(key, typ, flag) if flag is not None
+                      else file_cfg.get(key, defaults[game]))
         elif flag is not None:
             raise ConfigError(f"game '{game}' takes no --{key}")
     if p["mode"] not in MODES:
@@ -373,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "run":
             p.add_argument("--game", required=True, choices=GAMES)
         p.add_argument("--config", default=None)
-        for key, (typ, defaults, where) in _KEYS.items():
+        for key, (_typ, defaults, where) in _KEYS.items():
             if where != "file" and (command == "run" or command in defaults):
-                p.add_argument(f"--{key}", type=typ, default=None)
+                p.add_argument(f"--{key}", default=None)  # typed by _coerce
     return parser
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autodiff import max0, square
+from ..autodiff import max0, plain, square, where
 from ..mfg import GameInstance, TrainingConfig, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
@@ -53,6 +53,9 @@ __all__ = [
 BELIEF_RATE = 1.0
 PRIOR_MASS = 1.0
 BELIEF_FLOOR = 1e-4
+# the largest rate numpy's Generator.poisson accepts (numpy.random's
+# POISSON_LAM_MAX); a bluff draw above it raises
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,13 @@ class DiceConfig:
         if self.dice_per_player < 1 or self.n_faces < 2:
             raise ValueError("invalid dice geometry")
         th = np.asarray(self.theta, dtype=float)
-        if th.shape != (self.n_faces,) or np.any(th < 0) or abs(th.sum() - 1.0) > 1e-9:
+        # written so that NaN fails each comparison
+        if th.shape != (self.n_faces,) or not (np.all(th >= 0) and abs(th.sum() - 1.0) <= 1e-9):
             raise ValueError("theta must be a probability vector over the faces")
         if not 0.0 < self.likelihood < 1.0:
             raise ValueError("likelihood threshold must lie in (0, 1)")
-        if self.bluff0 < 0:
-            raise ValueError("bluff rate must be nonnegative")
+        if not 0.0 <= self.bluff0 <= POISSON_LAM_MAX:
+            raise ValueError(f"bluff rate must lie in [0, {POISSON_LAM_MAX!r}]")
 
     @property
     def total_dice(self) -> int:
@@ -304,11 +308,12 @@ def _pooled_target(pooled_counts: np.ndarray, config: DiceConfig) -> np.ndarray:
     return smooth / smooth.sum()
 
 
-def _mfg_belief_update(theta_hat: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The (players, faces) beliefs pulled towards the target, floored, renormalised."""
-    th = np.clip(theta_hat + BELIEF_RATE * (target - theta_hat), BELIEF_FLOOR, None)
-    th /= th.sum(axis=1, keepdims=True)
-    return th
+def _mfg_belief_update(theta_hat: np.ndarray, target: np.ndarray, residual=0.0):
+    """The (players, faces) beliefs pulled towards the target, plus a neural
+    round's ``residual`` (a tape Value), floored, renormalised."""
+    raw = residual + (theta_hat + BELIEF_RATE * (target - theta_hat))
+    th = where(plain(raw) > BELIEF_FLOOR, raw, BELIEF_FLOOR)
+    return th / th.sum(axis=1, keepdims=True)
 
 
 def _round_loss(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
@@ -332,15 +337,12 @@ def _round_loss(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
                 (len(theta_hat), 1)),
     ], axis=1)
     out = bound["belief"].forward(feats)  # one (players, faces + 1) pass
-    base = theta_hat + BELIEF_RATE * (target - theta_hat)
-    raw = out[:, :nf] * _RESIDUAL_SCALE + base
-    th = max0(raw - BELIEF_FLOOR) + BELIEF_FLOOR
-    th = th / th.sum(axis=1, keepdims=True)
+    th = _mfg_belief_update(theta_hat, target, out[:, :nf] * _RESIDUAL_SCALE)
     lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
     per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
     if correct:
         per_player = per_player + _CHALLENGE_WEIGHT * correct * lam_new * (1.0 / _RAISE_SCALE)
-    return per_player.sum(), (th.v / th.v.sum(axis=1, keepdims=True), lam_new.v)
+    return per_player.sum(), (th.v, lam_new.v)
 
 
 @dataclass

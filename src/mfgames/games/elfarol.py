@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ..autodiff import Tape, Value, clip01, max0, square, stack
+from ..autodiff import Tape, clip01, max0, plain, square, stack
 from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csvs
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
@@ -155,7 +155,7 @@ def _rollout(config: BarConfig, p0, rngs, drift=None) -> list[tuple]:
     turns = []
     for turn in range(c.turns):
         draws = [sample_attendance(row, rng)
-                 for row, rng in zip(p.v if isinstance(p, Value) else p, rngs)]
+                 for row, rng in zip(plain(p), rngs)]
         went = np.array([bits for bits, _a in draws])
         a = np.array([[a_g] for _bits, a_g in draws])
         turns.append((p, went, a, p.mean(axis=1)))

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ..autodiff import Tape, Value, absval, max0, sigmoid, square, stack, take_along_axis, where
+from ..autodiff import Tape, absval, max0, plain, sigmoid, square, stack, take_along_axis, where
 from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csvs
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 from ..sde import TimeGrid, integrate
@@ -62,6 +62,8 @@ class MeetingConfig:
             raise ValueError("need at least one agent")
         if self.turns < 2:
             raise ValueError("need at least two turns")
+        if not all(x >= 0.0 for x in (self.noise_std, self.sigma, self.smoothing)):
+            raise ValueError("noise_std, sigma and smoothing must be nonnegative")
 
 
 @dataclass
@@ -81,15 +83,15 @@ def actual_start(tau_tilde, s: float, quorum: float):
     quorum agent only when it is the binding side (and among exactly tied
     arrivals, whichever one the partition places there).
     """
-    tt = tau_tilde if isinstance(tau_tilde, Value) else np.asarray(tau_tilde, dtype=float)
-    n = tt.shape[-1] if tt.shape else 0
+    tt = plain(tau_tilde)
+    n = np.shape(tt)[-1] if np.ndim(tt) else 0
     if n < 1:
         raise ValueError("need at least one arrival")
     k = int(math.ceil(quorum * n))
-    idx = np.argpartition(tt.v if isinstance(tt, Value) else tt, k - 1, axis=-1)
-    kth = take_along_axis(tt, idx[..., k - 1:k], axis=-1)
+    idx = np.argpartition(tt, k - 1, axis=-1)
+    kth = take_along_axis(tau_tilde, idx[..., k - 1:k], axis=-1)
     # max(s, kth), exact in value
-    return where((kth.v if isinstance(kth, Value) else kth) > s, kth, s)
+    return where(plain(kth) > s, kth, s)
 
 
 def terminal_cost(tau_tilde_i, s, ts_tilde):
@@ -111,14 +113,8 @@ def best_response_drift(tau_tilde, s, ts, gain: float, smoothing: float):
     subgradient.
     """
     if smoothing == 0.0:
-        tt = tau_tilde.v if isinstance(tau_tilde, Value) else tau_tilde
-        ts_v = ts.v if isinstance(ts, Value) else ts
-        return -gain * (np.greater(tt, s) + 2.0 * np.greater(tt, ts_v) - 1.0)
-    if isinstance(tau_tilde, np.ndarray):
-        z1 = (tau_tilde - s) / smoothing
-        z2 = (tau_tilde - ts) / smoothing
-        sig = lambda z: 1.0 / (1.0 + np.exp(-z))
-        return -gain * (sig(z1) + 2.0 * sig(z2) - 1.0)
+        tt = plain(tau_tilde)
+        return -gain * (np.greater(tt, s) + 2.0 * np.greater(tt, plain(ts)) - 1.0)
     z1 = (tau_tilde - s) * (1.0 / smoothing)
     z2 = (tau_tilde - ts) * (1.0 / smoothing)
     return -gain * (sigmoid(z1) + 2.0 * sigmoid(z2) - 1.0)

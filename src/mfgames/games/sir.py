@@ -38,7 +38,7 @@ import numpy as np
 # first training epoch (augment_noise, mlp_init) does not pay for the import
 import numpy.random
 
-from ..autodiff import Tape, Value, _joint, _tape_of, _val, max0, mlp, square, where
+from ..autodiff import Tape, fused, max0, mlp, plain, square, where
 from ..mfg import GameInstance, TrainingConfig, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
@@ -150,13 +150,14 @@ def _day_step(m, rates, out, dB):
     clamp, bit for bit.
 
     Generic over arrays and tape Values like :func:`mfgames.autodiff.mlp`:
-    on the tape it is one node, parents ``m`` and ``out``. Its forward pass
+    on the tape it is one :func:`mfgames.autodiff.fused` node, parents ``m``
+    and ``out``. Its forward pass
     and VJP use the expressions of a node per operation (the affine maps,
     ``max0``, ``absval``, the products and sums), and the VJP sums each
     adjoint in the order that graph's sweep would, so the adjoints are bit
     for bit the same.
     """
-    mv, ov = _val(m), _val(out)
+    mv, ov = plain(m), plain(out)
     drift = ov[0]
     pre = drift @ _RATE_OUTPUTS.mT + rates
     corrected = np.where(pre > 0.0, pre, 0.0)
@@ -169,10 +170,6 @@ def _day_step(m, rates, out, dB):
     if dB is not None:
         diffusion = ov[1, ..., :3]
         new = new + ((np.abs(diffusion) * dB) @ _ZERO_SUM.mT + 0.0)
-    tape = _tape_of((m, out))
-    if tape is None:
-        return new
-    slope = (pre > 0.0) * 1.0
 
     def vjp_all(g):
         # the per-operation graph's sweep, from the last operation back
@@ -181,15 +178,15 @@ def _day_step(m, rates, out, dB):
         g_m = g + (g_transitions * t_rate) @ _I_0_0
         g_m = g_m + (g_t_rate * corrected) @ _S_I_S
         g_out = np.zeros(ov.shape)
+        slope = (pre > 0.0) * 1.0
         g_out[0] = g @ _RESIDUAL_OUTPUTS + (g_t_rate * sis * slope) @ _RATE_OUTPUTS
         if dB is not None:  # scattered on its own and added, as that graph sums the slices
             g_noise = np.zeros(ov.shape)
             g_noise[1, ..., :3] = (g @ _ZERO_SUM) * dB * np.sign(diffusion)
             g_out = g_noise + g_out
-        return [a for a, p in ((g_m, m), (g_out, out)) if isinstance(p, Value)]
+        return g_m, g_out
 
-    parents = [p for p in (m, out) if isinstance(p, Value)]
-    return Value(new, tape, "sir_day", _joint(parents, vjp_all))
+    return fused("sir_day", new, (m, out), vjp_all)
 
 
 def _kolmogorov_path(m0, day_rates, days: int) -> list:
@@ -588,7 +585,7 @@ def _rollout(m, rates: list[RateVector], measures, days: int, nets, dB):
         rv = day_rates[k]
         out = nets(_net_inputs(m, rv, measures[k]))
         m = _day_step(m, rv, out, None if dB is None else dB[..., k, :])
-        clamp = np.any((m.v if isinstance(m, Value) else m) < 0.0, axis=-1, keepdims=True)
+        clamp = np.any(plain(m) < 0.0, axis=-1, keepdims=True)
         if clamp.any():
             pos = max0(m)
             m = where(clamp, pos / pos.sum(axis=-1, keepdims=True), m)

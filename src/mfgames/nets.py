@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Value, mlp, stack, stack_padded
+from .autodiff import Tape, Value, mlp, plain, stack, stack_padded
 
 __all__ = [
     "MLPConfig",
@@ -141,7 +141,7 @@ def _forward(x, weights, biases):
     """
     if isinstance(x, (list, tuple)):
         x = stack(x)
-    shape = x.shape if isinstance(x, Value) else np.shape(x)
+    shape = np.shape(plain(x))
     input_dim = weights[0].shape[-1]
     if not shape or shape[-1] != input_dim:
         raise ValueError(f"expected {input_dim} inputs, got shape {shape}")

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Value
+from .autodiff import plain
 
 __all__ = ["TimeGrid", "IntegrationError", "integrate"]
 
@@ -75,7 +75,7 @@ def integrate(coefficients: Callable, x0, grid: TimeGrid, dB=None):
         x = x + drift * grid.dt
         if dB is not None:
             x = x + diffusion * dB[k]
-        if not np.all(np.isfinite(x.v if isinstance(x, Value) else x)):
+        if not np.all(np.isfinite(plain(x))):
             raise IntegrationError(f"non-finite state at step {k}", k)
         traj.append(x)
     return traj

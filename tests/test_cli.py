@@ -41,6 +41,16 @@ rounds_per_game = 2
 
 GOLDEN_HASHES = Path(__file__).parent / "golden" / "content_hashes.json"
 
+# (game, key, value) of config files that set one key of TINY's game section
+# to a value the game rejects; EXIT_CASES names each "{game}_{key}_{value}"
+BAD_KEYS = [
+    ("elfarol", "drift_gain", "nan"),
+    ("meeting", "scheduled", "inf"),
+    ("meeting", "noise_std", "-1"),
+    ("meeting", "sigma", "-1"),
+    ("meeting", "smoothing", "-1"),
+]
+
 
 def write_inputs(tmp_path):
     config = tmp_path / "tiny.ini"
@@ -64,10 +74,16 @@ def write_inputs(tmp_path):
         run_key[key].write_text(f"[run]\n{key} = {value}\n" + TINY)
     huge_lr = tmp_path / "huge_lr.ini"
     huge_lr.write_text(TINY.replace("[dice]", "[dice]\nlr = 1e300"))
+    bad_keys = {}
+    for game, key, value in BAD_KEYS:
+        name = f"{game}_{key}_{value}"
+        bad_keys[name] = tmp_path / f"{name}.ini"
+        bad_keys[name].write_text(TINY.replace(f"[{game}]", f"[{game}]\n{key} = {value}"))
     return {"config": str(config), "data": str(data), "one_day": str(one_day),
             "sir_config": str(sir_config), "bad_seed": str(bad_run["seed"]),
             "bad_epochs": str(bad_run["epochs"]), "run_epochs": str(run_key["epochs"]),
-            "run_data": str(run_key["data"]), "huge_lr": str(huge_lr), "tmp": tmp_path}
+            "run_data": str(run_key["data"]), "huge_lr": str(huge_lr), "tmp": tmp_path,
+            **{name: str(path) for name, path in bad_keys.items()}}
 
 
 @pytest.fixture
@@ -121,6 +137,20 @@ EXIT_CASES = [
     ("standard elfarol --epochs -1", 2, ("elfarol", "--mode", "standard", "--epochs", "-1")),
     ("standard sir --trajectories 0", 2,
      ("sir", "--mode", "standard", "--trajectories", "0", "--data", "{data}")),
+    # a number that is not finite, as a flag or in a config file
+    ("nan drift_gain in config file", 2, ("elfarol", "--config", "{elfarol_drift_gain_nan}")),
+    ("inf scheduled in config file", 2, ("meeting", "--config", "{meeting_scheduled_inf}")),
+    ("dice --lambda0 nan", 2, ("dice", "--lambda0", "nan", "--config", "{config}")),
+    ("dice --lambda0 inf", 2, ("dice", "--lambda0", "inf", "--config", "{config}")),
+    # game parameters out of range
+    ("dice --theta with a nan", 2,
+     ("dice", "--theta", "nan,0.2,0.2,0.2,0.2,0.2", "--config", "{config}")),
+    ("dice --lambda0 above the Poisson limit", 2,
+     ("dice", "--lambda0", "1e300", "--config", "{config}")),
+    ("negative noise_std, neural meeting", 2,
+     ("meeting", "--mode", "neural", "--config", "{meeting_noise_std_-1}")),
+    ("negative sigma, standard meeting", 2, ("meeting", "--config", "{meeting_sigma_-1}")),
+    ("negative smoothing, meeting", 2, ("meeting", "--config", "{meeting_smoothing_-1}")),
     # the first step leaves weights near 1e300, so the next forward pass
     # overflows (inf, then inf * 0): its warnings are expected
     ("dice lr overflows the gradient", 4, ("dice", "--mode", "neural", "--config", "{huge_lr}"),
@@ -181,7 +211,7 @@ def test_sir_config_is_checked_before_the_rate_fit(inputs, capsys, monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("section,mode", [
     ("init_mean = 1e4", "neural"),  # data loss beyond the abort threshold
-    ("init_mean = inf", "standard"),  # non-finite Euler-Maruyama step
+    ("sigma = 1e308", "standard"),  # non-finite Euler-Maruyama step (inf is a config error)
 ])
 def test_training_and_integration_failures_exit_4(inputs, capsys, section, mode):
     config = inputs["tmp"] / "bad.ini"

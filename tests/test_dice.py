@@ -85,6 +85,26 @@ def test_neural_training_records_legal_games():
     assert not is_legal_successor(Bid(2, 3), Bid(1, 4))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_config_rejects_a_theta_with_a_non_probability(bad):
+    # NaN fails both the sign and the sum check as written before, so it passed
+    with pytest.raises(ValueError, match="theta"):
+        DiceConfig(theta=(bad,) + (0.2,) * 5)
+
+
+def test_config_takes_exactly_the_bluff_rates_the_poisson_draw_takes():
+    rng = np.random.default_rng(0)
+    for ok in (0.0, 9.2e18, dice.POISSON_LAM_MAX):
+        DiceConfig(bluff0=ok)
+        rng.poisson(ok)
+    for bad in (np.nextafter(dice.POISSON_LAM_MAX, math.inf), 9.3e18, 1e300, math.inf,
+                math.nan, -1.0):
+        with pytest.raises(ValueError, match="bluff rate"):
+            DiceConfig(bluff0=bad)
+        with pytest.raises(ValueError):
+            rng.poisson(bad)
+
+
 def _reference_bid_probability(face, quantity, own_counts, theta_hat, others_count):
     """The binomial tail as one Python loop over the term recurrence."""
     need = quantity - int(own_counts[face - 1])
@@ -209,6 +229,30 @@ def test_round_and_updates_leave_their_inputs_unwritten():
         assert not any(np.shares_memory(new, a) for a in (counts, theta_hat, lam, target))
 
 
+def test_neural_round_with_a_zero_residual_keeps_the_standard_beliefs():
+    # the two rounds share one belief step, on the tape and on arrays: with
+    # the network's belief outputs at zero, the neural round's new beliefs
+    # are the standard round's, bit for bit, floored face included
+    config = DiceConfig(n_players=7, dice_per_player=4)
+    rng = np.random.default_rng(5)
+    counts = deal(config.n_players, config, rng)
+    theta_hat = rng.dirichlet(np.ones(config.n_faces), size=config.n_players)
+    lam = np.full(config.n_players, 0.5)
+    outcome = play_round(counts, theta_hat, lam, config, rng)
+    pooled = rng.integers(1000, 4000, config.n_faces).astype(float)
+    pooled[1] = 0.0
+    target = dice._pooled_target(pooled, config)
+    assert target[1] < dice.BELIEF_FLOOR
+    net = _loud_net(config)
+    net.weights[-1][:config.n_faces] = 0.0
+    net.biases[-1][:config.n_faces] = 0.0
+    with ad.Tape() as tape:
+        _loss, (th, _lam) = dice._round_loss(theta_hat, lam, counts, target, outcome, config,
+                                             tape, {"belief": net.bind(tape)})
+    standard = dice._mfg_belief_update(theta_hat, target)
+    assert np.array_equal(th, standard)
+
+
 def test_round_loss_gradient_matches_finite_differences(monkeypatch):
     # one neural round's step loss: the tape's parameter gradient against
     # central differences along random directions of all network parameters
@@ -224,13 +268,18 @@ def test_round_loss_gradient_matches_finite_differences(monkeypatch):
     net = mlp_init(MLPConfig(2 * config.n_faces + 2, config.n_faces + 1, seed=3))
     for b in net.biases:
         b[:] = rng.normal(0.0, 0.1, b.shape)
-    margins = []  # distance of every max0 argument from its kink at 0
+    margins = []  # distance of every max0 argument, and of the floored beliefs, from its kink
 
     def recording_max0(x):
         margins.append(np.abs(x.v).min())
         return ad.max0(x)
 
+    def recording_where(mask, a, b):
+        margins.append(np.abs(a.v - b).min())  # the belief floor: raw against BELIEF_FLOOR
+        return ad.where(mask, a, b)
+
     monkeypatch.setattr(dice, "max0", recording_max0)
+    monkeypatch.setattr(dice, "where", recording_where)
 
     def loss(params, tape):
         bound = MLP(params[0::2], params[1::2], net.config).bind(tape)
@@ -250,5 +299,5 @@ def test_round_loss_gradient_matches_finite_differences(monkeypatch):
 
         want = sum(float(np.sum(g * dp)) for g, dp in zip(grads, d))
         assert central_diff(along, [0.0], 0, h) == pytest.approx(want, rel=1e-6)
-    # no max0 argument came within the difference step of its kink
+    # no max0 argument and no floored belief came within the difference step of its kink
     assert len(margins) == 3 * 7 and min(margins) > 1e3 * h

@@ -80,6 +80,16 @@ def test_observations_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("field", ["noise_std", "sigma", "smoothing"])
+@pytest.mark.parametrize("value", [-1.0, -1e-300, float("nan")])
+def test_config_rejects_a_negative_noise_or_smoothing(field, value):
+    # a negative noise_std crashed neural draws and zeroed the standard
+    # game's offsets; a negative sigma switched its noise off
+    with pytest.raises(ValueError, match=field):
+        MeetingConfig(**{field: value})
+    MeetingConfig(**{field: 0.0})
+
+
 def test_standard_start_never_before_schedule():
     cfg = MeetingConfig(n_agents=50, init_mean=15.0)
     for seed in range(3):

@@ -4,7 +4,7 @@ A name in a module's ``__all__`` needs a use somewhere in ``src/``: a load of
 the bare name, or an attribute of that name on anything but ``np`` or
 ``math``. Imports and ``__all__`` entries are not uses. Code only the tests
 call lives in ``tests/``. A package's ``__init__.py`` is not checked: its
-``__all__`` names the package's modules and its version.
+``__all__`` names the package's modules.
 """
 
 import ast
