@@ -231,6 +231,19 @@ def test_float_fallbacks_match_node_values():
         assert fn(x) == fn(tape.value(x)).v
 
 
+def test_quotients_are_numpys_bit_for_bit():
+    # a quotient node holds x / y, not x * (1 / y), so that one expression
+    # gives the same bits on the tape and on arrays
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=200), rng.uniform(0.5, 3.0, size=200)
+    assert not np.array_equal(x * (1.0 / y), x / y)
+    tape = ad.Tape()
+    a, b = tape.value(x), tape.value(y)
+    for got, want in ((a / b, x / y), (a / y, x / y), (x / b, x / y), (a / 3.0, x / 3.0),
+                      (1.5 / b, 1.5 / y)):
+        assert np.array_equal(got.v, want)
+
+
 # -- array ops ---------------------------------------------------------------
 
 _RNG = np.random.default_rng(31)
