@@ -276,8 +276,8 @@ def fused(op, value, inputs, vjp_all):
             pending.extend(reversed([a for a, k in zip(vjp_all(g), keep) if k]))
         return pending.pop()
 
-    return Value(value, tape, op, tuple(item for x, k in zip(inputs, keep) if k
-                                        for item in (x, vjp)))
+    return Value(value, tape, op, tuple([item for x, k in zip(inputs, keep) if k
+                                         for item in (x, vjp)]))
 
 
 # -- elementwise primitives, generic over Value, float and ndarray ------------

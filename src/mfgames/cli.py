@@ -11,8 +11,8 @@ the final turn's mean gain of the agents' best responses, outside the hash;
 SIR manifests carry ``rate_fit_window``, the days each window of the rate fit
 spans, and ``rate_fit_unconverged``, the dates whose fit did not converge.
 Exit codes: 0 ok, 2 configuration (including game parameters out of range
-and numbers that are not finite),
-3 data, 4 training divergence or a non-finite integration step.
+and numbers that are not finite), 3 data, 4 training divergence or a
+non-finite integration step.
 
 A config file is a flat INI file. Its [run] section takes mode, seed, out,
 epochs (not dice) and data (sir only), and optionally the game the file is

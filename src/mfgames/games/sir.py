@@ -151,11 +151,10 @@ def _day_step(m, rates, out, dB):
 
     Generic over arrays and tape Values like :func:`mfgames.autodiff.mlp`:
     on the tape it is one :func:`mfgames.autodiff.fused` node, parents ``m``
-    and ``out``. Its forward pass
-    and VJP use the expressions of a node per operation (the affine maps,
-    ``max0``, ``absval``, the products and sums), and the VJP sums each
-    adjoint in the order that graph's sweep would, so the adjoints are bit
-    for bit the same.
+    and ``out``. Its forward pass and VJP use the expressions of a node per
+    operation (the affine maps, ``max0``, ``absval``, the products and
+    sums), and the VJP sums each adjoint in the order that graph's sweep
+    would, so the adjoints are bit for bit the same.
     """
     mv, ov = plain(m), plain(out)
     drift = ov[0]
