@@ -87,7 +87,7 @@ def test_neural_training_records_legal_games():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
 def test_config_rejects_a_theta_with_a_non_probability(bad):
-    # NaN fails both the sign and the sum check as written before, so it passed
+    # NaN fails every comparison, so the check must be written to reject it
     with pytest.raises(ValueError, match="theta"):
         DiceConfig(theta=(bad,) + (0.2,) * 5)
 
