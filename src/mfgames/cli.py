@@ -10,8 +10,10 @@ emitted byte. Meeting and El Farol manifests also carry ``exploitability``,
 the final turn's mean gain of the agents' best responses, outside the hash;
 SIR manifests carry ``rate_fit_window``, the days each window of the rate fit
 spans, and ``rate_fit_unconverged``, the dates whose fit did not converge.
-Exit codes: 0 ok, 2 configuration (including game parameters out of range
-and numbers that are not finite), 3 data, 4 training divergence or a
+Exit codes: 0 ok, 2 configuration (including game parameters out of range,
+numbers that are not finite, a config file that does not parse or is not
+UTF-8, and an ``out`` that cannot be made a directory), 3 data (including a
+data file that cannot be read or decoded), 4 training divergence or a
 non-finite integration step.
 
 A config file is a flat INI file. Its [run] section takes mode, seed, out,
@@ -42,7 +44,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import sys
 from functools import partial
 from itertools import repeat
@@ -112,28 +113,33 @@ _TRAINING_FIELDS = {"epochs": "epochs", "seed": "seed", "lr": "lr",
 
 
 def _coerce(key: str, typ, value) -> object:
-    """A flag's or config file's string as the key's type; a float must be finite."""
+    """A flag's or config file's string as the key's type."""
     try:
-        out = typ(value)
+        return typ(value)
     except (TypeError, ValueError):
         raise ConfigError(f"key '{key}' expects {typ.__name__}, got {value!r}") from None
-    if typ is float and not math.isfinite(out):
-        raise ConfigError(f"key '{key}' expects a finite number, got {value!r}")
-    return out
 
 
 def load_config_file(path: str, game: str) -> dict:
-    """The keys a config file gives ``game``, typed (see the module docstring)."""
+    """The keys a config file gives ``game``, typed (see the module docstring).
+
+    A file that does not parse, or is not UTF-8, is a configuration error.
+    """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"config file {path}: {err}") from None
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     out: dict = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in ("run", *GAMES):
             raise ConfigError(f"unknown section '[{section}]'")
         if section not in ("run", game):
             continue
-        for key, value in parser.items(section):
+        for key, value in items:
             if section == "run" and key == "game":
                 if value != game:
                     raise ConfigError(f"config file is for game '{value}', not '{game}'")
@@ -232,8 +238,8 @@ def _run_agents(game: str, p: dict, out: Path, manifest: dict) -> list[Path]:
     if p["mode"] == "standard":
         states = module.run_standard(config, seed=p["seed"])
     else:
-        _game, nets, history = module.run_neural(config, observations(p["seed"]), training,
-                                                 net_seed=p["seed"])
+        nets, history = module.run_neural(config, observations(p["seed"]), training,
+                                          net_seed=p["seed"])
         states = module.simulate_neural(config, nets, seed=p["seed"])
         written = _write_training(out, history, nets)
     manifest["exploitability"] = module.exploitability(getattr(states[-1], final), config)
@@ -246,13 +252,13 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
         raise ConfigError("sir requires --data FILE")
     if p["population"] < 1:
         raise ConfigError("population must be positive")
-    dataset = sir_mod.ingest_csv(p["data"], population=p["population"])
-    # in both modes, so that a bad config fails, and before the rate fit
+    # in both modes, so that a bad config fails, and before any data is read
     training = _training_config(p)
     if p["window"] < 2:
         raise ConfigError("window must be at least 2 days")
     config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"],
                      hidden_layers=p["layers"], hidden_width=p["width"])
+    dataset = sir_mod.ingest_csv(p["data"], population=p["population"])
     if len(dataset) < 2:
         raise sir_mod.DataError("the rate fit needs at least two days of data")
     window = min(p["window"], len(dataset))
@@ -266,14 +272,13 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
         # the pure rate equation driven by the daily fitted rates
         traj = sir_mod.integrate_kolmogorov(dataset.states[0], rates, days)
     else:
-        model, history = sir_mod.train_sir(dataset, training, config=config, warm_rates=rates)
-        traj = sir_mod.forecast(model, dataset.states[0], days, dataset.measures)
-        written = _write_training(out, history,
-                                  {"drift": model.drift_net, "diffusion": model.diffusion_net})
+        nets, history = sir_mod.train_sir(dataset, training, config=config, warm_rates=rates)
+        traj = sir_mod.forecast(nets, rates, dataset.states[0], days, dataset.measures)
+        written = _write_training(out, history, nets)
 
     rates_path = out / "rates.csv"
     write_csv(rates_path, ["date", "gamma", "rho", "pi"], [
-        [(d, repr(rv.gamma), repr(rv.rho), repr(rv.pi)) for d, rv in zip(dates, rates)]
+        [(d, *float_cells(row)) for d, row in zip(dates, rates)]
     ])
     forecast_path = out / "forecast.csv"
     write_csv(forecast_path, ["date", "m_S", "m_I", "m_R", "source"], [
@@ -344,7 +349,10 @@ def run_experiment(args: argparse.Namespace) -> int:
     if not 0 <= p["seed"] < 2**64:  # the RNG streams take it as a uint64
         raise ConfigError(f"seed must lie in [0, 2**64), got {p['seed']}")
     out = Path(p["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a file, or a path under one
+        raise ConfigError(f"cannot make the output directory {out}: {err}") from None
     manifest = {
         "game": game,
         "mode": p["mode"],
@@ -398,7 +406,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (sir_mod.DataError, FileNotFoundError) as err:
+    except sir_mod.DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
     except (TrainingDivergence, IntegrationError) as err:

@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from ..autodiff import Tape, clip01, max0, plain, square, stack
-from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csvs
+from ..mfg import GameInstance, TrainingConfig, check_finite, float_cells, train, write_csvs
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 
 __all__ = [
@@ -48,6 +48,7 @@ class BarConfig:
     drift_gain: float = 0.6
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
         if self.n_agents < 1:
@@ -192,7 +193,7 @@ def exploitability(p, config: BarConfig) -> float:
     """
     a, c = float(np.mean(p)), config.threshold
     best = expected_bar_cost(float(response_target(a, c)), a, c)
-    return max(0.0, float(np.mean(expected_bar_cost(np.asarray(p, dtype=float), a, c) - best)))
+    return max(float(np.mean(expected_bar_cost(np.asarray(p, dtype=float), a, c) - best)), 0.0)
 
 
 class BarGame(GameInstance):
@@ -239,10 +240,8 @@ class BarGame(GameInstance):
 
 def run_neural(config: BarConfig, observations: np.ndarray,
                training: TrainingConfig, net_seed: int = 0):
-    """Train the neural variant; returns (game, nets, loss history)."""
-    game = BarGame(config, observations, net_seed=net_seed)
-    nets, history = train(game, training)
-    return game, nets, history
+    """Train the neural variant; returns :func:`mfgames.mfg.train`'s (nets, loss history)."""
+    return train(BarGame(config, observations, net_seed=net_seed), training)
 
 
 def simulate_neural(config: BarConfig, nets: dict[str, MLP],

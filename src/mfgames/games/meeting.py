@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from ..autodiff import Tape, absval, max0, plain, sigmoid, square, stack, take_along_axis, where
-from ..mfg import GameInstance, TrainingConfig, float_cells, train, write_csvs
+from ..mfg import GameInstance, TrainingConfig, check_finite, float_cells, train, write_csvs
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
 from ..sde import TimeGrid, integrate
 
@@ -56,6 +56,7 @@ class MeetingConfig:
     sigma: float = 0.1  # fixed Brownian scale of the standard game
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.quorum <= 1.0:
             raise ValueError("quorum must lie in (0, 1]")
         if self.n_agents < 1:
@@ -242,10 +243,8 @@ class MeetingGame(GameInstance):
 
 def run_neural(config: MeetingConfig, observations, training: TrainingConfig,
                net_seed: int = 0):
-    """Train the neural variant; returns (game, nets, loss history)."""
-    game = MeetingGame(config, observations, net_seed=net_seed)
-    nets, history = train(game, training)
-    return game, nets, history
+    """Train the neural variant; returns :func:`mfgames.mfg.train`'s (nets, loss history)."""
+    return train(MeetingGame(config, observations, net_seed=net_seed), training)
 
 
 def simulate_neural(config: MeetingConfig, nets: dict[str, MLP],

@@ -5,9 +5,13 @@ equation driven by transmission, recovery, and vaccination rates. A drift
 network with six outputs corrects the three rates and adds three state
 residuals (projected to zero sum so mass stays conserved); a diffusion
 network scales per-compartment noise. Restriction measures enter as a
-7-entry status vector appended to the network input. Daily rates estimated
-by a rolling Nelder-Mead fit (:func:`estimate_rates`) warm-start the
-dynamics; :func:`train_sir` takes them from its caller.
+7-entry status vector appended to the network input. The daily rates are
+one float array of shape (days, 3), holding (gamma, rho, pi), from the
+rolling Nelder-Mead fit (:func:`estimate_rates`) to the output; past its
+last row the last rate holds (:func:`_held_rates`). They warm-start the
+dynamics: :func:`train_sir` takes them from its caller and returns
+:func:`mfgames.mfg.train`'s networks and history, and :func:`forecast` takes
+those networks and the same rates.
 
 One day loop, :func:`_rollout`, runs the learned dynamics: on the tape for
 training, where :class:`SIRGame` is trained by :func:`mfgames.mfg.train`, and
@@ -43,7 +47,6 @@ from ..mfg import GameInstance, TrainingConfig, train, write_csv
 from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
 __all__ = [
-    "RateVector",
     "EpidemicDataset",
     "DataError",
     "N_MEASURES",
@@ -57,7 +60,6 @@ __all__ = [
     "augment_noise",
     "estimate_rates",
     "SIRConfig",
-    "SIRModel",
     "SIRGame",
     "train_sir",
     "forecast",
@@ -72,20 +74,6 @@ CSV_HEADER = [
 
 class DataError(ValueError):
     """Schema/validation failure while ingesting epidemic data."""
-
-
-@dataclass(frozen=True)
-class RateVector:
-    gamma: float  # transmission, 1/day
-    rho: float  # recovery, 1/day
-    pi: float  # vaccination, 1/day
-
-    def __post_init__(self):
-        # plain Python floats, so a rate prints as a float (not np.float64(...))
-        for name in ("gamma", "rho", "pi"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.gamma < 0 or self.rho < 0 or self.pi < 0:
-            raise ValueError("rates must be nonnegative")
 
 
 def validate_measures(v) -> np.ndarray:
@@ -228,21 +216,21 @@ def _kolmogorov_path(m0, day_rates, days: int) -> list:
 def integrate_kolmogorov(m0, rates, days: int) -> np.ndarray:
     """Daily Euler integration of the pure rate equation; (days+1, 3) array.
 
-    ``rates`` is one :class:`RateVector` or a per-day list, the last of which
-    holds past its end. The steps run on Python floats in :func:`_kolmogorov_path`,
-    which on three numbers is several times cheaper than numpy and rounds the same.
+    ``rates`` is one (3,) row of (gamma, rho, pi) or a (k, 3) array of daily
+    rows, held by :func:`_held_rates`. The steps run on Python floats in
+    :func:`_kolmogorov_path`, which on three numbers is several times cheaper
+    than numpy and rounds the same.
     """
     m = np.asarray(m0, dtype=float).tolist()
-    per_day = rates if isinstance(rates, (list, tuple)) else [rates]
-    path = _kolmogorov_path(m, _daily_rates(per_day, days), days)
+    path = _kolmogorov_path(m, _held_rates(rates, days).tolist(), days)
     return np.array(path).reshape(days + 1, 3)
 
 
-def _daily_rates(rates, days: int) -> list[tuple]:
-    """Day k's ``(gamma, rho, pi)`` for k < ``days``, from a list or tuple of
-    :class:`RateVector`; the last rate holds past the series' end."""
-    held = rates[:days] + rates[-1:] * (days - len(rates))
-    return [(rv.gamma, rv.rho, rv.pi) for rv in held]
+def _held_rates(rates, days: int) -> np.ndarray:
+    """Day k's (gamma, rho, pi) for k < ``days``, a (days, 3) array, from a
+    (3,) row or a (k, 3) array; the last row holds past the array's end."""
+    rates = np.asarray(rates, dtype=float).reshape(-1, 3)
+    return rates[np.minimum(np.arange(days), len(rates) - 1)]
 
 
 # -- data ---------------------------------------------------------------------
@@ -257,62 +245,59 @@ def ingest_csv(path, population: int) -> EpidemicDataset:
     """
     if population < 1:
         raise DataError("population must be positive")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise DataError(f"cannot read {path}: {err}") from None
+    if not rows:
+        raise DataError("empty file: missing header")
+    if [h.strip() for h in rows[0]] != CSV_HEADER:
+        raise DataError(f"bad header: expected {','.join(CSV_HEADER)}")
+    dates, states, measures, raw = [], [], [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_HEADER):
+            raise DataError(f"row {lineno}: expected {len(CSV_HEADER)} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file: missing header") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise DataError(f"bad header: expected {','.join(CSV_HEADER)}")
-        dates, states, measures, raw = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise DataError(f"row {lineno}: expected {len(CSV_HEADER)} fields")
+            date = datetime.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise DataError(f"row {lineno}: bad ISO date {row[0]!r}") from None
+        try:
+            counts = [int(x) for x in row[1:5]]
+        except ValueError:
+            raise DataError(f"row {lineno}: counts must be integers") from None
+        if any(c < 0 for c in counts):
+            raise DataError(f"row {lineno}: negative count")
+        levels = []
+        for ci, x in enumerate(row[5:12]):
             try:
-                date = datetime.date.fromisoformat(row[0].strip())
+                lv = int(x)
             except ValueError:
-                raise DataError(f"row {lineno}: bad ISO date {row[0]!r}") from None
-            try:
-                counts = [int(x) for x in row[1:5]]
-            except ValueError:
-                raise DataError(f"row {lineno}: counts must be integers") from None
-            if any(c < 0 for c in counts):
-                raise DataError(f"row {lineno}: negative count")
-            levels = []
-            for ci, x in enumerate(row[5:12]):
-                try:
-                    lv = int(x)
-                except ValueError:
-                    raise DataError(
-                        f"row {lineno}: column v{ci + 1} must be an integer"
-                    ) from None
-                if lv not in (0, 1, 2):
-                    raise DataError(
-                        f"row {lineno}: column v{ci + 1} level {lv} outside {{0,1,2}}"
-                    )
-                levels.append(lv)
-            if dates:
-                if date <= dates[-1]:
-                    raise DataError(f"row {lineno}: dates must be strictly increasing")
-                if (date - dates[-1]).days != 1:
-                    raise DataError(f"row {lineno}: missing day before {date.isoformat()}")
-            confirmed, recovered, deaths, vacc = counts
-            active = confirmed - recovered - deaths
-            removed = recovered + deaths + vacc
-            if active < 0:
-                raise DataError(f"row {lineno}: recovered+deaths exceed confirmed")
-            m_i = active / population
-            m_r = removed / population
-            m_s = 1.0 - m_i - m_r
-            if m_s < 0:
-                raise DataError(f"row {lineno}: counts exceed the population")
-            dates.append(date)
-            states.append([m_s, m_i, m_r])
-            measures.append(levels)
-            raw.append(counts)
-        if not dates:
-            raise DataError("no data rows")
+                raise DataError(f"row {lineno}: column v{ci + 1} must be an integer") from None
+            if lv not in (0, 1, 2):
+                raise DataError(f"row {lineno}: column v{ci + 1} level {lv} outside {{0,1,2}}")
+            levels.append(lv)
+        if dates:
+            if date <= dates[-1]:
+                raise DataError(f"row {lineno}: dates must be strictly increasing")
+            if (date - dates[-1]).days != 1:
+                raise DataError(f"row {lineno}: missing day before {date.isoformat()}")
+        confirmed, recovered, deaths, vacc = counts
+        active = confirmed - recovered - deaths
+        removed = recovered + deaths + vacc
+        if active < 0:
+            raise DataError(f"row {lineno}: recovered+deaths exceed confirmed")
+        m_i = active / population
+        m_r = removed / population
+        m_s = 1.0 - m_i - m_r
+        if m_s < 0:
+            raise DataError(f"row {lineno}: counts exceed the population")
+        dates.append(date)
+        states.append([m_s, m_i, m_r])
+        measures.append(levels)
+        raw.append(counts)
+    if not dates:
+        raise DataError("no data rows")
     return EpidemicDataset(dates, np.array(states), np.array(measures, dtype=int),
                            np.array(raw), population)
 
@@ -346,19 +331,11 @@ def make_measure_schedule(days: int, seed: int = 0, n_active: int = 3) -> np.nda
     return v
 
 
-_MEASURE_FACTORS = {0: 1.0, 1: 0.9, 2: 0.8}
-
-
-def effective_rates(base: RateVector, v) -> RateVector:
-    """Measure-modulated transmission: each level scales gamma multiplicatively."""
-    scale = 1.0
-    for level in v:
-        scale *= _MEASURE_FACTORS[int(level)]
-    return RateVector(base.gamma * scale, base.rho, base.pi)
+_MEASURE_FACTORS = np.array([1.0, 0.9, 0.8])  # gamma's factor at each measure level
 
 
 def generate_synthetic_dataset(days: int, seed: int = 0,
-                               rates: RateVector = RateVector(0.25, 0.1, 0.01),
+                               rates=(0.25, 0.1, 0.01),
                                i0: float = 0.02,
                                measures: Optional[np.ndarray] = None,
                                modulate: bool = False,
@@ -367,12 +344,13 @@ def generate_synthetic_dataset(days: int, seed: int = 0,
                                ) -> EpidemicDataset:
     """Ground-truth data from the pure rate equation, optionally measure-driven.
 
-    With ``modulate`` the daily transmission rate is scaled down by active
-    restriction measures, giving the benchmark signal a drift the plain model
-    cannot represent. The states are :func:`integrate_kolmogorov`'s path on
-    the daily rates. Raw counts are fabricated so fixtures round-trip through
-    :func:`ingest_csv`: the cumulative recoveries and vaccinations sum each
-    day's ``rho I`` and ``pi S`` in day order.
+    ``rates`` is the (gamma, rho, pi) of every day. With ``modulate`` each
+    day's transmission rate is scaled down by its active restriction
+    measures, one factor per measure, giving the benchmark signal a drift the
+    plain model cannot represent. The states are :func:`integrate_kolmogorov`'s
+    path on the daily rates. Raw counts are fabricated so fixtures round-trip
+    through :func:`ingest_csv`: the cumulative recoveries and vaccinations sum
+    each day's ``rho I`` and ``pi S`` in day order. ``seed`` is not read.
     """
     if days < 1:
         raise ValueError("a dataset needs at least one day")
@@ -381,10 +359,16 @@ def generate_synthetic_dataset(days: int, seed: int = 0,
     measures = validate_measures(measures)
     if measures.shape[0] < days:
         raise ValueError("measure schedule shorter than requested span")
-    day_rates = [effective_rates(rates, v) if modulate else rates for v in measures[:days - 1]]
+    day_rates = _held_rates(rates, days - 1)
+    if modulate:
+        scale = np.ones(days - 1)
+        for factors in _MEASURE_FACTORS[measures[:days - 1]].T:  # in measure order
+            scale = scale * factors
+        day_rates[:, 0] = day_rates[:, 0] * scale
     states = integrate_kolmogorov([1.0 - i0, i0, 0.0], day_rates, days - 1)
-    flows = [(0.0, 0.0)] + [(rv.rho * i, rv.pi * s)
-                            for rv, (s, i, _r) in zip(day_rates, states.tolist())]
+    flows = np.zeros((days, 2))
+    flows[1:, 0] = day_rates[:, 1] * states[:-1, 1]
+    flows[1:, 1] = day_rates[:, 2] * states[:-1, 0]
     recs, vacs = np.cumsum(flows, axis=0).T
     dates = [start + datetime.timedelta(days=k) for k in range(days)]
     raw = np.zeros((days, 4), dtype=int)
@@ -495,7 +479,7 @@ def _window_objective(target: np.ndarray):
     The mean squared error of the rate equation run from the slice's first
     row, with the candidate rates clamped at zero. The fit calls this several
     thousand times, so it steps :func:`_kolmogorov_path` directly, on the
-    clamped candidate's floats, and builds no :class:`RateVector`.
+    clamped candidate's floats.
     """
     window = len(target)
     m0 = target[0].tolist()
@@ -508,29 +492,29 @@ def _window_objective(target: np.ndarray):
 
 
 def estimate_rates(dataset: EpidemicDataset, window: int = 28,
-                   max_iter: int = 400) -> tuple[list[RateVector], list[bool]]:
+                   max_iter: int = 400) -> tuple[np.ndarray, np.ndarray]:
     """Daily rates from a rolling Nelder-Mead MSE fit of the rate equation.
 
     Day d is fit on the window starting at d, each fit warm-started from the
     last; the ``window - 1`` trailing days reuse the last window's fit.
     Candidate rates are clamped at zero inside the objective. Returns the
-    per-day series and a non-convergence warning flag per day. A window needs
+    clamped fits, a (days, 3) array of (gamma, rho, pi), and a (days,) bool
+    array that flags the days whose fit did not converge. A window needs
     at least two days: over one day the objective compares the day with
     itself, so every candidate scores 0.
     """
     n = len(dataset)
     if not 2 <= window <= n:
         raise ValueError(f"window {window} must lie in [2, dataset length {n}]")
-    rates: list[RateVector] = []
-    warnings: list[bool] = []
+    fits, unconverged = [], []
     x = np.array([0.2, 0.1, 0.05])
     for w0 in range(n - window + 1):
         objective = _window_objective(dataset.states[w0: w0 + window])
         x, converged = _nelder_mead(objective, x, max_iter, xatol=1e-8, fatol=1e-14)
-        rates.append(RateVector(*np.clip(x, 0.0, None)))
-        warnings.append(not converged)
-    tail = window - 1
-    return rates + rates[-1:] * tail, warnings + warnings[-1:] * tail
+        fits.append(x)
+        unconverged.append(not converged)
+    return (_held_rates(np.clip(fits, 0.0, None), n),
+            np.array(unconverged + unconverged[-1:] * (window - 1)))
 
 
 # -- training ------------------------------------------------------------------
@@ -555,21 +539,12 @@ class SIRConfig:
             raise ValueError("hidden_layers and hidden_width must be positive")
 
 
-@dataclass
-class SIRModel:
-    """The trained drift and diffusion networks and their daily warm-start rates."""
-
-    drift_net: MLP
-    diffusion_net: MLP
-    rates: list[RateVector]
-
-
-def _rollout(m, rates: list[RateVector], measures, days: int, nets, dB):
+def _rollout(m, rates, measures, days: int, nets, dB):
     """The learned dynamics from ``m``; yields the state after each day.
 
     ``m`` is a (3,) state or a (batch, 3) batch, an ndarray or a tape Value:
     training runs this on the tape, :func:`forecast` on plain arrays. Day k
-    uses ``rates[k]`` (the last rate past the series' end) and the measures
+    uses row k of ``rates`` (held by :func:`_held_rates`) and the measures
     ``measures[k]``. ``nets`` is the forward function of the drift and
     diffusion networks stacked (:func:`mfgames.nets.stack_nets`), called once
     a day on the day's inputs; :func:`_day_step` applies its output to the
@@ -579,7 +554,7 @@ def _rollout(m, rates: list[RateVector], measures, days: int, nets, dB):
     the inputs' affine node, the network node and the day step's node, plus
     four nodes on a day that clamps.
     """
-    day_rates = np.array(_daily_rates(rates, days))
+    day_rates = _held_rates(rates, days)
     for k in range(days):
         rv = day_rates[k]
         out = nets(_net_inputs(m, rv, measures[k]))
@@ -608,7 +583,7 @@ class SIRGame(GameInstance):
     """
 
     def __init__(self, dataset: EpidemicDataset, config: SIRConfig,
-                 warm_rates: list[RateVector], seed: int = 0):
+                 warm_rates: np.ndarray, seed: int = 0):
         if len(dataset) < 2:
             raise DataError("training needs at least two days of data")
         self.dataset = dataset
@@ -649,32 +624,31 @@ class SIRGame(GameInstance):
 
 
 def train_sir(dataset: EpidemicDataset, training: TrainingConfig,
-              config: SIRConfig = SIRConfig(), *, warm_rates: list[RateVector]):
+              config: SIRConfig = SIRConfig(), *, warm_rates: np.ndarray):
     """Fit the learned dynamics to daily population observations.
 
     Trains :class:`SIRGame` through :func:`mfgames.mfg.train`, one AdaBelief
-    step per network per epoch, from the daily ``warm_rates`` (as
-    :func:`estimate_rates` fits them). Of ``training`` it uses ``epochs``,
-    ``games_per_epoch`` (the target rows per epoch), ``lr``, ``seed`` (of
-    the networks, the noisy copies and the epochs' noise) and
-    ``abort_threshold``; ``data_loss_weight`` scales the one loss term.
-    Returns the model and one :class:`mfgames.mfg.HistoryRow` per epoch
-    (game cost 0, data loss = total). Raises :class:`DataError` on a dataset
-    of fewer than two days.
+    step per network per epoch, from the daily ``warm_rates`` (a (days, 3)
+    array as :func:`estimate_rates` fits them, or one (3,) row). Of
+    ``training`` it uses ``epochs``, ``games_per_epoch`` (the target rows per
+    epoch), ``lr``, ``seed`` (of the networks, the noisy copies and the
+    epochs' noise) and ``abort_threshold``; ``data_loss_weight`` scales the
+    one loss term. Returns what :func:`mfgames.mfg.train` returns: the
+    networks, ``"drift"`` and ``"diffusion"``, and one
+    :class:`mfgames.mfg.HistoryRow` per epoch (game cost 0, data loss =
+    total). Raises :class:`DataError` on a dataset of fewer than two days.
     """
-    game = SIRGame(dataset, config, warm_rates, training.seed)
-    nets, history = train(game, training)
-    return SIRModel(nets["drift"], nets["diffusion"], warm_rates), history
+    return train(SIRGame(dataset, config, warm_rates, training.seed), training)
 
 
-def forecast(model: SIRModel, initial, days: int, v_series,
+def forecast(nets: dict[str, MLP], rates, initial, days: int, v_series,
              noise_seed: Optional[int] = None) -> np.ndarray:
     """Roll the trained dynamics forward; a (days+1, 3) array on the simplex.
 
-    Day k uses the model's warm-start rate of day k (the last one past the
-    series' end). Deterministic unless ``noise_seed`` is given, in which case
-    the learned diffusion drives zero-sum noise, one (days, 3) draw from that
-    seed.
+    ``nets`` are :func:`train_sir`'s networks and ``rates`` the daily rates
+    they were trained from (held by :func:`_held_rates`). Deterministic
+    unless ``noise_seed`` is given, in which case the learned diffusion
+    drives zero-sum noise, one (days, 3) draw from that seed.
     """
     v_series = validate_measures(np.asarray(v_series).reshape(-1, N_MEASURES))
     if v_series.shape[0] < days:
@@ -682,6 +656,6 @@ def forecast(model: SIRModel, initial, days: int, v_series,
     dB = (None if noise_seed is None
           else np.random.default_rng(noise_seed).normal(0.0, 1.0, (days, 3)))
     m = np.asarray(initial, dtype=float)
-    nets = stack_nets([model.drift_net, model.diffusion_net])
-    return np.array([m, *_rollout(m, model.rates, v_series, days,
-                                  partial(mlp_forward_np, nets), dB)])
+    stacked = stack_nets([nets["drift"], nets["diffusion"]])
+    return np.array([m, *_rollout(m, rates, v_series, days,
+                                  partial(mlp_forward_np, stacked), dB)])

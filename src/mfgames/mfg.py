@@ -8,8 +8,9 @@ update to each shared network -- one network per game, never per agent.
 
 from __future__ import annotations
 
+import math
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import count
 
@@ -19,6 +20,7 @@ from .autodiff import Tape, Value
 from .nets import MLP, AdaBelief, BoundMLP
 
 __all__ = [
+    "check_finite",
     "TrainingConfig",
     "TrainingDivergence",
     "GameInstance",
@@ -40,6 +42,14 @@ class TrainingDivergence(RuntimeError):
         self.step = step
 
 
+def check_finite(config) -> None:
+    """Raise ValueError if a float field of the dataclass ``config`` is NaN or infinite."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 1  # of the default steps; dice takes one step per round instead
@@ -50,6 +60,7 @@ class TrainingConfig:
     abort_threshold: float = 1e6
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.games_per_epoch < 1:

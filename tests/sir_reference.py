@@ -22,8 +22,6 @@ from mfgames.games.sir import (
     _ZERO_SUM,
     N_MEASURES,
     EpidemicDataset,
-    RateVector,
-    effective_rates,
     validate_measures,
 )
 
@@ -31,33 +29,44 @@ from mfgames.games.sir import (
 def kolmogorov_drift(m, rates):
     """Forward rate equation for the compartment fractions (sums to zero).
 
-    Shared transition terms are computed once and reused so the three
-    components cancel exactly up to float rounding.
+    ``rates`` is (gamma, rho, pi). Shared transition terms are computed once
+    and reused so the three components cancel exactly up to float rounding.
     """
-    t_si = rates.gamma * m[0] * m[1]
-    t_rec = rates.rho * m[1]
-    t_vac = rates.pi * m[0]
+    gamma, rho, pi = rates
+    t_si = gamma * m[0] * m[1]
+    t_rec = rho * m[1]
+    t_vac = pi * m[0]
     return (-t_si - t_vac, t_si - t_rec, t_rec + t_vac)
 
 
-def synthetic_dataset(days, seed=0, rates=RateVector(0.25, 0.1, 0.01), i0=0.02,
+# gamma's factor at each measure level
+MEASURE_FACTORS = {0: 1.0, 1: 0.9, 2: 0.8}
+
+
+def synthetic_dataset(days, seed=0, rates=(0.25, 0.1, 0.01), i0=0.02,
                       measures=None, modulate=False, population=1_000_000,
                       start=datetime.date(2020, 8, 1)):
     """``generate_synthetic_dataset`` on its own numpy loop over
     :func:`kolmogorov_drift`, summing the recoveries and vaccinations as it
-    goes: the loop it ran before it stepped ``integrate_kolmogorov``."""
+    goes: the loop it ran before it stepped ``integrate_kolmogorov``. With
+    ``modulate``, day k's gamma is scaled by each of ``measures[k]``'s level
+    factors in turn, on Python floats."""
     if measures is None:
         measures = np.zeros((days, N_MEASURES), dtype=int)
     measures = validate_measures(measures)
+    gamma, rho, pi = (float(r) for r in rates)
     m = np.array([1.0 - i0, i0, 0.0])
     states = [m.copy()]
     cum_rec, cum_vac = 0.0, 0.0
     recs, vacs = [0.0], [0.0]
     for k in range(days - 1):
-        day_rates = effective_rates(rates, measures[k]) if modulate else rates
-        dm = np.asarray(kolmogorov_drift(m, day_rates))
-        cum_rec += day_rates.rho * m[1]
-        cum_vac += day_rates.pi * m[0]
+        scale = 1.0
+        if modulate:
+            for level in measures[k]:
+                scale *= MEASURE_FACTORS[int(level)]
+        dm = np.asarray(kolmogorov_drift(m, (gamma * scale, rho, pi)))
+        cum_rec += rho * m[1]
+        cum_vac += pi * m[0]
         m = np.clip(m + dm, 0.0, None)
         m = m / m.sum()
         states.append(m.copy())
@@ -77,11 +86,6 @@ def synthetic_dataset(days, seed=0, rates=RateVector(0.25, 0.1, 0.01), i0=0.02,
 def affine(x, w, b):
     """Batched ``x @ w.T + b``: a one-layer network node."""
     return mlp(x, [w], [b])
-
-
-def rate_array(rates) -> np.ndarray:
-    """A :class:`mfgames.games.sir.RateVector` as the array (gamma, rho, pi)."""
-    return np.array([rates.gamma, rates.rho, rates.pi])
 
 
 def neural_drift(m, rates, out):

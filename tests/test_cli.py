@@ -49,7 +49,18 @@ BAD_KEYS = [
     ("meeting", "noise_std", "-1"),
     ("meeting", "sigma", "-1"),
     ("meeting", "smoothing", "-1"),
+    ("sir", "lr", "nan"),
 ]
+
+
+# config files that configparser or the UTF-8 decoder rejects
+MALFORMED_CONFIGS = {
+    "no_section_header": b"seed = 3\n",
+    "seed_twice": b"[run]\nseed = 1\nseed = 2\n",
+    "run_twice": b"[run]\nseed = 1\n[run]\nmode = standard\n",
+    "key_without_value": b"[run]\nseed\n",
+    "utf16_byte_order_mark": b"\xff\xfe[run]\nseed = 1\n",
+}
 
 
 def write_inputs(tmp_path):
@@ -74,6 +85,12 @@ def write_inputs(tmp_path):
         run_key[key].write_text(f"[run]\n{key} = {value}\n" + TINY)
     huge_lr = tmp_path / "huge_lr.ini"
     huge_lr.write_text(TINY.replace("[dice]", "[dice]\nlr = 1e300"))
+    malformed = {}  # config files that do not parse or decode
+    for name, text in MALFORMED_CONFIGS.items():
+        malformed[name] = tmp_path / f"{name}.ini"
+        malformed[name].write_bytes(text)
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"\xff\xfe" + data.read_bytes())
     bad_keys = {}
     for game, key, value in BAD_KEYS:
         name = f"{game}_{key}_{value}"
@@ -83,7 +100,8 @@ def write_inputs(tmp_path):
             "sir_config": str(sir_config), "bad_seed": str(bad_run["seed"]),
             "bad_epochs": str(bad_run["epochs"]), "run_epochs": str(run_key["epochs"]),
             "run_data": str(run_key["data"]), "huge_lr": str(huge_lr), "tmp": tmp_path,
-            **{name: str(path) for name, path in bad_keys.items()}}
+            "undecodable": str(undecodable),
+            **{name: str(path) for name, path in {**bad_keys, **malformed}.items()}}
 
 
 @pytest.fixture
@@ -92,8 +110,12 @@ def inputs(tmp_path):
 
 
 def _run(inputs, *argv, out="out"):
+    """``cli.main`` on ``argv``, formatted with ``inputs``; into ``out`` unless
+    ``argv`` names its own ``--out``."""
     args = [a.format(**inputs) for a in argv]
-    return cli.main(list(args) + ["--out", str(inputs["tmp"] / out)])
+    if "--out" not in args:
+        args += ["--out", str(inputs["tmp"] / out)]
+    return cli.main(args)
 
 
 EXIT_CASES = [
@@ -142,6 +164,15 @@ EXIT_CASES = [
     ("inf scheduled in config file", 2, ("meeting", "--config", "{meeting_scheduled_inf}")),
     ("dice --lambda0 nan", 2, ("dice", "--lambda0", "nan", "--config", "{config}")),
     ("dice --lambda0 inf", 2, ("dice", "--lambda0", "inf", "--config", "{config}")),
+    ("nan lr, before the data is read", 2,
+     ("sir", "--data", "{tmp}/absent.csv", "--config", "{sir_lr_nan}")),
+    # a malformed config file, data file or output path
+    *((f"config file with {name.replace('_', ' ')}", 2, ("meeting", "--config", f"{{{name}}}"))
+      for name in MALFORMED_CONFIGS),
+    ("undecodable data file", 3, ("sir", "--data", "{undecodable}")),
+    ("data file that is a directory", 3, ("sir", "--data", "{tmp}")),
+    ("--out naming a file", 2, ("meeting", "--config", "{config}", "--out", "{config}")),
+    ("--out under a file", 2, ("meeting", "--config", "{config}", "--out", "{config}/out")),
     # game parameters out of range
     ("dice --theta with a nan", 2,
      ("dice", "--theta", "nan,0.2,0.2,0.2,0.2,0.2", "--config", "{config}")),

@@ -139,6 +139,20 @@ def test_exploitability_is_nonnegative_and_zero_at_best_responses():
         assert exploitability(np.full(config.n_agents, c), config) == 0.0
 
 
+@pytest.mark.parametrize("field", ["threshold", "drift_gain"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_a_number_that_is_not_finite(field, value):
+    # a NaN drift gain made NaN intentions, which no later check caught
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BarConfig(**{field: value})
+
+
+def test_exploitability_of_nan_intentions_is_nan():
+    # the clamp at 0 keeps NaN; it read 0.0, a population at equilibrium
+    p = np.array([0.2, np.nan, 0.5, 0.1])
+    assert np.isnan(exploitability(p, BarConfig(n_agents=len(p))))
+
+
 def test_exploitability_shrinks_over_the_standard_game():
     # measured at 40 agents: 0.406 at the first turn, 1.8e-5 at the last
     config = BarConfig(n_agents=40)

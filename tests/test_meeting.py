@@ -90,6 +90,15 @@ def test_config_rejects_a_negative_noise_or_smoothing(field, value):
     MeetingConfig(**{field: 0.0})
 
 
+@pytest.mark.parametrize("field", ["scheduled", "quorum", "noise_std", "init_mean",
+                                   "drift_gain", "smoothing", "sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_a_number_that_is_not_finite(field, value):
+    # an infinite sigma passed the nonnegativity check
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MeetingConfig(**{field: value})
+
+
 def test_standard_start_never_before_schedule():
     cfg = MeetingConfig(n_agents=50, init_mean=15.0)
     for seed in range(3):
@@ -152,7 +161,7 @@ def test_neural_training_decreases_loss():
     cfg = MeetingConfig(n_agents=8)
     obs = [generate_observations(seed=k) for k in range(4)]
     training = TrainingConfig(epochs=8, games_per_epoch=4, seed=0)
-    _, _, history = run_neural(cfg, obs, training)
+    _, history = run_neural(cfg, obs, training)
     totals = [h.total for h in history]
     q = len(totals) // 4
     assert np.mean(totals[-q:]) < np.mean(totals[:q])
@@ -164,7 +173,7 @@ def test_neural_zero_weight_stays_near_standard():
     cfg = MeetingConfig(n_agents=8)
     obs = [generate_observations(seed=3)]
     training = TrainingConfig(epochs=2, games_per_epoch=2, seed=1, data_loss_weight=0.0)
-    game, nets, _ = run_neural(cfg, obs, training)
+    nets, _ = run_neural(cfg, obs, training)
     neural = simulate_neural(cfg, nets, seed=5)
     standard = run_standard(cfg, seed=5)
     assert abs(neural[-1].tau.mean() - standard[-1].tau.mean()) < 1.0

@@ -11,7 +11,6 @@ import pytest
 from mfgames.autodiff import Tape
 from mfgames.games import elfarol, meeting, sir
 from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init, stack_nets
-from sir_reference import rate_array
 
 
 def _forwards(nets):
@@ -64,7 +63,7 @@ def test_sir_drift_on_tape_matches_drift_on_arrays():
     net = mlp_init(MLPConfig(13, 6, 2, 8, seed=5))
     dataset = sir.generate_synthetic_dataset(
         10, seed=1, measures=sir.make_measure_schedule(10, seed=1), modulate=True)
-    rates = rate_array(sir.RateVector(0.25, 0.1, 0.01))
+    rates = np.array([0.25, 0.1, 0.01])
     m0 = np.random.default_rng(2).dirichlet(np.ones(3), size=4)
     tape = Tape()
     on_tape = stack_nets([net.bind(tape)]).forward
@@ -87,7 +86,7 @@ def test_sir_rollout_on_tape_equals_rollout_on_arrays(noisy):
     days = 12
     dataset = sir.generate_synthetic_dataset(
         days + 1, seed=1, measures=sir.make_measure_schedule(days + 1, seed=1), modulate=True)
-    rates = [sir.RateVector(0.25 + 0.01 * k, 0.1, 0.01) for k in range(5)]
+    rates = np.array([(0.25 + 0.01 * k, 0.1, 0.01) for k in range(5)])
     nets = [mlp_init(MLPConfig(13, 6, 2, 8, seed=5)), mlp_init(MLPConfig(13, 3, 2, 8, seed=6))]
     rng = np.random.default_rng(2)
     m0 = np.vstack([[0.97, 0.03, 0.0], rng.dirichlet(np.ones(3), size=3)])

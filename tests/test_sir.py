@@ -12,7 +12,6 @@ from mfgames.games.sir import (
     NOISE_SIGMA,
     DataError,
     EpidemicDataset,
-    RateVector,
     SIRConfig,
     SIRGame,
     _day_step,
@@ -37,13 +36,11 @@ from sir_reference import (
     day_step,
     kolmogorov_drift,
     neural_drift,
-    rate_array,
     synthetic_dataset,
 )
 
 
 def _drift(m, rates, v, net):
-    rates = rate_array(rates)
     return neural_drift(m, rates, mlp_forward_np(net, _net_inputs(m, rates, v)))
 
 
@@ -54,12 +51,12 @@ def _zero(net):
 
 
 def test_disease_free_equilibrium():
-    dm = kolmogorov_drift(np.array([0.6, 0.0, 0.4]), RateVector(0.3, 0.1, 0.0))
+    dm = kolmogorov_drift(np.array([0.6, 0.0, 0.4]), (0.3, 0.1, 0.0))
     assert dm == (0.0, 0.0, 0.0)
 
 
 def test_drift_formula_by_hand():
-    dm = kolmogorov_drift(np.array([0.9, 0.1, 0.0]), RateVector(0.3, 0.1, 0.0))
+    dm = kolmogorov_drift(np.array([0.9, 0.1, 0.0]), (0.3, 0.1, 0.0))
     assert dm[0] == pytest.approx(-0.027)
     assert dm[1] == pytest.approx(0.017)
     assert dm[2] == pytest.approx(0.010)
@@ -69,7 +66,7 @@ def test_drift_conserves_mass_randomized():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         m = rng.dirichlet(np.ones(3))
-        rates = RateVector(*rng.uniform(0, 1, 3))
+        rates = rng.uniform(0, 1, 3)
         assert abs(sum(kolmogorov_drift(m, rates))) < 1e-12
 
 
@@ -77,7 +74,7 @@ def test_neural_drift_zero_network_matches_pure():
     net = mlp_init(MLPConfig(13, 6, 3, 8, seed=0))
     _zero(net)
     m = np.array([0.7, 0.2, 0.1])
-    rates = RateVector(0.25, 0.1, 0.01)
+    rates = np.array([0.25, 0.1, 0.01])
     v = np.zeros(7, dtype=int)
     assert _drift(m, rates, v, net) == pytest.approx(
         list(kolmogorov_drift(m, rates)), abs=1e-15
@@ -89,7 +86,7 @@ def test_neural_drift_conserves_mass_random_networks():
     for k in range(1000):
         net = mlp_init(MLPConfig(13, 6, 3, 8, seed=k))
         m = rng.dirichlet(np.ones(3))
-        rates = RateVector(*rng.uniform(0, 0.5, 3))
+        rates = rng.uniform(0, 0.5, 3)
         v = rng.integers(0, 3, 7)
         assert abs(_drift(m, rates, v, net).sum()) < 1e-12
 
@@ -98,24 +95,29 @@ def test_neural_drift_rate_cancellation():
     # mu_gamma = -gamma with other outputs zero kills the infection term
     net = mlp_init(MLPConfig(13, 6, 3, 8, seed=0))
     _zero(net)
-    rates = RateVector(0.3, 0.0, 0.0)
+    rates = np.array([0.3, 0.0, 0.0])
     net.biases[-1][0] = -0.3
     m = np.array([0.5, 0.5, 0.0])
     assert _drift(m, rates, np.zeros(7), net) == pytest.approx([0, 0, 0])
 
 
 def test_monotone_recovered_under_pure_model():
-    traj = integrate_kolmogorov(np.array([0.9, 0.1, 0.0]), RateVector(0.3, 0.1, 0.02), 200)
+    traj = integrate_kolmogorov(np.array([0.9, 0.1, 0.0]), [0.3, 0.1, 0.02], 200)
     assert np.all(np.diff(traj[:, 2]) >= -1e-15)
     assert np.allclose(traj.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _day_rows(rates, days):
+    """Day k's (gamma, rho, pi) as Python floats, from one row or a row per day."""
+    rows = np.asarray(rates, dtype=float).reshape(-1, 3).tolist()
+    return rows * days if len(rows) == 1 else rows
 
 
 def _integrate_kolmogorov_numpy(m0, rates, days):
     """Reference: the rate equation stepped on (3,) arrays, as it was first written."""
     m = np.asarray(m0, dtype=float).copy()
     out = [m.copy()]
-    for k in range(days):
-        rv = rates[k] if isinstance(rates, (list, tuple)) else rates
+    for rv in _day_rows(rates, days)[:days]:
         dm = kolmogorov_drift(m, rv)
         m = m + np.asarray(dm)
         m = np.clip(m, 0.0, None)
@@ -126,23 +128,29 @@ def _integrate_kolmogorov_numpy(m0, rates, days):
     return np.array(out)
 
 
+# (m0, rates, days): rates are one (3,) row, held every day, or a (days, 3) array
 INTEGRATE_CASES = {
-    "constant rates": ([0.9, 0.1, 0.0], RateVector(0.3, 0.1, 0.02), 60),
+    "constant rates": ([0.9, 0.1, 0.0], np.array([0.3, 0.1, 0.02]), 60),
     "per-day rates": ([0.97, 0.03, 0.0],
-                      [RateVector(0.2 + 0.01 * k, 0.1, 0.005 * (k % 3)) for k in range(30)], 30),
+                      np.array([(0.2 + 0.01 * k, 0.1, 0.005 * (k % 3)) for k in range(30)]), 30),
     # one step takes S below zero, so the clamp acts before renormalising
-    "clamped compartment": ([0.6, 0.4, 0.0], RateVector(4.0, 0.1, 0.5), 5),
+    "clamped compartment": ([0.6, 0.4, 0.0], np.array([4.0, 0.1, 0.5]), 5),
     # the sum stays 0, so the state is never divided by it
-    "all-zero state": ([0.0, 0.0, 0.0], RateVector(0.3, 0.1, 0.02), 4),
+    "all-zero state": ([0.0, 0.0, 0.0], np.array([0.3, 0.1, 0.02]), 4),
     # the first step's sum turns a -0.0 start into 0.0
-    "negative zero": ([-0.0, 0.5, 0.5], RateVector(0.0, 0.0, 0.0), 3),
+    "negative zero": ([-0.0, 0.5, 0.5], np.array([0.0, 0.0, 0.0]), 3),
     # a NaN sum is not > 0, so S and I are not divided by it
-    "nan recovered": ([0.5, 0.4, np.nan], RateVector(0.3, 0.1, 0.02), 3),
+    "nan recovered": ([0.5, 0.4, np.nan], np.array([0.3, 0.1, 0.02]), 3),
     # recovery faster than one per day takes I below zero
-    "clamped infected": ([0.5, 0.5, 0.0], RateVector(0.1, 1.5, 0.0), 3),
+    "clamped infected": ([0.5, 0.5, 0.0], np.array([0.1, 1.5, 0.0]), 3),
     # only a negative start takes R below zero
-    "clamped removed": ([0.5, 0.6, -0.1], RateVector(0.0, 0.0, 0.0), 2),
+    "clamped removed": ([0.5, 0.6, -0.1], np.array([0.0, 0.0, 0.0]), 2),
 }
+# each (3,) row again, tiled to a row per day: the same bytes are expected
+INTEGRATE_CASES.update({
+    f"{name}, tiled": (m0, np.tile(rates, (days, 1)), days)
+    for name, (m0, rates, days) in INTEGRATE_CASES.items() if rates.shape == (3,)
+})
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRATE_CASES))
@@ -159,7 +167,7 @@ def test_integrate_kolmogorov_equals_numpy_reference_randomized():
     rng = np.random.default_rng(2)
     for _ in range(300):
         m0 = rng.dirichlet(np.ones(3))
-        rates = [RateVector(*rng.uniform(0, 2, 3)) for _ in range(20)]
+        rates = rng.uniform(0, 2, (20, 3))
         assert (integrate_kolmogorov(m0, rates, 20).tobytes()
                 == _integrate_kolmogorov_numpy(m0, rates, 20).tobytes())
 
@@ -169,8 +177,7 @@ def _integrate_kolmogorov_floats(m0, rates, days):
     ``kolmogorov_drift``, clamped by ``max(x, 0.0)``."""
     m = tuple(np.asarray(m0, dtype=float).tolist())
     out = [m]
-    for k in range(days):
-        rv = rates[k] if isinstance(rates, (list, tuple)) else rates
+    for rv in _day_rows(rates, days)[:days]:
         ds, di, dr = kolmogorov_drift(m, rv)
         s, i, r = max(m[0] + ds, 0.0), max(m[1] + di, 0.0), max(m[2] + dr, 0.0)
         total = s + i + r
@@ -184,17 +191,17 @@ def _integrate_kolmogorov_floats(m0, rates, days):
 # -0.0 rates keep a -0.0 compartment at -0.0 through the step, so the clamp
 # sees it; it keeps it, where np.clip would return 0.0
 NEGATIVE_ZERO_CASES = {
-    "S": ([-0.0, 0.5, 0.5], RateVector(-0.0, 0.0, -0.0)),
-    "I": ([0.5, -0.0, 0.5], RateVector(0.3, -0.0, 0.0)),
-    "R": ([0.5, 0.5, -0.0], RateVector(0.0, -0.0, -0.0)),
+    "S": ([-0.0, 0.5, 0.5], np.array([-0.0, 0.0, -0.0])),
+    "I": ([0.5, -0.0, 0.5], np.array([0.3, -0.0, 0.0])),
+    "R": ([0.5, 0.5, -0.0], np.array([0.0, -0.0, -0.0])),
 }
 
 
 def test_integrate_kolmogorov_holds_the_last_rate_past_the_series():
     m0 = [0.97, 0.03, 0.0]
-    rates = [RateVector(0.3, 0.1, 0.0), RateVector(0.2, 0.05, 0.01)]
+    rates = np.array([(0.3, 0.1, 0.0), (0.2, 0.05, 0.01)])
     got = integrate_kolmogorov(m0, rates, 6)
-    want = _integrate_kolmogorov_numpy(m0, rates + [rates[-1]] * 4, 6)
+    want = _integrate_kolmogorov_numpy(m0, np.vstack([rates] + [rates[-1:]] * 4), 6)
     assert got.tobytes() == want.tobytes()
 
 
@@ -294,8 +301,8 @@ SYNTHETIC_CASES = {
     **{f"{days} days": (days, 0, False, {}) for days in (1, 2, 3, 4, 29, 365)},
     **{f"{days} days modulated": (days, days, True, {}) for days in (1, 2, 3, 4, 29, 365)},
     # a compartment clamped every day, no epidemic at all, and no susceptibles
-    "extreme rates": (80, 0, False, {"rates": RateVector(50.0, 3.0, 2.0)}),
-    "zero rates": (30, 0, False, {"rates": RateVector(0.0, 0.0, 0.0)}),
+    "extreme rates": (80, 0, False, {"rates": (50.0, 3.0, 2.0)}),
+    "zero rates": (30, 0, False, {"rates": (0.0, 0.0, 0.0)}),
     "all infected": (30, 0, False, {"i0": 1.0}),
 }
 
@@ -355,7 +362,7 @@ def test_augment_noise_scale():
     # clamp-and-renormalize branch stays quiet and the injected noise is
     # measured cleanly
     full = generate_synthetic_dataset(80, seed=2, i0=0.10,
-                                      rates=RateVector(0.2, 0.08, 0.0))
+                                      rates=(0.2, 0.08, 0.0))
     ds = EpidemicDataset(full.dates[5:45], full.states[5:45], full.measures[5:45])
     assert ds.states.min() > 0.03
     ranges = ds.states.max(axis=0) - ds.states.min(axis=0)
@@ -372,14 +379,12 @@ def test_augment_noise_scale():
 
 
 def test_rate_recovery_self_consistency():
-    truth = RateVector(0.25, 0.1, 0.01)
+    truth = np.array([0.25, 0.1, 0.01])
     ds = generate_synthetic_dataset(120, seed=0, rates=truth, i0=0.02)
     rates, warn = estimate_rates(ds, window=28)
-    assert len(rates) == 120
+    assert rates.shape == (120, 3)
     interior = rates[10:80]
-    for name, true_val in (("gamma", 0.25), ("rho", 0.1), ("pi", 0.01)):
-        vals = np.array([getattr(r, name) for r in interior])
-        assert np.all(np.abs(vals - true_val) <= 0.1 * true_val), name
+    assert np.all(np.abs(interior - truth) <= 0.1 * truth)
 
 
 def test_rate_estimation_degenerate_pi():
@@ -388,7 +393,7 @@ def test_rate_estimation_degenerate_pi():
     states = np.tile([0.7, 0.0, 0.3], (40, 1))
     ds = EpidemicDataset(dates, states, np.zeros((40, 7), dtype=int))
     rates, _ = estimate_rates(ds, window=28)
-    assert rates[0].pi < 1e-3
+    assert rates[0, 2] < 1e-3  # pi
 
 
 def test_rate_estimation_window_precondition():
@@ -413,10 +418,10 @@ def _counted(f):
 
 
 def _window_objective_reference(target):
-    """The rolling fit's objective on one window, as it was first written: a
-    validated ``RateVector`` stepped through ``kolmogorov_drift`` each day."""
+    """The rolling fit's objective on one window, as it was first written: the
+    clamped candidate stepped through ``kolmogorov_drift`` each day."""
     def objective(cand):
-        rv = RateVector(*np.clip(cand, 0.0, None))
+        rv = np.clip(cand, 0.0, None)
         traj = _integrate_kolmogorov_floats(target[0], rv, len(target) - 1)
         return float(np.mean((traj - target) ** 2))
     return objective
@@ -481,7 +486,7 @@ def test_nelder_mead_matches_scipy_without_convergence():
 
 def test_nelder_mead_matches_scipy_from_a_zero_coordinate():
     minimize = pytest.importorskip("scipy.optimize").minimize
-    ds = generate_synthetic_dataset(28, seed=4, rates=RateVector(0.3, 0.05, 0.0))
+    ds = generate_synthetic_dataset(28, seed=4, rates=(0.3, 0.05, 0.0))
     _x, converged = _assert_nelder_mead_matches_scipy(
         minimize, _window_objective(ds.states), np.array([0.2, 0.1, 0.0]), 400)
     assert converged
@@ -504,10 +509,10 @@ def _estimate_rates_reference(dataset, window):
     for w0 in range(n - window + 1):
         objective = _window_objective_reference(dataset.states[w0: w0 + window])
         x, converged = _nelder_mead(objective, x, 400, xatol=1e-8, fatol=1e-14)
-        rates.append(RateVector(*np.clip(x, 0.0, None)))
+        rates.append(np.clip(x, 0.0, None))
         warnings.append(not converged)
     tail = window - 1  # trailing days reuse the last window's fit
-    return rates + rates[-1:] * tail, warnings + warnings[-1:] * tail
+    return np.array(rates + rates[-1:] * tail), np.array(warnings + warnings[-1:] * tail)
 
 
 @pytest.mark.parametrize("seed", [2, 9, 13])
@@ -519,24 +524,37 @@ def test_estimate_rates_equals_the_reference_fit(tmp_path, seed):
     ds = ingest_csv(path, population=1_000_000)
     rates, warn = estimate_rates(ds, window=28)
     want_rates, want_warn = _estimate_rates_reference(ds, 28)
-    assert [(r.gamma, r.rho, r.pi) for r in rates] == [(r.gamma, r.rho, r.pi) for r in want_rates]
-    assert warn == want_warn
+    assert rates.tobytes() == want_rates.tobytes()
+    assert warn.tolist() == want_warn.tolist()
+
+
+@pytest.mark.parametrize("days,window", [(2, 2), (30, 28), (40, 14), (12, 12)])
+def test_estimate_rates_returns_a_rate_row_and_a_flag_per_day(days, window):
+    ds = generate_synthetic_dataset(days, seed=days, i0=0.05)
+    rates, unconverged = estimate_rates(ds, window=window, max_iter=40)
+    assert rates.shape == (days, 3) and rates.dtype == np.float64
+    assert unconverged.shape == (days,) and unconverged.dtype == np.bool_
+    # the trailing window - 1 days repeat the last window's fit
+    last = days - window
+    assert np.array_equal(rates[last:], np.tile(rates[last], (window, 1)))
+    assert np.all(unconverged[last:] == unconverged[last])
+    assert np.all(rates >= 0.0)
 
 
 def test_estimate_rates_flags_windows_that_do_not_converge():
     ds = generate_synthetic_dataset(30, seed=3)
     _rates, warn = estimate_rates(ds, window=28, max_iter=15)
-    assert warn == [True] * 30
+    assert warn.tolist() == [True] * 30
     _rates, warn = estimate_rates(ds, window=28)
-    assert warn == [False] * 30
+    assert warn.tolist() == [False] * 30
 
 
 # -- training and forecasting --------------------------------------------------
 
 
-def trajectory_mse(model, dataset):
+def trajectory_mse(nets, rates, dataset):
     """Mean squared error of the deterministic forecast against the observations."""
-    traj = forecast(model, dataset.states[0], len(dataset) - 1, dataset.measures)
+    traj = forecast(nets, rates, dataset.states[0], len(dataset) - 1, dataset.measures)
     return float(np.mean((traj - dataset.states) ** 2))
 
 
@@ -544,14 +562,16 @@ SMALL = SIRConfig(trajectories=4, hidden_layers=3, hidden_width=8)
 
 
 def _train_small(ds, epochs, warm_rates=None):
-    """``train_sir`` on ``SMALL`` from the rates of a 14-day fit, unless given."""
+    """``train_sir`` on ``SMALL`` from the rates of a 14-day fit, unless given;
+    the networks, the rates and the history."""
     if warm_rates is None:
         warm_rates, _ = estimate_rates(ds, window=14)
     training = TrainingConfig(epochs=epochs, games_per_epoch=2, seed=0)
-    return train_sir(ds, training, config=SMALL, warm_rates=warm_rates)
+    nets, history = train_sir(ds, training, config=SMALL, warm_rates=warm_rates)
+    return nets, warm_rates, history
 
 
-def _renormalising_forecast(model, initial, days, v_series, rates):
+def _renormalising_forecast(nets, initial, days, v_series, rates):
     """The deterministic day loop :func:`forecast` kept before it shared the
     training rollout: it clamped and renormalised every day, not only the
     days a compartment went negative."""
@@ -559,7 +579,7 @@ def _renormalising_forecast(model, initial, days, v_series, rates):
     out = [m.copy()]
     for k in range(days):
         rv = rates[k] if k < len(rates) else rates[-1]
-        dm = _drift(m, rv, v_series[k], model.drift_net)
+        dm = _drift(m, rv, v_series[k], nets["drift"])
         m = np.clip(m + dm, 0.0, None)
         s = m.sum()
         if s > 0:
@@ -571,48 +591,47 @@ def _renormalising_forecast(model, initial, days, v_series, rates):
 def test_forecast_agrees_with_the_renormalising_loop():
     ds = generate_synthetic_dataset(40, seed=11, measures=make_measure_schedule(40, seed=11),
                                     modulate=True)
-    model, _ = _train_small(ds, 3)
+    nets, rates, _ = _train_small(ds, 3)
     days = len(ds) - 1
-    got = forecast(model, ds.states[0], days, ds.measures)
-    want = _renormalising_forecast(model, ds.states[0], days, ds.measures, model.rates)
+    got = forecast(nets, rates, ds.states[0], days, ds.measures)
+    want = _renormalising_forecast(nets, ds.states[0], days, ds.measures, rates)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_noisy_forecast_is_the_rollout_on_the_seeds_draws():
     ds = generate_synthetic_dataset(20, seed=12, i0=0.05)
-    model, _ = _train_small(ds, 2)
+    nets, rates, _ = _train_small(ds, 2)
     days = len(ds) - 1
-    got = forecast(model, ds.states[0], days, ds.measures, noise_seed=4)
+    got = forecast(nets, rates, ds.states[0], days, ds.measures, noise_seed=4)
     dB = np.random.default_rng(4).normal(0.0, 1.0, (days, 3))
-    forward = partial(mlp_forward_np, stack_nets([model.drift_net, model.diffusion_net]))
-    want = [ds.states[0], *_rollout(ds.states[0], model.rates, ds.measures, days, forward, dB)]
+    forward = partial(mlp_forward_np, stack_nets([nets["drift"], nets["diffusion"]]))
+    want = [ds.states[0], *_rollout(ds.states[0], rates, ds.measures, days, forward, dB)]
     assert np.array_equal(got, np.array(want))
     # as in training, the diffusion sees the day's starting state, not the
     # state after the drift
-    m0, rv, v = ds.states[0], model.rates[0], ds.measures[0]
-    noise = np.abs(mlp_forward_np(model.diffusion_net,
-                                  np.concatenate([m0, rate_array(rv), v]))) * dB[0]
-    day1 = m0 + _drift(m0, rv, v, model.drift_net) + noise - noise.mean()
+    m0, rv, v = ds.states[0], rates[0], ds.measures[0]
+    noise = np.abs(mlp_forward_np(nets["diffusion"], np.concatenate([m0, rv, v]))) * dB[0]
+    day1 = m0 + _drift(m0, rv, v, nets["drift"]) + noise - noise.mean()
     assert np.all(day1 >= 0.0)
     np.testing.assert_allclose(got[1], day1, rtol=0.0, atol=1e-15)
 
 
 def test_zero_epochs_forecast_equals_warm_start_plus_residual():
     ds = generate_synthetic_dataset(30, seed=4, i0=0.05)
-    model, history = _train_small(ds, 0)
+    nets, rates, history = _train_small(ds, 0)
     assert history == []
-    traj = forecast(model, ds.states[0], len(ds) - 1, ds.measures)
+    traj = forecast(nets, rates, ds.states[0], len(ds) - 1, ds.measures)
     assert traj.shape == (len(ds), 3)
     assert np.allclose(traj.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_training_reduces_mse_on_noiseless_synthetic():
     ds = generate_synthetic_dataset(40, seed=5, i0=0.04,
-                                    rates=RateVector(0.3, 0.12, 0.0))
-    model0, _ = _train_small(ds, 0)
-    mse0 = trajectory_mse(model0, ds)
-    model, _ = _train_small(ds, 60)
-    mse1 = trajectory_mse(model, ds)
+                                    rates=(0.3, 0.12, 0.0))
+    nets0, rates, _ = _train_small(ds, 0)
+    mse0 = trajectory_mse(nets0, rates, ds)
+    nets, rates, _ = _train_small(ds, 60)
+    mse1 = trajectory_mse(nets, rates, ds)
     assert mse1 < mse0
 
 
@@ -623,8 +642,8 @@ def test_constant_zero_measures_equal_sliced_network():
     from mfgames.nets import MLP, MLPConfig, mlp_forward_np
 
     ds = generate_synthetic_dataset(25, seed=6, i0=0.05)
-    model, _ = _train_small(ds, 3)
-    net = model.drift_net
+    nets, _rates, _ = _train_small(ds, 3)
+    net = nets["drift"]
     clone = MLP(
         [net.weights[0][:, :6].copy()] + [w.copy() for w in net.weights[1:]],
         [b.copy() for b in net.biases],
@@ -644,8 +663,8 @@ def test_constant_zero_measures_equal_sliced_network():
 
 def test_simplex_conservation_through_training_steps():
     ds = generate_synthetic_dataset(20, seed=7, i0=0.05)
-    model, _ = _train_small(ds, 2)
-    traj = forecast(model, ds.states[0], len(ds) - 1, ds.measures, noise_seed=3)
+    nets, rates, _ = _train_small(ds, 2)
+    traj = forecast(nets, rates, ds.states[0], len(ds) - 1, ds.measures, noise_seed=3)
     assert np.allclose(traj.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(traj >= 0)
 
@@ -677,7 +696,7 @@ def test_day_step_gradient_matches_finite_differences():
     params[2], params[3] = 0.1 * params[2], 0.1 * params[3]  # small drift corrections
     params[7] = params[7] + 1.0  # the diffusion's output bias, away from absval's kink
     m0 = np.array([[0.9, 0.08, 0.02], [0.6, 0.3, 0.1]])
-    rates = [RateVector(0.3, 0.2, 0.15)]
+    rates = np.array([0.3, 0.2, 0.15])
     measures = np.array([[0, 1, 2, 0, 1, 0, 2]])
     dB = 0.01 * rng.normal(size=(2, 1, 3))
     weight = rng.normal(size=(2, 3))
@@ -757,7 +776,7 @@ def test_a_training_step_records_about_7_nodes_a_day(days, monkeypatch):
     # term and the clamp, so a node per operation (21 a day) fails the budget
     ds = generate_synthetic_dataset(days, seed=1, measures=make_measure_schedule(days, seed=1),
                                     modulate=True)
-    game = SIRGame(ds, SIRConfig(trajectories=10), [RateVector(0.25, 0.1, 0.01)], seed=0)
+    game = SIRGame(ds, SIRConfig(trajectories=10), np.array([0.25, 0.1, 0.01]), seed=0)
     calls = []
     forward = BoundMLP.forward
     monkeypatch.setattr(BoundMLP, "forward", lambda self, x: calls.append(x) or forward(self, x))
@@ -771,7 +790,7 @@ def test_a_training_step_records_about_7_nodes_a_day(days, monkeypatch):
 def test_noisy_copies_are_built_when_an_epoch_first_reads_them():
     ds = generate_synthetic_dataset(15, seed=3)
     game = SIRGame(ds, SIRConfig(trajectories=100, hidden_layers=1, hidden_width=4),
-                   [RateVector(0.25, 0.1, 0.01)], seed=7)
+                   np.array([0.25, 0.1, 0.01]), seed=7)
     assert game._copies == {}
     tape = ad.Tape()
     bound = {name: net.bind(tape) for name, net in game.nets().items()}
@@ -787,10 +806,10 @@ def test_year_long_forecast_from_a_60_day_fit_stays_on_the_simplex():
     measures = make_measure_schedule(365, seed=3)
     ds = generate_synthetic_dataset(60, seed=3, measures=measures, modulate=True)
     rates, _ = estimate_rates(ds, window=28)
-    model, _ = train_sir(ds, TrainingConfig(epochs=1, games_per_epoch=5),
-                         config=SIRConfig(trajectories=10), warm_rates=rates)
+    nets, _ = train_sir(ds, TrainingConfig(epochs=1, games_per_epoch=5),
+                        config=SIRConfig(trajectories=10), warm_rates=rates)
     forecasts = [integrate_kolmogorov(ds.states[0], rates, 365)]
-    forecasts += [forecast(model, ds.states[0], 365, measures, noise_seed=seed)
+    forecasts += [forecast(nets, rates, ds.states[0], 365, measures, noise_seed=seed)
                   for seed in range(3)]
     for traj in forecasts:
         assert traj.shape == (366, 3)
@@ -800,11 +819,11 @@ def test_year_long_forecast_from_a_60_day_fit_stays_on_the_simplex():
 
 def test_forecast_zero_days_and_guards():
     ds = generate_synthetic_dataset(20, seed=8, i0=0.05)
-    model, _ = _train_small(ds, 0)
-    out = forecast(model, ds.states[0], 0, np.zeros((0, 7), dtype=int))
+    nets, rates, _ = _train_small(ds, 0)
+    out = forecast(nets, rates, ds.states[0], 0, np.zeros((0, 7), dtype=int))
     assert out.shape == (1, 3)
     with pytest.raises(ValueError):
-        forecast(model, ds.states[0], 5, np.zeros((3, 7), dtype=int))
+        forecast(nets, rates, ds.states[0], 5, np.zeros((3, 7), dtype=int))
 
 
 def test_zeroed_drift_forecasts_the_rate_equation():
@@ -812,19 +831,19 @@ def test_zeroed_drift_forecasts_the_rate_equation():
     # the standard game's rate equation on the same daily rates
     ds = generate_synthetic_dataset(40, seed=10, measures=make_measure_schedule(40, seed=10),
                                     modulate=True)
-    model, _ = _train_small(ds, 2)
-    _zero(model.drift_net)
+    nets, rates, _ = _train_small(ds, 2)
+    _zero(nets["drift"])
     days = len(ds) - 1
-    got = forecast(model, ds.states[0], days, ds.measures)
-    want = integrate_kolmogorov(ds.states[0], model.rates, days)
+    got = forecast(nets, rates, ds.states[0], days, ds.measures)
+    want = integrate_kolmogorov(ds.states[0], rates, days)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_forecast_frozen_dynamics_constant():
     ds = generate_synthetic_dataset(20, seed=9, i0=0.05)
-    model, _ = _train_small(ds, 0, warm_rates=[RateVector(0.0, 0.0, 0.0)] * 10)
-    _zero(model.drift_net)
-    out = forecast(model, np.array([0.5, 0.3, 0.2]), 10, np.zeros((10, 7), dtype=int))
+    nets, rates, _ = _train_small(ds, 0, warm_rates=np.zeros((10, 3)))
+    _zero(nets["drift"])
+    out = forecast(nets, rates, np.array([0.5, 0.3, 0.2]), 10, np.zeros((10, 7), dtype=int))
     assert np.allclose(out, np.tile([0.5, 0.3, 0.2], (11, 1)))
 
 
