@@ -30,7 +30,10 @@ other games are skipped:
 
 Each key a game takes resolves to its flag, else the config file, else the
 game's default. A key the game does not take, as a flag or in the file, is
-a configuration error.
+a configuration error. Each key sets one field of the game's config or of
+the training config (``agents`` sets ``n_agents``), except mode, out, data,
+population, window, rounds, rounds_per_game and theta, which the game's
+runner reads itself.
 
 numpy's BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is set in
 the environment (importing :mod:`mfgames` sets it to 1 when unset): the
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import sys
@@ -67,49 +71,46 @@ class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-# One row per key: (type, default per game, where). A game takes the key
-# only if the row gives it a default. ``where`` is "run" for a key of the
+# One row per key: (type, default per game, where, field). A game takes the
+# key only if the row gives it a default. ``where`` is "run" for a key of the
 # config file's [run] section, "flag" for a key of the game's own section
 # that is also a flag, and "file" for one that is not; [run] keys are flags.
+# ``field`` is the one it sets, of the game's config or of TrainingConfig;
+# None for a key the game's runner reads itself.
 _KEYS: dict[str, tuple] = {
-    "mode": (str, dict.fromkeys(GAMES, "standard"), "run"),
-    "seed": (int, dict.fromkeys(GAMES, 0), "run"),
-    "out": (str, dict.fromkeys(GAMES, "out"), "run"),
-    "epochs": (int, {"meeting": 20, "elfarol": 20, "sir": 10}, "run"),
-    "data": (str, {"sir": None}, "run"),
-    "agents": (int, {"meeting": 64, "elfarol": 64}, "flag"),
-    "turns": (int, {"meeting": 15, "elfarol": 15}, "file"),
-    "quorum": (float, {"meeting": 0.9}, "file"),
-    "noise_std": (float, {"meeting": 1.0}, "file"),
-    "sigma": (float, {"meeting": 0.1}, "file"),
-    "drift_gain": (float, {"meeting": 1.0, "elfarol": 0.3}, "file"),
-    "smoothing": (float, {"meeting": 0.6}, "file"),
-    "scheduled": (float, {"meeting": 15.0}, "file"),
-    "init_mean": (float, {"meeting": 12.0}, "file"),
-    "games_per_epoch": (int, {"meeting": 10, "elfarol": 10}, "file"),
-    "data_weight": (float, {"meeting": 1.0, "elfarol": 1.0}, "file"),
-    "threshold": (float, {"elfarol": 0.9}, "flag"),
-    "population": (int, {"sir": 1_000_000}, "flag"),
-    "trajectories": (int, {"sir": 100}, "flag"),
-    "batch": (int, {"sir": 5}, "file"),
-    "window": (int, {"sir": 28}, "file"),
-    "layers": (int, {"sir": 8}, "file"),
-    "width": (int, {"sir": 32}, "file"),
-    "lr": (float, {"sir": 5e-4, "dice": 5e-4}, "file"),
-    "players": (int, {"dice": 30}, "flag"),
-    "dice": (int, {"dice": 15}, "flag"),
-    "faces": (int, {"dice": 6}, "file"),
-    "rounds": (int, {"dice": 100}, "flag"),
-    "rounds_per_game": (int, {"dice": 10}, "file"),
-    "lambda0": (float, {"dice": 0.0}, "flag"),
-    "theta": (str, {"dice": ""}, "flag"),
-    "likelihood": (float, {"dice": 0.3}, "file"),
+    "mode": (str, dict.fromkeys(GAMES, "standard"), "run", None),
+    "seed": (int, dict.fromkeys(GAMES, 0), "run", "seed"),
+    "out": (str, dict.fromkeys(GAMES, "out"), "run", None),
+    "epochs": (int, {"meeting": 20, "elfarol": 20, "sir": 10}, "run", "epochs"),
+    "data": (str, {"sir": None}, "run", None),
+    "agents": (int, {"meeting": 64, "elfarol": 64}, "flag", "n_agents"),
+    "turns": (int, {"meeting": 15, "elfarol": 15}, "file", "turns"),
+    "quorum": (float, {"meeting": 0.9}, "file", "quorum"),
+    "noise_std": (float, {"meeting": 1.0}, "file", "noise_std"),
+    "sigma": (float, {"meeting": 0.1}, "file", "sigma"),
+    "drift_gain": (float, {"meeting": 1.0, "elfarol": 0.3}, "file", "drift_gain"),
+    "smoothing": (float, {"meeting": 0.6}, "file", "smoothing"),
+    "scheduled": (float, {"meeting": 15.0}, "file", "scheduled"),
+    "init_mean": (float, {"meeting": 12.0}, "file", "init_mean"),
+    "games_per_epoch": (int, {"meeting": 10, "elfarol": 10}, "file", "games_per_epoch"),
+    "data_weight": (float, {"meeting": 1.0, "elfarol": 1.0}, "file", "data_loss_weight"),
+    "threshold": (float, {"elfarol": 0.9}, "flag", "threshold"),
+    "population": (int, {"sir": 1_000_000}, "flag", None),
+    "trajectories": (int, {"sir": 100}, "flag", "trajectories"),
+    "batch": (int, {"sir": 5}, "file", "games_per_epoch"),
+    "window": (int, {"sir": 28}, "file", None),
+    "layers": (int, {"sir": 8}, "file", "hidden_layers"),
+    "width": (int, {"sir": 32}, "file", "hidden_width"),
+    "lr": (float, {"sir": 5e-4, "dice": 5e-4}, "file", "lr"),
+    "players": (int, {"dice": 30}, "flag", "n_players"),
+    "dice": (int, {"dice": 15}, "flag", "dice_per_player"),
+    "faces": (int, {"dice": 6}, "file", "n_faces"),
+    "rounds": (int, {"dice": 100}, "flag", None),
+    "rounds_per_game": (int, {"dice": 10}, "file", None),
+    "lambda0": (float, {"dice": 0.0}, "flag", "bluff0"),
+    "theta": (str, {"dice": ""}, "flag", None),
+    "likelihood": (float, {"dice": 0.3}, "file", "likelihood"),
 }
-# the TrainingConfig field each key sets; fields no key of the game sets
-# keep their defaults
-_TRAINING_FIELDS = {"epochs": "epochs", "seed": "seed", "lr": "lr",
-                    "games_per_epoch": "games_per_epoch", "batch": "games_per_epoch",
-                    "data_weight": "data_loss_weight"}
 
 
 def _coerce(key: str, typ, value) -> object:
@@ -144,7 +145,7 @@ def load_config_file(path: str, game: str) -> dict:
                 if value != game:
                     raise ConfigError(f"config file is for game '{value}', not '{game}'")
                 continue
-            typ, defaults, where = _KEYS.get(key, (None, {}, None))
+            typ, defaults, where, _field = _KEYS.get(key, (None, {}, None, None))
             if game not in defaults or (where == "run") != (section == "run"):
                 raise ConfigError(f"unknown key '{key}' in [{section}] for game '{game}'")
             out[key] = _coerce(key, typ, value)
@@ -179,18 +180,14 @@ def _histogram_block(turn: int, cells: list[str]):
     return zip(repeat(str(turn)), cells, repeat(repr(1.0 / len(cells))))
 
 
-def _config(cls, **kwargs):
-    """Build a game or training config; its validation failures are config errors."""
+def _config(cls, p: dict, **extra):
+    """``cls`` from ``extra`` and the keys of ``p`` naming its fields, or ConfigError if invalid."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    kwargs = {_KEYS[key][3]: value for key, value in p.items() if _KEYS[key][3] in names}
     try:
-        return cls(**kwargs)
+        return cls(**kwargs, **extra)
     except ValueError as err:
         raise ConfigError(f"{cls.__name__}: {err}") from None
-
-
-def _training_config(p: dict) -> TrainingConfig:
-    """The run's :class:`TrainingConfig`, from the resolved keys ``p``."""
-    return _config(TrainingConfig, **{
-        field: p[key] for key, field in _TRAINING_FIELDS.items() if key in p})
 
 
 def _write_training(out: Path, history, nets: dict) -> list[Path]:
@@ -204,26 +201,18 @@ def _write_training(out: Path, history, nets: dict) -> list[Path]:
 
 
 # The agent games, meeting and El Farol: per game its module, its config
-# from the resolved keys, its observations from the seed, and the field of a
-# state whose final value the exploitability reads.
+# class, its observations from the seed, and the field of a state whose
+# final value the exploitability reads.
 _AGENT_GAMES = {
     "meeting": (
         meeting_mod,
-        lambda p: _config(
-            meeting_mod.MeetingConfig,
-            scheduled=p["scheduled"], quorum=p["quorum"], n_agents=p["agents"],
-            noise_std=p["noise_std"], turns=p["turns"], init_mean=p["init_mean"],
-            drift_gain=p["drift_gain"], smoothing=p["smoothing"], sigma=p["sigma"],
-        ),
+        meeting_mod.MeetingConfig,
         lambda seed: [meeting_mod.generate_observations(seed=seed * 1000 + k) for k in range(10)],
         "tau_tilde",
     ),
     "elfarol": (
         elfarol_mod,
-        lambda p: _config(
-            elfarol_mod.BarConfig, threshold=p["threshold"], n_agents=p["agents"],
-            turns=p["turns"], drift_gain=p["drift_gain"],
-        ),
+        elfarol_mod.BarConfig,
         lambda seed: elfarol_mod.generate_attendance_observations(seed=seed),
         "p",
     ),
@@ -231,9 +220,9 @@ _AGENT_GAMES = {
 
 
 def _run_agents(game: str, p: dict, out: Path, manifest: dict) -> list[Path]:
-    module, make_config, observations, final = _AGENT_GAMES[game]
-    config = make_config(p)
-    training = _training_config(p)
+    module, config_cls, observations, final = _AGENT_GAMES[game]
+    config = _config(config_cls, p)
+    training = _config(TrainingConfig, p)
     written = []
     if p["mode"] == "standard":
         states = module.run_standard(config, seed=p["seed"])
@@ -253,11 +242,10 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
     if p["population"] < 1:
         raise ConfigError("population must be positive")
     # in both modes, so that a bad config fails, and before any data is read
-    training = _training_config(p)
+    training = _config(TrainingConfig, p)
     if p["window"] < 2:
         raise ConfigError("window must be at least 2 days")
-    config = _config(sir_mod.SIRConfig, trajectories=p["trajectories"],
-                     hidden_layers=p["layers"], hidden_width=p["width"])
+    config = _config(sir_mod.SIRConfig, p)
     dataset = sir_mod.ingest_csv(p["data"], population=p["population"])
     if len(dataset) < 2:
         raise sir_mod.DataError("the rate fit needs at least two days of data")
@@ -298,18 +286,12 @@ def _run_dice(p: dict, out: Path, manifest: dict) -> list[Path]:
         )
     except ValueError:
         raise ConfigError(f"theta must be comma-separated numbers: {p['theta']!r}") from None
-    if len(theta) != faces:
-        raise ConfigError(f"theta must list {faces} probabilities")
-    config = _config(
-        dice_mod.DiceConfig,
-        n_players=p["players"], dice_per_player=p["dice"], n_faces=faces,
-        theta=theta, likelihood=p["likelihood"], bluff0=p["lambda0"],
-    )
+    config = _config(dice_mod.DiceConfig, p, theta=theta)
     rounds_per_game = p["rounds_per_game"]
     if rounds_per_game < 1:
         raise ConfigError("rounds_per_game must be positive")
     net, records = dice_mod.train_dice(
-        config, _training_config(p), games=max(1, p["rounds"] // rounds_per_game),
+        config, _config(TrainingConfig, p), games=max(1, p["rounds"] // rounds_per_game),
         rounds_per_game=rounds_per_game, neural=(p["mode"] == "neural"),
     )
     dice_mod.write_round_history(out / "history.csv", records)
@@ -337,7 +319,7 @@ def run_experiment(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown game '{game}'")
     file_cfg = load_config_file(args.config, game) if args.config else {}
     p = {}
-    for key, (typ, defaults, _where) in _KEYS.items():
+    for key, (typ, defaults, _where, _field) in _KEYS.items():
         flag = getattr(args, key, None)
         if game in defaults:  # flag, then config file, then default
             p[key] = (_coerce(key, typ, flag) if flag is not None
@@ -388,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "run":
             p.add_argument("--game", required=True, choices=GAMES)
         p.add_argument("--config", default=None)
-        for key, (_typ, defaults, where) in _KEYS.items():
+        for key, (_typ, defaults, where, _field) in _KEYS.items():
             if where != "file" and (command == "run" or command in defaults):
                 p.add_argument(f"--{key}", default=None)  # typed by _coerce
     return parser

@@ -118,7 +118,6 @@ def is_legal_successor(prev: Bid, new: Bid) -> bool:
 @dataclass
 class RoundOutcome:
     turns: list  # (player index, Bid or Challenge)
-    winner: int
     challenge_correct: bool
     revealed: np.ndarray  # pooled face counts of every die in play
 
@@ -260,7 +259,6 @@ def play_round(counts: np.ndarray, theta_hat: np.ndarray, lam: np.ndarray,
     opening = Bid(1, max(1, int(round(est))))
     turns: list = [(0, opening)]
     prev_bid = opening
-    prev_bidder = 0
     i = 1 % n_players
     while True:
         action = player_turn(counts[i], theta_hat[i], lam[i], prev_bid, config, rng)
@@ -268,12 +266,10 @@ def play_round(counts: np.ndarray, theta_hat: np.ndarray, lam: np.ndarray,
         if isinstance(action, Challenge):
             actual = int(revealed[prev_bid.face - 1])
             correct = actual < prev_bid.quantity
-            winner = i if correct else prev_bidder
-            return RoundOutcome(turns, winner, correct, revealed)
+            return RoundOutcome(turns, correct, revealed)
         if not is_legal_successor(prev_bid, action):
             raise RuntimeError(f"illegal successor bid {action} after {prev_bid}")
         prev_bid = action
-        prev_bidder = i
         i = (i + 1) % n_players
 
 

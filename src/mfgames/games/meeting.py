@@ -189,10 +189,13 @@ def exploitability(tau_tilde, config: MeetingConfig) -> float:
     With ts held, every arrival in [s, ts] costs ts - s and none costs less,
     so this is the mean terminal cost minus ts - s, 0 when every agent arrives
     in [s, ts]. A deviation's own move of ts, by one rank, is not counted.
+    NaN if any arrival is NaN.
     """
+    if np.isnan(tau_tilde).any():  # the hinges would cost it nothing
+        return math.nan
     s = config.scheduled
     ts = actual_start(tau_tilde, s, config.quorum)
-    return max(0.0, float(np.mean(terminal_cost(tau_tilde, s, ts) - (ts - s))))
+    return max(float(np.mean(terminal_cost(tau_tilde, s, ts) - (ts - s))), 0.0)
 
 
 class MeetingGame(GameInstance):

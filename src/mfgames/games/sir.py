@@ -491,8 +491,10 @@ def _window_objective(target: np.ndarray):
     return objective
 
 
-def estimate_rates(dataset: EpidemicDataset, window: int = 28,
-                   max_iter: int = 400) -> tuple[np.ndarray, np.ndarray]:
+RATE_FIT_MAX_ITER = 400  # Nelder-Mead iterations per window of the rate fit
+
+
+def estimate_rates(dataset: EpidemicDataset, window: int = 28) -> tuple[np.ndarray, np.ndarray]:
     """Daily rates from a rolling Nelder-Mead MSE fit of the rate equation.
 
     Day d is fit on the window starting at d, each fit warm-started from the
@@ -510,7 +512,7 @@ def estimate_rates(dataset: EpidemicDataset, window: int = 28,
     x = np.array([0.2, 0.1, 0.05])
     for w0 in range(n - window + 1):
         objective = _window_objective(dataset.states[w0: w0 + window])
-        x, converged = _nelder_mead(objective, x, max_iter, xatol=1e-8, fatol=1e-14)
+        x, converged = _nelder_mead(objective, x, RATE_FIT_MAX_ITER, xatol=1e-8, fatol=1e-14)
         fits.append(x)
         unconverged.append(not converged)
     return (_held_rates(np.clip(fits, 0.0, None), n),
@@ -631,12 +633,12 @@ def train_sir(dataset: EpidemicDataset, training: TrainingConfig,
     step per network per epoch, from the daily ``warm_rates`` (a (days, 3)
     array as :func:`estimate_rates` fits them, or one (3,) row). Of
     ``training`` it uses ``epochs``, ``games_per_epoch`` (the target rows per
-    epoch), ``lr``, ``seed`` (of the networks, the noisy copies and the
-    epochs' noise) and ``abort_threshold``; ``data_loss_weight`` scales the
-    one loss term. Returns what :func:`mfgames.mfg.train` returns: the
-    networks, ``"drift"`` and ``"diffusion"``, and one
-    :class:`mfgames.mfg.HistoryRow` per epoch (game cost 0, data loss =
-    total). Raises :class:`DataError` on a dataset of fewer than two days.
+    epoch), ``lr`` and ``seed`` (of the networks, the noisy copies and the
+    epochs' noise); ``data_loss_weight`` scales the one loss term. Returns
+    what :func:`mfgames.mfg.train` returns: the networks, ``"drift"`` and
+    ``"diffusion"``, and one :class:`mfgames.mfg.HistoryRow` per epoch (game
+    cost 0, data loss = total). Raises :class:`DataError` on a dataset of
+    fewer than two days.
     """
     return train(SIRGame(dataset, config, warm_rates, training.seed), training)
 

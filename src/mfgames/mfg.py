@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+ABORT_THRESHOLD = 1e6  # a step whose loss exceeds it diverges (see train_step)
+
+
 class TrainingDivergence(RuntimeError):
     """Raised when a step's loss or gradient diverges; ``step`` is the step's index."""
 
@@ -57,7 +60,6 @@ class TrainingConfig:
     lr: float = 5e-4
     seed: int = 0
     data_loss_weight: float = 1.0
-    abort_threshold: float = 1e6
 
     def __post_init__(self):
         check_finite(self)
@@ -119,14 +121,13 @@ class HistoryRow:
     total: float
 
 
-def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn, step: int,
-               abort_threshold: float):
+def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn, step: int):
     """One optimizer step on a fresh tape; returns what ``loss_fn`` hands back.
 
     ``loss_fn(tape, bound)`` records the forward pass, with ``bound`` mapping
     each name in ``nets`` to that network bound as tape leaves, and returns
     ``(loss, result)``; ``result`` must hold no tape node. A non-finite loss,
-    a loss above ``abort_threshold`` or a non-finite gradient of any network
+    a loss above ``ABORT_THRESHOLD`` or a non-finite gradient of any network
     raises :class:`TrainingDivergence` with the index ``step``; otherwise
     each network takes one step of its optimizer in ``opts`` on the 0-d
     loss's gradient. The graph is freed when this returns or raises: the
@@ -138,7 +139,7 @@ def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn, step: 
         loss, result = loss_fn(tape, bound)
         if not np.isfinite(loss.v):
             raise TrainingDivergence(f"non-finite loss at step {step}", step)
-        if loss.v > abort_threshold:
+        if loss.v > ABORT_THRESHOLD:
             raise TrainingDivergence(
                 f"loss {loss.v:.3g} exceeded abort threshold at step {step}", step)
         tape.backward(loss)
@@ -168,7 +169,7 @@ def train(game: GameInstance, config: TrainingConfig):
             loss_fn = steps.send(result)
         except StopIteration as done:
             return nets, done.value
-        result = train_step(nets, opts, loss_fn, step, config.abort_threshold)
+        result = train_step(nets, opts, loss_fn, step)
 
 
 def float_cells(values) -> list[str]:

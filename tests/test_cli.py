@@ -12,6 +12,7 @@ import pytest
 
 from mfgames import cli
 from mfgames.games import dice, elfarol, meeting, sir
+from mfgames.mfg import TrainingConfig
 
 TINY = """
 [meeting]
@@ -124,6 +125,7 @@ EXIT_CASES = [
     ("threshold out of range", 2, ("elfarol", "--threshold", "1.5")),
     ("one dice player", 2, ("dice", "--players", "1")),
     ("unparsable theta", 2, ("dice", "--theta", "a,b,c,d,e,f")),
+    ("theta of two values for six faces", 2, ("dice", "--theta", "0.5,0.5")),
     ("sir without data", 2, ("sir",)),
     ("empty population", 2, ("sir", "--data", "{data}", "--population", "0")),
     ("unknown config file", 2, ("meeting", "--config", "{tmp}/absent.ini")),
@@ -415,35 +417,51 @@ def test_manifest_reports_the_window_the_rate_fit_used(inputs, monkeypatch, mode
         assert manifest["rate_fit_window"] == used == windows[-1]
 
 
+GAME_CONFIGS = {"meeting": meeting.MeetingConfig, "elfarol": elfarol.BarConfig,
+                "sir": sir.SIRConfig, "dice": dice.DiceConfig}
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def test_every_game_config_field_is_set_by_the_cli(inputs, monkeypatch):
     # a field no key sets would only ever hold its default
     built = {}
-    config = cli._config
+    for cls in GAME_CONFIGS.values():
+        def recording_init(self, init=cls.__init__, cls=cls, **kwargs):
+            built.setdefault(cls, set(kwargs))  # the run's first config is the CLI's
+            init(self, **kwargs)
 
-    def recording_config(cls, **kwargs):
-        built[cls] = set(kwargs)
-        return config(cls, **kwargs)
-
-    monkeypatch.setattr(cli, "_config", recording_config)
+        monkeypatch.setattr(cls, "__init__", recording_init)
     for game in cli.GAMES:
         data = ("--data", "{data}") if game == "sir" else ()
         assert _run(inputs, game, "--mode", "standard", "--config", "{config}", *data,
                     out=game) == 0
-    for cls in (meeting.MeetingConfig, elfarol.BarConfig, sir.SIRConfig, dice.DiceConfig):
-        assert built[cls] == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    for cls in GAME_CONFIGS.values():
+        assert built[cls] == _field_names(cls), cls.__name__
+
+
+@pytest.mark.parametrize("game", cli.GAMES)
+def test_each_key_of_a_game_names_a_field_of_one_config_it_builds(game):
+    # a misspelt field would leave the key's value unread and the field at its default
+    configs = [_field_names(GAME_CONFIGS[game]), _field_names(TrainingConfig)]
+    named = [field for _typ, defaults, _where, field in cli._KEYS.values()
+             if game in defaults and field is not None]
+    for field in named:
+        assert sum(field in names for names in configs) == 1, field
+    assert len(named) == len(set(named))
 
 
 @pytest.mark.parametrize("max_iter", [400, 150])  # the fit's own cap, and one too low
 @pytest.mark.parametrize("mode", cli.MODES)
 def test_manifest_lists_the_days_whose_rate_fit_did_not_converge(inputs, monkeypatch,
                                                                  mode, max_iter):
-    fit = sir.estimate_rates
-    monkeypatch.setattr(sir, "estimate_rates",
-                        lambda dataset, window: fit(dataset, window, max_iter=max_iter))
+    monkeypatch.setattr(sir, "RATE_FIT_MAX_ITER", max_iter)
     argv = ("sir", "--mode", mode, "--epochs", "1", "--config", "{config}", "--data", "{data}")
     assert _run(inputs, *argv) == 0
     dataset = sir.ingest_csv(inputs["data"], population=1_000_000)
-    _rates, unconverged = fit(dataset, window=5, max_iter=max_iter)
+    _rates, unconverged = sir.estimate_rates(dataset, window=5)
     want = [d.isoformat() for d, no in zip(dataset.dates, unconverged) if no]
     assert bool(want) == (max_iter == 150)  # the capped fit misses days 0 and 3
     manifest = _manifest(inputs, "out")

@@ -222,7 +222,7 @@ def test_round_and_updates_leave_their_inputs_unwritten():
     net = _loud_net(config)
     loss = partial(dice._round_loss, theta_hat, lam, counts, target, outcome, config)
     th, lam_new = train_step({"belief": net}, {"belief": AdaBelief(net.parameters(), lr=0.05)},
-                             loss, 0, 1e6)
+                             loss, 0)
     for a, b in zip((counts, theta_hat, lam), before):
         assert np.array_equal(a, b)
     for new in (pure, th, lam_new):

@@ -87,7 +87,7 @@ def test_dice_round_update_matches_scalar_tape(step_grads):
     outcome = dice.play_round(counts, theta_hat, lam, config, rng)
     target = dice._pooled_target(outcome.revealed.astype(float), config)
     loss = partial(dice._round_loss, theta_hat, lam, counts, target, outcome, config)
-    theta_hat, lam = train_step({"belief": net}, {"belief": opt}, loss, 0, 1e6)
+    theta_hat, lam = train_step({"belief": net}, {"belief": opt}, loss, 0)
     _assert_matches("dice", None, step_grads)
     golden = json.loads((GOLDEN / "dice.json").read_text())
     np.testing.assert_allclose(theta_hat, golden["theta_hat"], rtol=TOL, atol=TOL)

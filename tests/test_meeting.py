@@ -228,6 +228,12 @@ def test_exploitability_is_nonnegative_and_zero_at_best_responses():
     assert exploitability(early, cfg) == pytest.approx(2.0 / cfg.n_agents, abs=1e-15)
 
 
+@pytest.mark.parametrize("arrivals", [[np.nan, 14.0, 15.0, 16.0], [np.nan] * 4])
+def test_exploitability_of_nan_arrivals_is_nan(arrivals):
+    # the hinges cost a NaN arrival nothing: these read 0.75 and 0.0
+    assert np.isnan(exploitability(np.array(arrivals), MeetingConfig(n_agents=len(arrivals))))
+
+
 def test_epoch_gradient_matches_finite_differences():
     # one epoch's combined loss as `mfgames meeting --mode neural` trains it
     # at seed 0, on 4 episodes. The loss is piecewise smooth: the quorum

@@ -7,6 +7,7 @@ import pytest
 
 from gradcheck import array_gradcheck, epoch_directional_derivatives
 from mfgames import autodiff as ad
+from mfgames.games import sir
 from mfgames.games.sir import (
     CSV_HEADER,
     NOISE_SIGMA,
@@ -529,9 +530,10 @@ def test_estimate_rates_equals_the_reference_fit(tmp_path, seed):
 
 
 @pytest.mark.parametrize("days,window", [(2, 2), (30, 28), (40, 14), (12, 12)])
-def test_estimate_rates_returns_a_rate_row_and_a_flag_per_day(days, window):
+def test_estimate_rates_returns_a_rate_row_and_a_flag_per_day(days, window, monkeypatch):
+    monkeypatch.setattr(sir, "RATE_FIT_MAX_ITER", 40)
     ds = generate_synthetic_dataset(days, seed=days, i0=0.05)
-    rates, unconverged = estimate_rates(ds, window=window, max_iter=40)
+    rates, unconverged = estimate_rates(ds, window=window)
     assert rates.shape == (days, 3) and rates.dtype == np.float64
     assert unconverged.shape == (days,) and unconverged.dtype == np.bool_
     # the trailing window - 1 days repeat the last window's fit
@@ -541,12 +543,13 @@ def test_estimate_rates_returns_a_rate_row_and_a_flag_per_day(days, window):
     assert np.all(rates >= 0.0)
 
 
-def test_estimate_rates_flags_windows_that_do_not_converge():
+def test_estimate_rates_flags_windows_that_do_not_converge(monkeypatch):
     ds = generate_synthetic_dataset(30, seed=3)
-    _rates, warn = estimate_rates(ds, window=28, max_iter=15)
-    assert warn.tolist() == [True] * 30
     _rates, warn = estimate_rates(ds, window=28)
     assert warn.tolist() == [False] * 30
+    monkeypatch.setattr(sir, "RATE_FIT_MAX_ITER", 15)
+    _rates, warn = estimate_rates(ds, window=28)
+    assert warn.tolist() == [True] * 30
 
 
 # -- training and forecasting --------------------------------------------------

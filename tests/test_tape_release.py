@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mfgames import autodiff
+from mfgames import autodiff, mfg
 from mfgames.games import dice, elfarol, meeting, sir
 from mfgames.mfg import TrainingConfig, TrainingDivergence, train
 from mfgames.nets import MLPConfig, mlp_init
@@ -46,12 +46,11 @@ def _live_tapes_after(run, refs) -> int:
         gc.enable()
 
 
-def _meeting(epochs, abort_threshold=1e6):
+def _meeting(epochs):
     config = meeting.MeetingConfig(n_agents=16)
     obs = [meeting.generate_observations(seed=k) for k in range(2)]
     game = meeting.MeetingGame(config, obs, net_seed=1)
-    return train(game, TrainingConfig(epochs=epochs, games_per_epoch=2, seed=1,
-                                      abort_threshold=abort_threshold))
+    return train(game, TrainingConfig(epochs=epochs, games_per_epoch=2, seed=1))
 
 
 def _elfarol():
@@ -60,31 +59,33 @@ def _elfarol():
     return train(game, TrainingConfig(epochs=3, games_per_epoch=2, seed=1))
 
 
-def _sir(abort_threshold=1e6):
+def _sir():
     dataset = sir.generate_synthetic_dataset(12, seed=1, i0=0.05)
-    training = TrainingConfig(epochs=3, games_per_epoch=2, seed=1,
-                              abort_threshold=abort_threshold)
+    training = TrainingConfig(epochs=3, games_per_epoch=2, seed=1)
     config = sir.SIRConfig(trajectories=4, hidden_layers=2, hidden_width=8)
     rates, _ = sir.estimate_rates(dataset, window=12)
     return sir.train_sir(dataset, training, config=config, warm_rates=rates)
 
 
-def _dice(abort_threshold=1e6):
+def _dice():
     config = dice.DiceConfig(n_players=4, dice_per_player=3)
-    training = TrainingConfig(epochs=1, seed=2, abort_threshold=abort_threshold)
+    training = TrainingConfig(epochs=1, seed=2)
     return dice.train_dice(config, training, games=2, rounds_per_game=2, neural=True)
 
 
 def _diverging(run):
+    """``run`` with a threshold that the first step's loss exceeds."""
     def run_and_catch():
         # not pytest.raises: its record of the traceback would keep the
         # failed step's frames, and the graph with them, in a cycle
-        try:
-            run()
-        except TrainingDivergence as err:
-            assert err.step == 0
-        else:
-            pytest.fail("training did not diverge")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mfg, "ABORT_THRESHOLD", 1e-12)
+            try:
+                run()
+            except TrainingDivergence as err:
+                assert err.step == 0
+            else:
+                pytest.fail("training did not diverge")
 
     return run_and_catch
 
@@ -94,9 +95,9 @@ RUNS = {
     "elfarol": _elfarol,
     "sir": _sir,
     "dice": _dice,
-    "meeting_divergence": _diverging(lambda: _meeting(3, abort_threshold=1e-12)),
-    "sir_divergence": _diverging(lambda: _sir(abort_threshold=1e-12)),
-    "dice_divergence": _diverging(lambda: _dice(abort_threshold=1e-12)),
+    "meeting_divergence": _diverging(lambda: _meeting(3)),
+    "sir_divergence": _diverging(_sir),
+    "dice_divergence": _diverging(_dice),
 }
 
 
