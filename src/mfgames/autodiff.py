@@ -18,10 +18,11 @@ A fused computation can be one node whose VJP computes every parent's
 adjoint in one call (:func:`fused`). :func:`mlp`, a whole LipSwish network,
 is one: its VJP walks back through the layers with the expressions of an
 affine node and of a LipSwish node, so its adjoints are bit for bit those of
-a node per layer. Given weights stacked ``(n, out, in)``, one
-:func:`mlp` node runs ``n`` networks of one input width and depth on one
-input, one ``np.matmul`` per layer (the "vmap over networks" ensemble
-pattern); :func:`stack_padded` builds such stacks from each network's own
+a node per layer. It runs a stack of ``n`` networks of one input width and
+depth, their weights ``(n, out, in)``, on one input, one ``np.matmul`` per
+layer (the "vmap over networks" ensemble pattern); one network's own
+``(out, in)`` weights run as a stack of one, so one forward pass and one VJP
+serve both. :func:`stack_padded` builds such stacks from each network's own
 nodes, and its VJP hands each network its slice.
 """
 
@@ -162,12 +163,6 @@ class Value:
             return out
 
         return Value(np.asarray(self.v)[index], self.tape, "getitem", (self, vjp))
-
-    def __len__(self):
-        return len(self.v)
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
     def sum(self, axis=None, keepdims=False) -> "Value":
         shape = self.shape
@@ -337,23 +332,26 @@ def mlp(x, weights, biases):
     layer first, then x: the order in which its VJP walks back over the layer
     inputs and slopes the forward pass kept.
 
-    Stacked weights ``(n, out, in)`` and biases ``(n, out)`` hold ``n``
-    networks of one input width and depth (see :func:`stack_padded`). They
-    all run on the one input ``x``, one ``np.matmul`` per layer over every
-    network, and the output is ``(n, ..., out)``; the VJP gives each stacked
-    weight and bias its ``(n, ...)`` adjoint, and ``x`` the sum of the
-    networks' adjoints.
+    A network's weights are ``(out, in)`` and its biases ``(out,)``; stacked
+    weights ``(n, out, in)`` and biases ``(n, out)`` hold ``n`` networks of
+    one input width and depth (see :func:`stack_padded`). One network runs
+    as a stack of one: ``np.matmul`` broadcasts its weights as ``w[None]``,
+    and its output and adjoints have no stack axis. Every network runs on
+    the input's rows, reshaped to ``(rows, in)`` once, with one
+    ``np.matmul`` per layer. The output is ``(n, ..., out)`` for a stack and
+    ``(..., out)`` for one network; the VJP gives each weight and bias an
+    adjoint of its own shape, and ``x`` the sum of the networks' adjoints.
     """
     ws = [plain(w) for w in weights]
-    bs = [plain(b) for b in biases]
+    shape = np.shape(plain(x))
+    n_in = ws[0].shape[-1]
+    if not shape or shape[-1] != n_in:
+        raise ValueError(f"expected {n_in} inputs, got shape {shape}")
+    lead = ws[0].shape[:-2]  # (n,) for n stacked networks, () for one
+    bs = [np.asarray(plain(b), dtype=float).reshape(*lead, 1, -1) for b in biases]
     taped = _tape_of((x, *weights, *biases)) is not None
     inputs, slopes = [], []
-    h = plain(x)
-    stacked = np.ndim(ws[0]) == 3
-    if stacked:  # the input's rows, shared by the networks
-        batch = np.shape(h)[:-1]
-        h = np.reshape(h, (-1, ws[0].shape[-1]))
-        bs = [b[:, None, :] for b in bs]
+    h = np.reshape(plain(x), (-1, n_in))  # the input's rows, shared by the networks
     last = len(ws) - 1
     for k in range(last + 1):
         if taped:
@@ -365,30 +363,19 @@ def mlp(x, weights, biases):
             s = _sigmoid(h)
             slopes.append((s + h * s * (1.0 - s)) / 1.1)
             h = h * s / 1.1
-    if stacked:
-        h = h.reshape(len(ws[0]), *batch, h.shape[-1])
+    h = h.reshape(*lead, *shape[:-1], h.shape[-1])
 
     def vjp_all(g):
-        if stacked:
-            g = g.reshape(len(ws[0]), -1, g.shape[-1])
+        g = g.reshape(*lead, -1, g.shape[-1])
         out = []
         for k in range(last, -1, -1):
             if k != last:
                 g = g * slopes[k]
-            if stacked:
-                out += [g.mT @ inputs[k], g.sum(axis=1)]
-            else:
-                n_out, n_in = ws[k].shape
-                out += [g.reshape(-1, n_out).T @ inputs[k].reshape(-1, n_in),
-                        g.reshape(-1, n_out).sum(axis=0)]
+            out += [g.mT @ inputs[k], g.sum(axis=-2)]
             if k:
                 g = g @ ws[k]
-        if not isinstance(x, Value):
-            out.append(None)
-        elif stacked:
-            out.append((g @ ws[0]).sum(axis=0).reshape(x.shape))
-        else:
-            out.append(g @ ws[0])
+        out.append((g @ ws[0]).reshape(-1, *shape).sum(axis=0)
+                   if isinstance(x, Value) else None)
         return out
 
     every = [p for k in range(last, -1, -1) for p in (weights[k], biases[k])]

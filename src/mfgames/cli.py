@@ -282,7 +282,7 @@ def _run_dice(p: dict, out: Path, manifest: dict) -> list[Path]:
         theta = (
             tuple(float(x) for x in p["theta"].split(","))
             if p["theta"]
-            else (1.0 / faces,) * faces
+            else (1.0 / max(faces, 1),) * faces  # empty below 1 face; DiceConfig rejects it
         )
     except ValueError:
         raise ConfigError(f"theta must be comma-separated numbers: {p['theta']!r}") from None

@@ -162,13 +162,10 @@ def _rollout(config: BarConfig, p0, rngs, drift=None) -> list[tuple]:
         turns.append((p, went, a, p.mean(axis=1)))
         if turn == c.turns - 1:
             break
-        b = best_response_drift(p, a, c.threshold, c.drift_gain)
-        if drift is None:
-            p = clip01(p + b)
-        else:
-            t = turn + 1.0
-            mu = drift([t / c.turns, p, a, went * 1.0])[..., 0]
-            p = clip01(p + b + mu)
+        step = p + best_response_drift(p, a, c.threshold, c.drift_gain)
+        if drift is not None:
+            step = step + drift(stack([(turn + 1.0) / c.turns, p, a, went * 1.0]))[..., 0]
+        p = clip01(step)
     return turns
 
 

@@ -3,25 +3,26 @@
 The networks play the role of learned drift and diffusion residuals. They are
 deliberately tiny (a handful of hidden layers, 8-32 units) because they are
 applied at every step of an unrolled differential-equation solve, which
-multiplies their effective capacity. One layer loop serves both plain arrays
-and the tape: on arrays it records nothing, while on the tape a network is
-one leaf per weight matrix and per bias vector, and a forward pass over a
-whole batch of agents or trajectories is one node (:func:`autodiff.mlp`).
-Networks that read the same input can run as one: :func:`stack_nets` stacks
-their layers, and a forward pass of the stack is one call and one node,
-whose output holds each network's output in turn. On the tape the stack is
-built from each network's own leaves, so each keeps its gradient, its
-optimizer and its checkpoint.
+multiplies their effective capacity. Every forward pass is one call of one
+layer loop, :func:`autodiff.mlp`, on one input form: an array or node of
+shape (..., input_dim). On arrays it records nothing, while on the tape a
+network is one leaf per weight matrix and per bias vector, and a forward pass
+over a whole batch of agents or trajectories is one node. Networks that
+read the same input can run as one: :func:`stack_nets` stacks their layers,
+and a forward pass of the stack is one call and one node, whose output holds
+each network's output in turn; a single network is run as a stack of one. On
+the tape the stack is built from each network's own leaves, so each keeps
+its gradient, its optimizer and its checkpoint.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Value, mlp, plain, stack, stack_padded
+from .autodiff import Tape, Value, mlp, stack_padded
 
 __all__ = [
     "MLPConfig",
@@ -44,7 +45,7 @@ class MLPConfig:
     hidden_width: int = 8
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
         if self.hidden_layers < 1 or self.hidden_width < 1:
@@ -79,7 +80,6 @@ class MLP:
 
 def mlp_init(config: MLPConfig) -> MLP:
     """Weights ~ U(-sqrt(1/fan_in), +sqrt(1/fan_in)), biases zero, seeded."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     dims = (
         [config.input_dim]
@@ -108,15 +108,13 @@ class BoundMLP:
         self.wnodes = wnodes
         self.bnodes = bnodes
 
-    def forward(self, xs) -> Value:
-        """Evaluate the network on inputs of shape (..., input_dim).
-
-        ``xs`` is a Value or an ndarray; a list of Values and floats is first
-        stacked along a new last axis. Returns a Value of shape (..., output_dim):
-        one tape node for the whole call (see :func:`autodiff.mlp`); a stacked
+    def forward(self, x) -> Value:
+        """Evaluate the network on ``x``, a Value or an ndarray of shape
+        (..., input_dim). Returns a Value of shape (..., output_dim): one tape
+        node for the whole call (see :func:`autodiff.mlp`); a stacked
         network's is (networks, ..., output_dim).
         """
-        return _forward(xs, self.wnodes, self.bnodes)
+        return mlp(x, self.wnodes, self.bnodes)
 
     def grad_arrays(self) -> list[np.ndarray]:
         """Gradients in the same order/shape as ``MLP.parameters()``."""
@@ -128,24 +126,8 @@ class BoundMLP:
 
 
 def mlp_forward_np(net: MLP, x) -> np.ndarray:
-    """Forward pass on plain arrays (or a list of them), recording nothing."""
-    return _forward(x, net.weights, net.biases)
-
-
-def _forward(x, weights, biases):
-    """The layer loop (:func:`autodiff.mlp`) after a check of the input's shape.
-
-    Generic over plain arrays and tape Values, so one loop serves
-    :func:`mlp_forward_np` and :meth:`BoundMLP.forward`. A list of inputs is
-    first stacked along a new last axis.
-    """
-    if isinstance(x, (list, tuple)):
-        x = stack(x)
-    shape = np.shape(plain(x))
-    input_dim = weights[0].shape[-1]
-    if not shape or shape[-1] != input_dim:
-        raise ValueError(f"expected {input_dim} inputs, got shape {shape}")
-    return mlp(x, weights, biases)
+    """Forward pass on a plain array of shape (..., input_dim), recording nothing."""
+    return mlp(x, net.weights, net.biases)
 
 
 def stack_nets(nets):
@@ -221,13 +203,7 @@ class AdaBelief:
 def save_checkpoint(net: MLP, path) -> None:
     """JSON checkpoint; floats round-trip exactly via repr serialization."""
     payload = {
-        "config": {
-            "input_dim": net.config.input_dim,
-            "output_dim": net.config.output_dim,
-            "hidden_layers": net.config.hidden_layers,
-            "hidden_width": net.config.hidden_width,
-            "seed": net.config.seed,
-        },
+        "config": asdict(net.config),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }

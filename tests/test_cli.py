@@ -51,6 +51,7 @@ BAD_KEYS = [
     ("meeting", "sigma", "-1"),
     ("meeting", "smoothing", "-1"),
     ("sir", "lr", "nan"),
+    ("dice", "faces", "0"),
 ]
 
 
@@ -184,6 +185,8 @@ EXIT_CASES = [
      ("meeting", "--mode", "neural", "--config", "{meeting_noise_std_-1}")),
     ("negative sigma, standard meeting", 2, ("meeting", "--config", "{meeting_sigma_-1}")),
     ("negative smoothing, meeting", 2, ("meeting", "--config", "{meeting_smoothing_-1}")),
+    # the uniform default theta is built before DiceConfig checks the faces
+    ("no faces, dice", 2, ("dice", "--config", "{dice_faces_0}")),
     # the first step leaves weights near 1e300, so the next forward pass
     # overflows (inf, then inf * 0): its warnings are expected
     ("dice lr overflows the gradient", 4, ("dice", "--mode", "neural", "--config", "{huge_lr}"),

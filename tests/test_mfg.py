@@ -64,7 +64,7 @@ class QuadraticToy(GameInstance):
         # one state per episode, rolled as a batch; the toy is noiseless
         x = tape.value(np.zeros(len(episode_seeds)))
         for k in range(self.n_steps):
-            mu = bound["drift"].forward([k * self.dt, x])[..., 0]
+            mu = bound["drift"].forward(ad.stack([k * self.dt, x]))[..., 0]
             x = x + mu * self.dt
         return ad.square(x - 1.0).mean(), tape.value(0.0)
 
@@ -73,7 +73,7 @@ class QuadraticToy(GameInstance):
         bound = {k: v.bind(tape) for k, v in self._nets.items()}
         x = tape.value(0.0)
         for k in range(self.n_steps):
-            mu = bound["drift"].forward([k * self.dt, x])[0]
+            mu = bound["drift"].forward(ad.stack([k * self.dt, x]))[0]
             x = x + mu * self.dt
         return x.v
 

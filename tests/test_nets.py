@@ -124,8 +124,6 @@ def _per_layer(bound, x):
     LipSwish node per layer; the bits of the old per-layer graph itself are
     pinned by the golden hashes of the neural games.
     """
-    if isinstance(x, list):
-        x = ad.stack(x)
     last = len(bound.wnodes) - 1
     for k, (w, b) in enumerate(zip(bound.wnodes, bound.bnodes)):
         x = ad.mlp(x, [w], [b])
@@ -140,8 +138,8 @@ def _leaf(shape, seed):
 
 def _listed(tape):
     rng = np.random.default_rng(4)
-    return [tape.value(rng.normal(size=5)), tape.value(rng.normal(size=5)), 0.3,
-            tape.value(rng.normal(size=5))]
+    return ad.stack([tape.value(rng.normal(size=5)), tape.value(rng.normal(size=5)), 0.3,
+                     tape.value(rng.normal(size=5))])
 
 
 NETWORK_CASES = {
@@ -165,8 +163,9 @@ def _network_run(forward, config, make_input, calls):
         b[:] = rng.normal(scale=0.1, size=b.shape)
     tape = ad.Tape()
     bound = net.bind(tape)
+    n_params = len(tape)
     x = make_input(tape)
-    inputs = [v for v in (x if isinstance(x, list) else [x]) if isinstance(v, ad.Value)]
+    inputs = [v for v in tape.nodes[n_params:] if not v.parents]
     outs = [forward(bound, x) for _ in range(calls)]
     loss = sum(ad.square(out * rng.normal(size=out.shape)).sum() for out in outs)
     tape.backward(loss)
@@ -219,6 +218,9 @@ def test_dimension_mismatch_rejected():
     net = mlp_init(MLPConfig(3, 1, 3, 8, seed=0))
     with pytest.raises(ValueError):
         mlp_forward_np(net, np.zeros(4))
+    # 12 values reshape to 4 rows of 3 inputs; the check names the width first
+    with pytest.raises(ValueError, match="expected 3 inputs"):
+        mlp_forward_np(net, np.zeros((2, 6)))
     tape = ad.Tape()
     with pytest.raises(ValueError):
         net.bind(tape).forward([0.0, 0.0])
@@ -289,6 +291,21 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_checkpoint_rejects_a_config_without_hidden_layers(tmp_path):
+    # one layer of shape (2, 3) chains for a config of no hidden layers, so
+    # only the config's own check rejects it
+    net = mlp_init(MLPConfig(3, 2, 1, 8, seed=1))
+    path = tmp_path / "net.json"
+    save_checkpoint(net, path)
+    payload = json.loads(path.read_text())
+    payload["config"]["hidden_layers"] = 0
+    payload["weights"] = [np.zeros((2, 3)).tolist()]
+    payload["biases"] = [[0.0, 0.0]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="hidden_layers"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_shapes(tmp_path):
     net = mlp_init(MLPConfig(3, 2, 3, 8, seed=1))
     path = tmp_path / "net.json"
@@ -310,14 +327,12 @@ def test_stacked_networks_equal_separate_calls_on_arrays(shape):
     x = np.random.default_rng(3).normal(size=shape)
     out = mlp_forward_np(stack_nets(nets), x)
     assert out.shape == (2, *shape[:-1], 6)
-    # on one row or one batch of rows (SIR's inputs) the widest network's
-    # products are those of its separate call, bit for bit; the stack runs
-    # more leading axes as one batch, and the narrower network's last layer
+    # a network runs as a stack of one on the same (rows, in) reshape of the
+    # input, so the widest network's products are those of its separate call,
+    # bit for bit, for every input shape; the narrower network's last layer
     # is a wider product, so there the sums may round differently (measured:
     # within 4.6e-16 of the output's scale)
-    if len(shape) <= 2:
-        assert np.array_equal(out[0], mlp_forward_np(nets[0], x))
-    np.testing.assert_allclose(out[0], mlp_forward_np(nets[0], x), rtol=0.0, atol=1e-15)
+    assert np.array_equal(out[0], mlp_forward_np(nets[0], x))
     np.testing.assert_allclose(out[1, ..., :3], mlp_forward_np(nets[1], x), rtol=0.0, atol=1e-15)
     assert np.all(out[1, ..., 3:] == 0.0)
 
