@@ -89,6 +89,7 @@ class Value:
     __slots__ = ("v", "g", "i", "op", "parents", "tape")
     # numpy defers `ndarray <op> Value` to the reflected methods below
     __array_ufunc__ = None
+    _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
 
     def __init__(self, v, tape, op="leaf", parents=()):
         self.v = v
@@ -154,7 +155,11 @@ class Value:
     # -- indexing and reductions -------------------------------------------
 
     def __getitem__(self, index):
-        """Basic indexing (ints, slices, ``...``, ``None``); the VJP scatters back."""
+        """Basic indexing (ints, slices, ``...``, ``None``); the VJP scatters back,
+        so any other index, whose repeats it would drop, raises IndexError."""
+        for i in index if isinstance(index, tuple) else (index,):
+            if isinstance(i, (bool, np.bool_)) or not isinstance(i, self._BASIC_INDEX):
+                raise IndexError(f"basic indices only, got {i!r}; gather with take_along_axis")
         shape = self.shape
 
         def vjp(g):

@@ -33,7 +33,8 @@ game's default. A key the game does not take, as a flag or in the file, is
 a configuration error. Each key sets one field of the game's config or of
 the training config (``agents`` sets ``n_agents``), except mode, out, data,
 population, window, rounds, rounds_per_game and theta, which the game's
-runner reads itself.
+runner reads itself. Dice plays whole games: ``rounds`` must be a positive
+multiple of ``rounds_per_game``.
 
 numpy's BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is set in
 the environment (importing :mod:`mfgames` sets it to 1 when unset): the
@@ -190,13 +191,11 @@ def _config(cls, p: dict, **extra):
         raise ConfigError(f"{cls.__name__}: {err}") from None
 
 
-def _write_training(out: Path, history, nets: dict) -> list[Path]:
-    """``loss_history.csv`` plus one ``checkpoint_<name>.json`` per network."""
-    written = [out / "loss_history.csv"]
-    write_history_csv(written[0], history)
-    for name, net in nets.items():
-        written.append(out / f"checkpoint_{name}.json")
-        save_checkpoint(net, written[-1])
+def _write_checkpoints(out: Path, nets: dict) -> list[Path]:
+    """One ``checkpoint_<name>.json`` per network."""
+    written = [out / f"checkpoint_{name}.json" for name in nets]
+    for net, path in zip(nets.values(), written):
+        save_checkpoint(net, path)
     return written
 
 
@@ -227,10 +226,10 @@ def _run_agents(game: str, p: dict, out: Path, manifest: dict) -> list[Path]:
     if p["mode"] == "standard":
         states = module.run_standard(config, seed=p["seed"])
     else:
-        nets, history = module.run_neural(config, observations(p["seed"]), training,
-                                          net_seed=p["seed"])
+        nets, history = module.run_neural(config, observations(p["seed"]), training)
         states = module.simulate_neural(config, nets, seed=p["seed"])
-        written = _write_training(out, history, nets)
+        written = [out / "loss_history.csv", *_write_checkpoints(out, nets)]
+        write_history_csv(written[0], history)
     manifest["exploitability"] = module.exploitability(getattr(states[-1], final), config)
     module.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
@@ -262,7 +261,8 @@ def _run_sir(p: dict, out: Path, manifest: dict) -> list[Path]:
     else:
         nets, history = sir_mod.train_sir(dataset, training, config=config, warm_rates=rates)
         traj = sir_mod.forecast(nets, rates, dataset.states[0], days, dataset.measures)
-        written = _write_training(out, history, nets)
+        written = [out / "loss_history.csv", *_write_checkpoints(out, nets)]
+        write_history_csv(written[0], history)
 
     rates_path = out / "rates.csv"
     write_csv(rates_path, ["date", "gamma", "rho", "pi"], [
@@ -287,20 +287,17 @@ def _run_dice(p: dict, out: Path, manifest: dict) -> list[Path]:
     except ValueError:
         raise ConfigError(f"theta must be comma-separated numbers: {p['theta']!r}") from None
     config = _config(dice_mod.DiceConfig, p, theta=theta)
-    rounds_per_game = p["rounds_per_game"]
-    if rounds_per_game < 1:
-        raise ConfigError("rounds_per_game must be positive")
-    net, records = dice_mod.train_dice(
-        config, _config(TrainingConfig, p), games=max(1, p["rounds"] // rounds_per_game),
+    rounds, rounds_per_game = p["rounds"], p["rounds_per_game"]
+    if rounds_per_game < 1 or rounds < 1 or rounds % rounds_per_game:
+        raise ConfigError(f"rounds ({rounds}) must be a positive multiple of "
+                          f"rounds_per_game ({rounds_per_game})")
+    nets, records = dice_mod.train_dice(
+        config, _config(TrainingConfig, p), games=rounds // rounds_per_game,
         rounds_per_game=rounds_per_game, neural=(p["mode"] == "neural"),
     )
     dice_mod.write_round_history(out / "history.csv", records)
     dice_mod.write_analysis_csv(out / "analysis.csv", dice_mod.analyze(records))
-    written = [out / "history.csv", out / "analysis.csv"]
-    if net is not None:
-        written.append(out / "checkpoint_drift.json")
-        save_checkpoint(net, written[-1])
-    return written
+    return [out / "history.csv", out / "analysis.csv", *_write_checkpoints(out, nets)]
 
 
 # Each runner writes its game's outputs into ``out``, may add entries to the

@@ -19,13 +19,12 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from ..autodiff import max0, plain, square, where
 from ..mfg import GameInstance, TrainingConfig, train, write_csv
-from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
+from ..nets import MLPConfig, mlp_forward_np
 
 __all__ = [
     "DiceConfig",
@@ -313,7 +312,7 @@ def _mfg_belief_update(theta_hat: np.ndarray, target: np.ndarray, residual=0.0):
 
 
 def _round_loss(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
-                target: np.ndarray, outcome: RoundOutcome, config: DiceConfig, _tape, bound):
+                target: np.ndarray, outcome: RoundOutcome, config: DiceConfig, bound):
     """One round's step loss: belief MSE plus the bluff-rate surrogate terms.
 
     All players go through the network as one (players, 2 faces + 2) batch
@@ -332,7 +331,7 @@ def _round_loss(theta_hat: np.ndarray, lam: np.ndarray, counts: np.ndarray,
         np.tile([last_bid.face / nf, last_bid.quantity / config.total_dice],
                 (len(theta_hat), 1)),
     ], axis=1)
-    out = bound["belief"].forward(feats)  # one (players, faces + 1) pass
+    out = bound["drift"].forward(feats)  # one (players, faces + 1) pass
     th = _mfg_belief_update(theta_hat, target, out[:, :nf] * _RESIDUAL_SCALE)
     lam_new = max0(out[:, nf] * _RESIDUAL_SCALE + lam)
     per_player = square(th - target).sum(axis=1) + max0(1.0 - lam_new * (1.0 / _RAISE_SCALE))
@@ -347,17 +346,18 @@ class DiceGame(GameInstance):
 
     Each game deals every round's dice just before it is played and starts
     from fresh ``theta_hat`` and ``lam`` arrays (uniform beliefs, bluff
-    rates ``bluff0``). A neural round's update is one step on its
-    :func:`_round_loss`, checked for divergence by :func:`mfgames.mfg.train_step`.
+    rates ``bluff0``). A neural round's update is one step of its network,
+    ``"drift"``, on :func:`_round_loss`, checked by :func:`mfgames.mfg.train_step`.
     """
 
     config: DiceConfig
     games: int
     rounds_per_game: int
-    net: Optional[MLP]  # None for the pure variant
+    neural: bool  # False for the pure variant, which has no network
 
-    def nets(self) -> dict[str, MLP]:
-        return {} if self.net is None else {"belief": self.net}
+    def net_configs(self) -> dict[str, MLPConfig]:
+        nf = self.config.n_faces
+        return {"drift": MLPConfig(2 * nf + 2, nf + 1)} if self.neural else {}
 
     def steps(self, training: TrainingConfig):
         config = self.config
@@ -374,7 +374,7 @@ class DiceGame(GameInstance):
                 pooled += outcome.revealed
                 dice_seen += int(outcome.revealed.sum())
                 target = _pooled_target(pooled, config)
-                if self.net is not None:
+                if self.neural:
                     theta_hat, lam = yield partial(_round_loss, theta_hat, lam, counts,
                                                    target, outcome, config)
                 else:
@@ -386,13 +386,10 @@ class DiceGame(GameInstance):
 
 def train_dice(config: DiceConfig, training: TrainingConfig, games: int = 100,
                rounds_per_game: int = 10, neural: bool = True):
-    """Train a :class:`DiceGame` with :func:`mfgames.mfg.train`; returns (net or None, records)."""
+    """Train a :class:`DiceGame` with :func:`mfgames.mfg.train`; returns its (nets, records)."""
     if games < 1 or rounds_per_game < 1:
         raise ValueError("games and rounds_per_game must be positive")
-    net = mlp_init(MLPConfig(2 * config.n_faces + 2, config.n_faces + 1,
-                             seed=training.seed)) if neural else None
-    _nets, records = train(DiceGame(config, games, rounds_per_game, net), training)
-    return net, records
+    return train(DiceGame(config, games, rounds_per_game, neural), training)
 
 
 def analyze(records: list[RoundRecord]) -> dict:

@@ -16,9 +16,9 @@ from itertools import repeat
 
 import numpy as np
 
-from ..autodiff import Tape, clip01, max0, plain, square, stack
+from ..autodiff import clip01, max0, plain, square, stack
 from ..mfg import GameInstance, TrainingConfig, check_finite, float_cells, train, write_csvs
-from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
+from ..nets import MLP, MLPConfig, mlp_forward_np
 
 __all__ = [
     "BarConfig",
@@ -203,18 +203,17 @@ class BarGame(GameInstance):
     data/game tension produces.
     """
 
-    def __init__(self, config: BarConfig, observations: np.ndarray, net_seed: int = 0):
+    def __init__(self, config: BarConfig, observations: np.ndarray):
         self.config = config
         obs = np.asarray(observations, dtype=float)
         if obs.ndim != 2 or obs.size == 0:
             raise ValueError("observations must be a nonempty 2-D array of rate series")
         self.observations = obs
-        self._nets = {"drift": mlp_init(MLPConfig(4, 1, seed=net_seed))}
 
-    def nets(self) -> dict[str, MLP]:
-        return self._nets
+    def net_configs(self) -> dict[str, MLPConfig]:
+        return {"drift": MLPConfig(4, 1)}
 
-    def episode_losses(self, tape: Tape, bound, episode_seeds):
+    def episode_losses(self, bound, episode_seeds):
         """Roll all episodes as one (games, agents) batch; losses averaged over both."""
         c = self.config
         n = c.n_agents
@@ -223,7 +222,7 @@ class BarGame(GameInstance):
         series = self.observations[
             [int(seed[-1]) % self.observations.shape[0] for seed in episode_seeds]
         ]
-        p0 = tape.value(np.array([rng.uniform(0.0, INIT_HIGH, n) for rng in rngs]))
+        p0 = np.array([rng.uniform(0.0, INIT_HIGH, n) for rng in rngs])
         turns = _rollout(c, p0, rngs, bound["drift"].forward)
         p, went, a, _m = turns[-1]
         game_cost = bar_cost(p, a, c.threshold, went).mean()
@@ -235,10 +234,9 @@ class BarGame(GameInstance):
         return game_cost, data_loss
 
 
-def run_neural(config: BarConfig, observations: np.ndarray,
-               training: TrainingConfig, net_seed: int = 0):
+def run_neural(config: BarConfig, observations: np.ndarray, training: TrainingConfig):
     """Train the neural variant; returns :func:`mfgames.mfg.train`'s (nets, loss history)."""
-    return train(BarGame(config, observations, net_seed=net_seed), training)
+    return train(BarGame(config, observations), training)
 
 
 def simulate_neural(config: BarConfig, nets: dict[str, MLP],

@@ -19,9 +19,9 @@ from itertools import repeat
 
 import numpy as np
 
-from ..autodiff import Tape, absval, max0, plain, sigmoid, square, stack, take_along_axis, where
+from ..autodiff import absval, max0, plain, sigmoid, square, stack, take_along_axis, where
 from ..mfg import GameInstance, TrainingConfig, check_finite, float_cells, train, write_csvs
-from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init
+from ..nets import MLP, MLPConfig, mlp_forward_np
 from ..sde import TimeGrid, integrate
 
 __all__ = [
@@ -205,7 +205,7 @@ class MeetingGame(GameInstance):
     two networks have the default :class:`mfgames.nets.MLPConfig` size.
     """
 
-    def __init__(self, config: MeetingConfig, observations: list, net_seed: int = 0):
+    def __init__(self, config: MeetingConfig, observations: list):
         self.config = config
         if not observations or any(len(o) == 0 for o in observations):
             raise ValueError("observations must be nonempty")
@@ -213,13 +213,11 @@ class MeetingGame(GameInstance):
         # quantile-matched targets of the ranked arrivals, one per observation set
         levels = (np.arange(config.n_agents) + 0.5) / config.n_agents
         self._targets = [np.quantile(obs, levels) for obs in self.observations]
-        net_cfg = lambda k: MLPConfig(3, 1, seed=net_seed + k)
-        self._nets = {"drift": mlp_init(net_cfg(0)), "diffusion": mlp_init(net_cfg(1))}
 
-    def nets(self) -> dict[str, MLP]:
-        return self._nets
+    def net_configs(self) -> dict[str, MLPConfig]:
+        return {"drift": MLPConfig(3, 1), "diffusion": MLPConfig(3, 1)}
 
-    def episode_losses(self, tape: Tape, bound, episode_seeds):
+    def episode_losses(self, bound, episode_seeds):
         """Roll all episodes as one (games, agents) batch; losses averaged over both."""
         c = self.config
         n = c.n_agents
@@ -233,7 +231,7 @@ class MeetingGame(GameInstance):
         eps = np.array(eps)
         dB = np.stack(dB, axis=1)  # (steps, games, agents)
         nets = {name: b.forward for name, b in bound.items()}
-        x = _rollout(c, tape.value(np.array(tau0)), eps, dB, nets)[-1]
+        x = _rollout(c, np.array(tau0), eps, dB, nets)[-1]
 
         tts_T = x + eps
         ts_T = actual_start(tts_T, c.scheduled, c.quorum)
@@ -244,10 +242,9 @@ class MeetingGame(GameInstance):
         return game_cost, data_loss
 
 
-def run_neural(config: MeetingConfig, observations, training: TrainingConfig,
-               net_seed: int = 0):
+def run_neural(config: MeetingConfig, observations, training: TrainingConfig):
     """Train the neural variant; returns :func:`mfgames.mfg.train`'s (nets, loss history)."""
-    return train(MeetingGame(config, observations, net_seed=net_seed), training)
+    return train(MeetingGame(config, observations), training)
 
 
 def simulate_neural(config: MeetingConfig, nets: dict[str, MLP],

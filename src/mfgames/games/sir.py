@@ -21,8 +21,9 @@ whole ``(batch, 3)`` states. The rest of the day, the drift and the noise
 (:func:`_day_step`), is one tape node with a hand-written VJP, as a network
 call is. On the tape a day is those two nodes and the inputs' one-layer
 :func:`mfgames.autodiff.mlp` node, 4 more on a day that clamps a row back
-onto the simplex; training adds 3 for the day's loss term. The pure rate
-equation has one loop, on Python floats, :func:`_kolmogorov_path`, which is
+onto the simplex; training adds 3 for the day's loss term, and has no
+inputs' node on its first day, which starts from the plain first row. The
+pure rate equation has one loop, on Python floats, :func:`_kolmogorov_path`,
 far cheaper on three numbers: the rate fit runs it a few hundred thousand
 days per fit, and :func:`integrate_kolmogorov` wraps it for the standard
 game and the synthetic data. Tests pin its bits to a numpy loop over the
@@ -42,9 +43,9 @@ import numpy as np
 # first training epoch (augment_noise, mlp_init) does not pay for the import
 import numpy.random
 
-from ..autodiff import Tape, fused, max0, mlp, plain, square, where
+from ..autodiff import fused, max0, mlp, plain, square, where
 from ..mfg import GameInstance, TrainingConfig, train, write_csv
-from ..nets import MLP, MLPConfig, mlp_forward_np, mlp_init, stack_nets
+from ..nets import MLP, MLPConfig, mlp_forward_np, stack_nets
 
 __all__ = [
     "EpidemicDataset",
@@ -580,49 +581,46 @@ class SIRGame(GameInstance):
     dataset's first row. The noise of the whole batch is one
     (batch, days, 3) draw from the epoch's (seed, epoch) stream. The data loss
     is the mean squared discrepancy between simulated and observed fractions
-    (no terminal cost); the game cost is zero. ``seed`` seeds the networks
-    and the noisy copies.
+    (no terminal cost); the game cost is the float 0.0. Copy ``k`` is seeded
+    with the episodes' seed plus ``1000 + k``, so a game trains at one seed.
     """
 
-    def __init__(self, dataset: EpidemicDataset, config: SIRConfig,
-                 warm_rates: np.ndarray, seed: int = 0):
+    def __init__(self, dataset: EpidemicDataset, config: SIRConfig, warm_rates: np.ndarray):
         if len(dataset) < 2:
             raise DataError("training needs at least two days of data")
         self.dataset = dataset
         self.rates = warm_rates
-        self._trajectories = config.trajectories
-        self._seed = seed
+        self.config = config
         self._copies: dict[int, np.ndarray] = {}
-        net = lambda outputs, k: mlp_init(MLPConfig(
-            13, outputs, config.hidden_layers, config.hidden_width, seed=seed + k))
-        self._nets = {"drift": net(6, 0), "diffusion": net(3, 1)}
 
-    def nets(self) -> dict[str, MLP]:
-        return self._nets
+    def net_configs(self) -> dict[str, MLPConfig]:
+        c = self.config
+        return {"drift": MLPConfig(13, 6, c.hidden_layers, c.hidden_width),
+                "diffusion": MLPConfig(13, 3, c.hidden_layers, c.hidden_width)}
 
-    def _target(self, k: int) -> np.ndarray:
-        """The states of noisy copy ``k``, built on first use."""
+    def _target(self, k: int, seed: int) -> np.ndarray:
+        """The states of noisy copy ``k``, built on first use from training's ``seed``."""
         if k not in self._copies:
             self._copies[k] = augment_noise(self.dataset, NOISE_SIGMA,
-                                            seed=self._seed + 1000 + k).states
+                                            seed=seed + 1000 + k).states
         return self._copies[k]
 
-    def episode_losses(self, tape: Tape, bound, episode_seeds):
+    def episode_losses(self, bound, episode_seeds):
         seed, epoch, _g = episode_seeds[0]
         batch = len(episode_seeds)
         days = len(self.dataset) - 1
-        rows = [(epoch * batch + g) % self._trajectories for _s, _e, g in episode_seeds]
-        target = np.array([self._target(k) for k in rows])
+        rows = [(epoch * batch + g) % self.config.trajectories for _s, _e, g in episode_seeds]
+        target = np.array([self._target(k, seed) for k in rows])
         rng = np.random.default_rng(np.asarray((seed, epoch), dtype=np.uint64))
         dB = rng.normal(0.0, 1.0, size=(batch, days, 3))
-        m0 = tape.value(np.tile(self.dataset.states[0], (batch, 1)))
+        m0 = np.tile(self.dataset.states[0], (batch, 1))
         nets = stack_nets([bound["drift"], bound["diffusion"]])
         states = _rollout(m0, self.rates, self.dataset.measures, days, nets.forward, dB)
         # each day's loss term is recorded right after its state
         sq_sum = 0.0
         for k, m in enumerate(states):
             sq_sum = sq_sum + square(m - target[:, k + 1])
-        return tape.value(0.0), sq_sum.sum() * (0.5 / days) * (1.0 / batch)
+        return 0.0, sq_sum.sum() * (0.5 / days) * (1.0 / batch)
 
 
 def train_sir(dataset: EpidemicDataset, training: TrainingConfig,
@@ -633,14 +631,14 @@ def train_sir(dataset: EpidemicDataset, training: TrainingConfig,
     step per network per epoch, from the daily ``warm_rates`` (a (days, 3)
     array as :func:`estimate_rates` fits them, or one (3,) row). Of
     ``training`` it uses ``epochs``, ``games_per_epoch`` (the target rows per
-    epoch), ``lr`` and ``seed`` (of the networks, the noisy copies and the
-    epochs' noise); ``data_loss_weight`` scales the one loss term. Returns
-    what :func:`mfgames.mfg.train` returns: the networks, ``"drift"`` and
-    ``"diffusion"``, and one :class:`mfgames.mfg.HistoryRow` per epoch (game
-    cost 0, data loss = total). Raises :class:`DataError` on a dataset of
-    fewer than two days.
+    epoch), ``lr`` and ``seed`` (of the networks ``train`` builds, ``seed``
+    and ``seed + 1``, of the noisy copies and of the epochs' noise);
+    ``data_loss_weight`` scales the one loss term. Returns what ``train``
+    returns: the networks, ``"drift"`` and ``"diffusion"``, and one
+    :class:`mfgames.mfg.HistoryRow` per epoch (game cost 0, data loss =
+    total). Raises :class:`DataError` on a dataset of fewer than two days.
     """
-    return train(SIRGame(dataset, config, warm_rates, training.seed), training)
+    return train(SIRGame(dataset, config, warm_rates), training)
 
 
 def forecast(nets: dict[str, MLP], rates, initial, days: int, v_series,

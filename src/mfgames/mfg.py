@@ -1,23 +1,23 @@
 """Population-level orchestration: training, loss histories, CSV output.
 
-One loop, :func:`train`, trains every game. A game yields the loss function
-of each optimizer step; :func:`train_step` checks the step for divergence,
-backpropagates its loss through the unrolled solver and applies one AdaBelief
-update to each shared network -- one network per game, never per agent.
+One loop, :func:`train`, trains every game. A game declares the shapes of its
+shared networks (one per role, never per agent), which :func:`train` builds,
+and yields each step's loss on them; :func:`train_step` owns the step's tape,
+checks for divergence, backpropagates and applies one AdaBelief update.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import count
 
 import numpy as np
 
-from .autodiff import Tape, Value
-from .nets import MLP, AdaBelief, BoundMLP
+from .autodiff import Tape, Value, plain
+from .nets import MLP, AdaBelief, BoundMLP, MLPConfig, mlp_init
 
 __all__ = [
     "check_finite",
@@ -76,34 +76,36 @@ class TrainingConfig:
 class GameInstance:
     """Interface a game implements to be trainable by :func:`train`.
 
-    ``nets`` maps names to the shared networks being optimized. ``steps``
+    ``net_configs`` maps names to the shapes of the shared networks being
+    optimized; :func:`train` builds them and sets their seeds. ``steps``
     yields the loss function of each optimizer step (see :func:`train_step`),
     gets each step's result back from its ``yield`` and returns what
     :func:`train` returns. By default it takes one step per epoch, on the
     episodes' combined loss: ``episode_losses`` rolls every episode of one
     epoch at once, one per entry of ``episode_seeds``, as a single batched
-    rollout on the tape (arrays with a leading episode axis). It returns
-    ``(game_cost, data_loss)`` as 0-d Value nodes, each already averaged
+    rollout from plain arrays that the bound networks put on the tape. It
+    returns ``(game_cost, data_loss)``, 0-d Values or floats, each averaged
     over episodes and agents. ``episode_seeds[g]`` is ``(seed, epoch, g)``.
     Meeting and El Farol draw episode ``g`` from its own RNG stream seeded
     with it, so their results do not depend on the batch size; SIR draws the
     noise of the whole batch at once from the ``(seed, epoch)`` stream.
     """
 
-    def nets(self) -> dict[str, MLP]:
+    def net_configs(self) -> dict[str, MLPConfig]:
         raise NotImplementedError
 
-    def episode_losses(self, tape: Tape, bound: dict[str, BoundMLP],
+    def episode_losses(self, bound: dict[str, BoundMLP],
                        episode_seeds: list[tuple]) -> tuple[Value, Value]:
         raise NotImplementedError
 
     def steps(self, config: TrainingConfig):
         """One step per epoch, on the combined loss; returns each epoch's :class:`HistoryRow`."""
-        def epoch_loss(tape, bound, epoch):
+        def epoch_loss(bound, epoch):
             seeds = [(config.seed, epoch, g) for g in range(config.games_per_epoch)]
-            game_cost, data_loss = self.episode_losses(tape, bound, seeds)
+            game_cost, data_loss = self.episode_losses(bound, seeds)
             total = game_cost + config.data_loss_weight * data_loss
-            return total, HistoryRow(epoch, float(game_cost.v), float(data_loss.v), float(total.v))
+            return total, HistoryRow(epoch, float(plain(game_cost)), float(plain(data_loss)),
+                                     float(total.v))
 
         history = []
         for epoch in range(config.epochs):
@@ -124,19 +126,19 @@ class HistoryRow:
 def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn, step: int):
     """One optimizer step on a fresh tape; returns what ``loss_fn`` hands back.
 
-    ``loss_fn(tape, bound)`` records the forward pass, with ``bound`` mapping
-    each name in ``nets`` to that network bound as tape leaves, and returns
-    ``(loss, result)``; ``result`` must hold no tape node. A non-finite loss,
-    a loss above ``ABORT_THRESHOLD`` or a non-finite gradient of any network
-    raises :class:`TrainingDivergence` with the index ``step``; otherwise
-    each network takes one step of its optimizer in ``opts`` on the 0-d
-    loss's gradient. The graph is freed when this returns or raises: the
-    tape empties on leaving its ``with`` block, and the nodes the step's
-    frames still hold die with those frames.
+    ``loss_fn(bound)`` records the forward pass, with ``bound`` mapping each
+    name in ``nets`` to that network bound as tape leaves, the step's only
+    leaves, and returns ``(loss, result)``; ``result`` must hold no tape
+    node. A non-finite loss, a loss above ``ABORT_THRESHOLD`` or a
+    non-finite gradient of any network raises :class:`TrainingDivergence`
+    with the index ``step``; otherwise each network takes one step of its
+    optimizer in ``opts`` on the 0-d loss's gradient. The graph is freed
+    when this returns or raises: the tape empties on leaving its ``with``
+    block, and the nodes the step's frames still hold die with those frames.
     """
     with Tape() as tape:
         bound = {name: net.bind(tape) for name, net in nets.items()}
-        loss, result = loss_fn(tape, bound)
+        loss, result = loss_fn(bound)
         if not np.isfinite(loss.v):
             raise TrainingDivergence(f"non-finite loss at step {step}", step)
         if loss.v > ABORT_THRESHOLD:
@@ -154,14 +156,14 @@ def train_step(nets: dict[str, MLP], opts: dict[str, AdaBelief], loss_fn, step: 
 def train(game: GameInstance, config: TrainingConfig):
     """Optimize the game's shared networks: the training loop of every game.
 
-    One AdaBelief optimizer per network and one :func:`train_step` per loss
-    function ``game.steps(config)`` yields, whose result is sent back into
-    it. Returns the networks and what the generator returns.
+    Network k of ``game.net_configs()`` starts from ``mlp_init`` seeded with
+    ``config.seed + k`` and has an AdaBelief optimizer; one :func:`train_step`
+    per loss function ``game.steps(config)`` yields, whose result is sent
+    back into it. Returns the networks and what the generator returns.
     """
-    nets = game.nets()
-    opts = {
-        name: AdaBelief(net.parameters(), lr=config.lr) for name, net in nets.items()
-    }
+    nets = {name: mlp_init(replace(cfg, seed=config.seed + k))
+            for k, (name, cfg) in enumerate(game.net_configs().items())}
+    opts = {name: AdaBelief(net.parameters(), lr=config.lr) for name, net in nets.items()}
     steps = game.steps(config)
     result = None
     for step in count():

@@ -5,9 +5,12 @@ can be interpreted over floats (for central differences) or over tape nodes
 (for reverse-mode gradients), which keeps the oracle independent of the tape.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from mfgames import autodiff as ad
+from mfgames.mfg import TrainingConfig, train
 from mfgames.nets import MLP
 
 
@@ -145,22 +148,29 @@ def array_gradcheck(f, arrays, h=1e-6):
     return grads, fds
 
 
+def initial_nets(game, config=TrainingConfig()):
+    """The networks :func:`mfgames.mfg.train` starts ``game`` from under ``config``."""
+    return train(game, replace(config, epochs=0))[0]
+
+
 def epoch_directional_derivatives(game, config, rng, n_directions=3, h=1e-6):
     """Tape and finite-difference derivatives of one epoch's combined loss.
 
-    The loss is that of the first step ``game.steps(config)`` yields. Each of
-    ``n_directions`` directions is one standard normal draw over every
-    parameter of every network of the game; returns ``(tape, fd)`` pairs of
-    the derivative along it, from the tape's gradient and from central
-    differences of step ``h``. Also returns the tape of the unmoved loss.
+    The loss is that of the first step ``game.steps(config)`` yields, at the
+    networks training starts from. Each of ``n_directions`` directions is
+    one standard normal draw over every parameter of every network of the
+    game; returns ``(tape, fd)`` pairs of the derivative along it, from the
+    tape's gradient and from central differences of step ``h``. Also
+    returns the tape of the unmoved loss.
     """
     loss_fn = next(game.steps(config))
-    params = {name: net.parameters() for name, net in game.nets().items()}
+    nets = initial_nets(game, config)
+    params = {name: net.parameters() for name, net in nets.items()}
 
     def loss(moved, tape):
-        bound = {name: MLP(ps[0::2], ps[1::2], game.nets()[name].config).bind(tape)
+        bound = {name: MLP(ps[0::2], ps[1::2], nets[name].config).bind(tape)
                  for name, ps in moved.items()}
-        return loss_fn(tape, bound)[0], bound
+        return loss_fn(bound)[0], bound
 
     tape = ad.Tape()
     value, bound = loss(params, tape)

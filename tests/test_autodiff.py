@@ -305,6 +305,20 @@ def test_array_op_gradients_match_finite_differences(name):
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("index", [[0, 0], np.array([0, 0]), (slice(None), [0, 0]),
+                                   np.array([True, False]), True, np.int64(0) == 0],
+                         ids=["list", "array", "list_in_tuple", "bool_array", "bool",
+                              "numpy_bool"])
+def test_getitem_rejects_an_advanced_index(index):
+    # a scatter of x[[0, 0]]'s adjoint would keep one of its two 1s: [1, 0], not [2, 0]
+    tape = ad.Tape()
+    with pytest.raises(IndexError, match="take_along_axis"):
+        tape.value(np.zeros((2, 2)))[index]
+    x = tape.value(np.zeros(2))
+    tape.backward(ad.take_along_axis(x, np.array([0, 0]), axis=0).sum())
+    assert np.array_equal(x.g, [2.0, 0.0])
+
+
 def test_array_domain_checks_cover_every_element():
     tape = ad.Tape()
     with pytest.raises(ZeroDivisionError):

@@ -125,6 +125,11 @@ EXIT_CASES = [
     ("no agents", 2, ("meeting", "--agents", "0")),
     ("threshold out of range", 2, ("elfarol", "--threshold", "1.5")),
     ("one dice player", 2, ("dice", "--players", "1")),
+    # dice plays whole games of rounds_per_game rounds (10 by default, 2 in TINY)
+    ("dice --rounds 0", 2, ("dice", "--rounds", "0")),
+    ("dice --rounds -3", 2, ("dice", "--rounds", "-3")),
+    ("dice --rounds 5 in games of 10", 2, ("dice", "--rounds", "5")),
+    ("dice --rounds 3 in games of 2", 2, ("dice", "--rounds", "3", "--config", "{config}")),
     ("unparsable theta", 2, ("dice", "--theta", "a,b,c,d,e,f")),
     ("theta of two values for six faces", 2, ("dice", "--theta", "0.5,0.5")),
     ("sir without data", 2, ("sir",)),

@@ -59,7 +59,8 @@ def test_neural_update_keeps_beliefs_on_simplex_and_bids_legal(monkeypatch):
         return updates[-1]
 
     monkeypatch.setattr(mfg, "train_step", recording_step)
-    game = dice.DiceGame(config, games=1, rounds_per_game=12, net=_loud_net(config))
+    monkeypatch.setattr(mfg, "mlp_init", lambda _net_config: _loud_net(config))
+    game = dice.DiceGame(config, games=1, rounds_per_game=12, neural=True)
     _, records = train(game, TrainingConfig(epochs=1, seed=7, lr=0.05))
     assert len(updates) == len(records) == 12
     for (theta_hat, lam), rec in zip(updates, records):
@@ -74,9 +75,9 @@ def test_neural_update_keeps_beliefs_on_simplex_and_bids_legal(monkeypatch):
 
 def test_neural_training_records_legal_games():
     config = DiceConfig(n_players=4, dice_per_player=3)
-    net, records = dice.train_dice(config, TrainingConfig(epochs=1, seed=2), games=2,
-                                   rounds_per_game=3, neural=True)
-    assert net is not None and len(records) == 6
+    nets, records = dice.train_dice(config, TrainingConfig(epochs=1, seed=2), games=2,
+                                    rounds_per_game=3, neural=True)
+    assert list(nets) == ["drift"] and len(records) == 6
     for rec in records:
         bids = rec.outcome.bids
         assert all(is_legal_successor(a, b) for a, b in zip(bids, bids[1:]))
@@ -221,7 +222,7 @@ def test_round_and_updates_leave_their_inputs_unwritten():
     pure = dice._mfg_belief_update(theta_hat, target)
     net = _loud_net(config)
     loss = partial(dice._round_loss, theta_hat, lam, counts, target, outcome, config)
-    th, lam_new = train_step({"belief": net}, {"belief": AdaBelief(net.parameters(), lr=0.05)},
+    th, lam_new = train_step({"drift": net}, {"drift": AdaBelief(net.parameters(), lr=0.05)},
                              loss, 0)
     for a, b in zip((counts, theta_hat, lam), before):
         assert np.array_equal(a, b)
@@ -248,7 +249,7 @@ def test_neural_round_with_a_zero_residual_keeps_the_standard_beliefs():
     net.biases[-1][:config.n_faces] = 0.0
     with ad.Tape() as tape:
         _loss, (th, _lam) = dice._round_loss(theta_hat, lam, counts, target, outcome, config,
-                                             tape, {"belief": net.bind(tape)})
+                                             {"drift": net.bind(tape)})
     standard = dice._mfg_belief_update(theta_hat, target)
     assert np.array_equal(th, standard)
 
@@ -283,7 +284,7 @@ def test_round_loss_gradient_matches_finite_differences(monkeypatch):
 
     def loss(params, tape):
         bound = MLP(params[0::2], params[1::2], net.config).bind(tape)
-        return loss_fn(tape, {"belief": bound})[0], bound
+        return loss_fn({"drift": bound})[0], bound
 
     tape = ad.Tape()
     value, bound = loss(net.parameters(), tape)

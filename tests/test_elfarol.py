@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gradcheck import epoch_directional_derivatives
+from gradcheck import epoch_directional_derivatives, initial_nets
 from mfgames import autodiff as ad
+from mfgames import mfg
 from mfgames.games.elfarol import (
     BarConfig,
     BarGame,
@@ -19,22 +22,31 @@ from probe import bar_cost as probe_cost
 from probe import closed_form_gaps, nash_gap
 
 
-def _loud_game(n_agents=16, turns=6, scale=50.0):
-    """A game whose drift residual swings far outside [-1, 1]."""
-    game = BarGame(BarConfig(n_agents=n_agents, turns=turns),
-                   generate_attendance_observations(seed=2), net_seed=4)
-    net = game.nets()["drift"]
-    net.weights[-1] *= scale
-    net.biases[-1][:] = 0.3 * scale
-    return game
+@pytest.fixture
+def loud(monkeypatch):
+    """Training starts from the drift network of seed 4 with a residual far
+    outside [-1, 1], whatever the training seed."""
+    init = mfg.mlp_init
+
+    def loud_init(config):
+        net = init(replace(config, seed=4))
+        net.weights[-1] *= 50.0
+        net.biases[-1][:] = 15.0
+        return net
+
+    monkeypatch.setattr(mfg, "mlp_init", loud_init)
 
 
-def test_intentions_stay_in_unit_interval_in_training_rollout():
-    game = _loud_game()
+def _game():
+    return BarGame(BarConfig(n_agents=16, turns=6), generate_attendance_observations(seed=2))
+
+
+def test_intentions_stay_in_unit_interval_in_training_rollout(loud):
+    game = _game()
     tape = ad.Tape()
-    bound = {k: net.bind(tape) for k, net in game.nets().items()}
+    bound = {k: net.bind(tape) for k, net in initial_nets(game).items()}
     # sample_attendance rejects intentions outside [0, 1] at every turn
-    game.episode_losses(tape, bound, [(0, 0, g) for g in range(3)])
+    game.episode_losses(bound, [(0, 0, g) for g in range(3)])
     clipped = [n.v for n in tape.nodes if n.op == "clip01"]
     assert len(clipped) == game.config.turns - 1
     for p in clipped:
@@ -43,12 +55,12 @@ def test_intentions_stay_in_unit_interval_in_training_rollout():
     assert any(np.any(p == 1.0) for p in clipped)  # the clamp did bind
 
 
-def test_intentions_stay_in_unit_interval_through_training_and_simulation():
-    game = _loud_game()
-    _, history = train(game, TrainingConfig(epochs=2, games_per_epoch=2, seed=1))
+def test_intentions_stay_in_unit_interval_through_training_and_simulation(loud):
+    game = _game()
+    nets, history = train(game, TrainingConfig(epochs=2, games_per_epoch=2, seed=1))
     assert len(history) == 2 and all(np.isfinite(h.total) for h in history)
     for seed in range(3):
-        for st in simulate_neural(game.config, game.nets(), seed=seed):
+        for st in simulate_neural(game.config, nets, seed=seed):
             assert np.all((st.p >= 0.0) & (st.p <= 1.0))
             assert 0.0 <= st.a <= 1.0
     for st in run_standard(BarConfig(n_agents=16), seed=1):
@@ -165,7 +177,7 @@ def test_epoch_gradient_matches_finite_differences():
     # one epoch's combined loss as `mfgames elfarol --mode neural` trains it
     # at seed 0, on 4 episodes
     config = BarConfig(n_agents=64, drift_gain=0.3)
-    game = BarGame(config, generate_attendance_observations(seed=0), net_seed=0)
+    game = BarGame(config, generate_attendance_observations(seed=0))
     training = TrainingConfig(epochs=1, games_per_epoch=4, seed=0)
     pairs, tape = epoch_directional_derivatives(game, training, np.random.default_rng(0))
     # clip01's partial of 1 is exact only where no intention is clipped

@@ -51,7 +51,7 @@ def _assert_matches(name, history, grads):
 def test_meeting_epoch_matches_scalar_tape(step_grads):
     config = meeting.MeetingConfig(n_agents=64)
     obs = [meeting.generate_observations(seed=SEED * 1000 + k) for k in range(10)]
-    game = meeting.MeetingGame(config, obs, net_seed=SEED)
+    game = meeting.MeetingGame(config, obs)
     _, history = train(game, TrainingConfig(epochs=1, games_per_epoch=10, seed=SEED))
     _assert_matches("meeting", history, step_grads)
 
@@ -59,7 +59,7 @@ def test_meeting_epoch_matches_scalar_tape(step_grads):
 def test_elfarol_epoch_matches_scalar_tape(step_grads):
     config = elfarol.BarConfig(threshold=0.9, n_agents=64, turns=15, drift_gain=0.3)
     obs = elfarol.generate_attendance_observations(seed=SEED)
-    game = elfarol.BarGame(config, obs, net_seed=SEED)
+    game = elfarol.BarGame(config, obs)
     _, history = train(game, TrainingConfig(epochs=1, games_per_epoch=10, seed=SEED))
     _assert_matches("elfarol", history, step_grads)
 
@@ -87,7 +87,7 @@ def test_dice_round_update_matches_scalar_tape(step_grads):
     outcome = dice.play_round(counts, theta_hat, lam, config, rng)
     target = dice._pooled_target(outcome.revealed.astype(float), config)
     loss = partial(dice._round_loss, theta_hat, lam, counts, target, outcome, config)
-    theta_hat, lam = train_step({"belief": net}, {"belief": opt}, loss, 0)
+    theta_hat, lam = train_step({"drift": net}, {"drift": opt}, loss, 0)
     _assert_matches("dice", None, step_grads)
     golden = json.loads((GOLDEN / "dice.json").read_text())
     np.testing.assert_allclose(theta_hat, golden["theta_hat"], rtol=TOL, atol=TOL)

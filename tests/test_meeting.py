@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import epoch_directional_derivatives
+from gradcheck import epoch_directional_derivatives, initial_nets
 from mfgames.games import meeting
 from mfgames.games.meeting import (
     ArrivalState,
@@ -146,11 +146,11 @@ def test_smoothing_zero_recovers_subgradient():
 
 def test_neural_zeroed_nets_is_bitwise_standard():
     cfg = MeetingConfig(n_agents=12, sigma=0.0)
-    game = MeetingGame(cfg, [generate_observations(seed=1)])
-    for net in game.nets().values():
+    nets = initial_nets(MeetingGame(cfg, [generate_observations(seed=1)]))
+    for net in nets.values():
         for p in net.parameters():
             p[:] = 0.0
-    neural = simulate_neural(cfg, game.nets(), seed=9)
+    neural = simulate_neural(cfg, nets, seed=9)
     standard = run_standard(cfg, seed=9)
     for a, b in zip(neural, standard):
         assert np.array_equal(a.tau, b.tau)
@@ -242,7 +242,7 @@ def test_epoch_gradient_matches_finite_differences():
     # the step, giving errors up to 5e-3 at h = 1e-6 that shrink with h.
     config = MeetingConfig(n_agents=64)
     observations = [generate_observations(seed=k) for k in range(10)]
-    game = MeetingGame(config, observations, net_seed=0)
+    game = MeetingGame(config, observations)
     training = TrainingConfig(epochs=1, games_per_epoch=4, seed=0)
     pairs, _tape = epoch_directional_derivatives(game, training, np.random.default_rng(0))
     for tape_derivative, fd in pairs:

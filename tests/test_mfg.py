@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,22 +14,24 @@ from mfgames.mfg import (
     write_csv,
     write_history_csv,
 )
-from mfgames.nets import MLPConfig, mlp_init
+from mfgames.nets import AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 from gradcheck import log
 from probe import nash_gap
 
 
 class ConstantLosses(GameInstance):
-    """No network; every epoch's loss terms are the given constants."""
+    """Every epoch's loss terms are the given constants; the game cost adds
+    0 times a network's output, so the step has a node to backpropagate."""
 
     def __init__(self, game_cost, data_loss):
         self.terms = game_cost, data_loss
 
-    def nets(self):
-        return {}
+    def net_configs(self):
+        return {"zero": MLPConfig(1, 1, 1, 1)}
 
-    def episode_losses(self, tape, bound, episode_seeds):
-        return tuple(tape.value(t) for t in self.terms)
+    def episode_losses(self, bound, episode_seeds):
+        game_cost, data_loss = self.terms
+        return bound["zero"].forward(np.zeros((1, 1))).sum() * 0.0 + game_cost, data_loss
 
 
 def test_combined_loss():
@@ -52,52 +55,63 @@ def test_training_config_rejects_a_number_that_is_not_finite(field, value):
 class QuadraticToy(GameInstance):
     """Single state pushed by a pure neural drift; G = (x_T - 1)^2."""
 
-    def __init__(self, seed=0):
-        self._nets = {"drift": mlp_init(MLPConfig(2, 1, 3, 8, seed=seed))}
+    def __init__(self):
         self.n_steps = 5
         self.dt = 0.2
 
-    def nets(self):
-        return self._nets
+    def net_configs(self):
+        return {"drift": MLPConfig(2, 1, 3, 8)}
 
-    def episode_losses(self, tape, bound, episode_seeds):
+    def episode_losses(self, bound, episode_seeds):
         # one state per episode, rolled as a batch; the toy is noiseless
-        x = tape.value(np.zeros(len(episode_seeds)))
+        x = np.zeros(len(episode_seeds))
         for k in range(self.n_steps):
             mu = bound["drift"].forward(ad.stack([k * self.dt, x]))[..., 0]
             x = x + mu * self.dt
-        return ad.square(x - 1.0).mean(), tape.value(0.0)
+        return ad.square(x - 1.0).mean(), 0.0
 
-    def terminal_state(self):
-        tape = ad.Tape()
-        bound = {k: v.bind(tape) for k, v in self._nets.items()}
-        x = tape.value(0.0)
+    def terminal_state(self, nets):
+        x = 0.0
         for k in range(self.n_steps):
-            mu = bound["drift"].forward(ad.stack([k * self.dt, x]))[0]
+            mu = mlp_forward_np(nets["drift"], ad.stack([k * self.dt, x]))[0]
             x = x + mu * self.dt
-        return x.v
+        return x
 
 
 def test_train_zero_epochs_keeps_parameters():
-    game = QuadraticToy()
-    before = [p.copy() for p in game.nets()["drift"].parameters()]
-    _, history = train(game, TrainingConfig(epochs=0, games_per_epoch=1))
+    nets, history = train(QuadraticToy(), TrainingConfig(epochs=0, games_per_epoch=1))
     assert history == []
-    for p, q in zip(game.nets()["drift"].parameters(), before):
+    want = mlp_init(MLPConfig(2, 1, 3, 8, seed=0))
+    for p, q in zip(nets["drift"].parameters(), want.parameters()):
         assert np.array_equal(p, q)
 
 
+def test_train_seeds_network_k_with_the_training_seed_plus_k():
+    class TwoNets(GameInstance):
+        def net_configs(self):
+            return {"b": MLPConfig(2, 1, 3, 8, seed=99), "a": MLPConfig(3, 2, 1, 4)}
+
+    game = TwoNets()
+    nets, history = train(game, TrainingConfig(epochs=0, seed=5))
+    assert history == [] and list(nets) == ["b", "a"]
+    for k, (name, config) in enumerate(game.net_configs().items()):
+        want = mlp_init(replace(config, seed=5 + k))
+        assert nets[name].config == want.config and nets[name].config.seed == 5 + k
+        for p, q in zip(nets[name].parameters(), want.parameters(), strict=True):
+            assert np.array_equal(p, q)
+
+
 def test_train_quadratic_toy_reaches_target():
-    game = QuadraticToy(seed=1)
-    _, history = train(game, TrainingConfig(epochs=500, games_per_epoch=1))
-    assert abs(game.terminal_state() - 1.0) < 0.05
+    game = QuadraticToy()
+    nets, history = train(game, TrainingConfig(epochs=500, games_per_epoch=1, seed=1))
+    assert abs(game.terminal_state(nets) - 1.0) < 0.05
     assert history[-1].total < history[0].total
 
 
 def test_train_batches_episodes_and_records_plain_floats():
     # identical noiseless episodes: the batch average equals one episode
-    one = train(QuadraticToy(seed=2), TrainingConfig(epochs=3, games_per_epoch=1))[1]
-    many = train(QuadraticToy(seed=2), TrainingConfig(epochs=3, games_per_epoch=4))[1]
+    one = train(QuadraticToy(), TrainingConfig(epochs=3, games_per_epoch=1, seed=2))[1]
+    many = train(QuadraticToy(), TrainingConfig(epochs=3, games_per_epoch=4, seed=2))[1]
     for a, b in zip(one, many):
         assert b.total == pytest.approx(a.total, rel=1e-12)
         assert all(type(v) is float for v in (b.game_cost, b.data_loss, b.total))
@@ -105,14 +119,11 @@ def test_train_batches_episodes_and_records_plain_floats():
 
 def test_train_divergence_abort():
     class Exploding(GameInstance):
-        def __init__(self):
-            self._nets = {"drift": mlp_init(MLPConfig(1, 1, 3, 8, seed=0))}
+        def net_configs(self):
+            return {"drift": MLPConfig(1, 1, 3, 8)}
 
-        def nets(self):
-            return self._nets
-
-        def episode_losses(self, tape, bound, episode_seed):
-            return tape.value(1e7), tape.value(0.0)
+        def episode_losses(self, bound, episode_seed):
+            return bound["drift"].forward(np.zeros((1, 1))).sum() * 0.0 + 1e7, 0.0
 
     with pytest.raises(TrainingDivergence) as err:
         train(Exploding(), TrainingConfig(epochs=3, games_per_epoch=1))
@@ -121,31 +132,24 @@ def test_train_divergence_abort():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_non_finite_gradient_diverges_before_any_network_steps():
+def test_non_finite_gradient_diverges_before_any_network_steps(monkeypatch):
     class TwoNets(GameInstance):
-        """Network b outputs 1e-310: its log is finite, its gradient is not."""
+        """Network b's output is scaled to 1e-310: its log is finite, its gradient is not."""
 
-        def __init__(self):
-            self._nets = {name: mlp_init(MLPConfig(1, 1, 1, 2, seed=k))
-                          for k, name in enumerate("ab")}
-            self._nets["b"].weights[-1][:] = 0.0
-            self._nets["b"].biases[-1][:] = 1e-310
+        def net_configs(self):
+            return {name: MLPConfig(1, 1, 1, 2) for name in "ab"}
 
-        def nets(self):
-            return self._nets
-
-        def episode_losses(self, tape, bound, episode_seeds):
+        def episode_losses(self, bound, episode_seeds):
             x = np.ones((1, 1))
-            game_cost = bound["a"].forward(x).sum() + log(bound["b"].forward(x).sum())
-            return game_cost, tape.value(0.0)
+            tiny = bound["b"].forward(x).sum() * 0.0 + 1e-310
+            return bound["a"].forward(x).sum() + log(tiny), 0.0
 
-    game = TwoNets()
-    before = [p.copy() for net in game.nets().values() for p in net.parameters()]
+    steps = []
+    monkeypatch.setattr(AdaBelief, "step", lambda self, grads: steps.append(grads))
     with pytest.raises(TrainingDivergence, match="non-finite gradient at step 0") as err:
-        train(game, TrainingConfig(epochs=2, games_per_epoch=1))
+        train(TwoNets(), TrainingConfig(epochs=2, games_per_epoch=1))
     assert err.value.step == 0
-    after = [p for net in game.nets().values() for p in net.parameters()]
-    assert all(np.array_equal(p, q) for p, q in zip(after, before))
+    assert steps == []
 
 
 # the exact probe of tests/probe.py, the reference the games' closed-form
@@ -179,8 +183,7 @@ def test_nash_gap_validation():
 
 
 def test_history_csv(tmp_path):
-    game = QuadraticToy()
-    _, history = train(game, TrainingConfig(epochs=3, games_per_epoch=1))
+    _, history = train(QuadraticToy(), TrainingConfig(epochs=3, games_per_epoch=1))
     path = tmp_path / "history.csv"
     write_history_csv(path, history)
     lines = path.read_text().strip().splitlines()

@@ -8,8 +8,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+from gradcheck import initial_nets
 from mfgames.autodiff import Tape
 from mfgames.games import elfarol, meeting, sir
+from mfgames.mfg import TrainingConfig
 from mfgames.nets import MLPConfig, mlp_forward_np, mlp_init, stack_nets
 
 
@@ -31,12 +33,12 @@ def test_meeting_rollout_on_tape_equals_rollout_on_arrays(neural, smoothing):
     # smoothing 0 gives the raw subgradient, computed from plain arrays on
     # both sides; the logistic best response is one expression for both
     cfg = meeting.MeetingConfig(n_agents=40, smoothing=smoothing)
-    game = meeting.MeetingGame(cfg, [meeting.generate_observations(seed=1)], net_seed=3)
+    game = meeting.MeetingGame(cfg, [meeting.generate_observations(seed=1)])
     rng = np.random.default_rng(0)
     tau0 = rng.normal(cfg.init_mean, meeting.INIT_STD, (3, cfg.n_agents))
     eps = rng.normal(0.0, cfg.noise_std, (3, cfg.n_agents))
     dB = rng.normal(0.0, 0.3, (cfg.turns - 1, 3, cfg.n_agents))
-    tape, on_tape, on_arrays = _forwards(game.nets())
+    tape, on_tape, on_arrays = _forwards(initial_nets(game, TrainingConfig(seed=3)))
     taped = meeting._rollout(cfg, tape.value(tau0), eps, dB, on_tape if neural else None)
     plain = meeting._rollout(cfg, tau0, eps, dB, on_arrays if neural else None)
     assert len(taped) == len(plain) == cfg.turns
@@ -46,9 +48,9 @@ def test_meeting_rollout_on_tape_equals_rollout_on_arrays(neural, smoothing):
 
 def test_elfarol_rollout_on_tape_equals_rollout_on_arrays():
     cfg = elfarol.BarConfig(n_agents=30, turns=8)
-    game = elfarol.BarGame(cfg, elfarol.generate_attendance_observations(seed=2), net_seed=4)
+    game = elfarol.BarGame(cfg, elfarol.generate_attendance_observations(seed=2))
     p0 = np.random.default_rng(1).uniform(0.0, 0.5, (3, cfg.n_agents))
-    tape, on_tape, on_arrays = _forwards(game.nets())
+    tape, on_tape, on_arrays = _forwards(initial_nets(game, TrainingConfig(seed=4)))
     taped = elfarol._rollout(cfg, tape.value(p0), _rngs(3), on_tape["drift"])
     plain = elfarol._rollout(cfg, p0, _rngs(3), on_arrays["drift"])
     assert len(taped) == len(plain) == cfg.turns

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gradcheck import array_gradcheck, epoch_directional_derivatives
+from gradcheck import array_gradcheck, epoch_directional_derivatives, initial_nets
 from mfgames import autodiff as ad
 from mfgames.games import sir
 from mfgames.games.sir import (
@@ -679,7 +679,7 @@ def test_epoch_gradient_matches_finite_differences():
     ds = generate_synthetic_dataset(30, seed=0, measures=make_measure_schedule(30, seed=0),
                                     modulate=True)
     rates, _ = estimate_rates(ds, window=14)
-    game = SIRGame(ds, SIRConfig(trajectories=10), rates, seed=0)
+    game = SIRGame(ds, SIRConfig(trajectories=10), rates)
     training = TrainingConfig(epochs=1, games_per_epoch=5, seed=0)
     pairs, _tape = epoch_directional_derivatives(game, training, np.random.default_rng(0),
                                                  h=1e-7)
@@ -779,13 +779,13 @@ def test_a_training_step_records_about_7_nodes_a_day(days, monkeypatch):
     # term and the clamp, so a node per operation (21 a day) fails the budget
     ds = generate_synthetic_dataset(days, seed=1, measures=make_measure_schedule(days, seed=1),
                                     modulate=True)
-    game = SIRGame(ds, SIRConfig(trajectories=10), np.array([0.25, 0.1, 0.01]), seed=0)
+    game = SIRGame(ds, SIRConfig(trajectories=10), np.array([0.25, 0.1, 0.01]))
     calls = []
     forward = BoundMLP.forward
     monkeypatch.setattr(BoundMLP, "forward", lambda self, x: calls.append(x) or forward(self, x))
     tape = ad.Tape()
-    bound = {name: net.bind(tape) for name, net in game.nets().items()}
-    game.episode_losses(tape, bound, [(0, 0, g) for g in range(5)])
+    bound = {name: net.bind(tape) for name, net in initial_nets(game).items()}
+    game.episode_losses(bound, [(0, 0, g) for g in range(5)])
     assert len(calls) == days - 1
     assert len(tape) <= 8 * days + 60
 
@@ -793,11 +793,12 @@ def test_a_training_step_records_about_7_nodes_a_day(days, monkeypatch):
 def test_noisy_copies_are_built_when_an_epoch_first_reads_them():
     ds = generate_synthetic_dataset(15, seed=3)
     game = SIRGame(ds, SIRConfig(trajectories=100, hidden_layers=1, hidden_width=4),
-                   np.array([0.25, 0.1, 0.01]), seed=7)
+                   np.array([0.25, 0.1, 0.01]))
     assert game._copies == {}
     tape = ad.Tape()
-    bound = {name: net.bind(tape) for name, net in game.nets().items()}
-    game.episode_losses(tape, bound, [(7, 2, g) for g in range(5)])  # epoch 2: rows 10-14
+    bound = {name: net.bind(tape)
+             for name, net in initial_nets(game, TrainingConfig(seed=7)).items()}
+    game.episode_losses(bound, [(7, 2, g) for g in range(5)])  # epoch 2: rows 10-14
     assert sorted(game._copies) == [10, 11, 12, 13, 14]
     for k, states in game._copies.items():
         assert np.array_equal(states, augment_noise(ds, NOISE_SIGMA, seed=7 + 1000 + k).states)

@@ -5,7 +5,8 @@ waits for the cyclic collector, and memory then grows with the number of
 steps. These tests run every training loop with that collector switched off
 and check through weak references that no tape outlives its step, also when
 the step raises. The backward sweep itself holds only the adjoints still
-waiting for a consumer.
+waiting for a consumer. A step records no leaf but its networks' parameters:
+the rollouts start from plain arrays.
 """
 
 import gc
@@ -15,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mfgames import autodiff, mfg
+from mfgames import autodiff, mfg, nets
 from mfgames.games import dice, elfarol, meeting, sir
 from mfgames.mfg import TrainingConfig, TrainingDivergence, train
 from mfgames.nets import MLPConfig, mlp_init
@@ -49,7 +50,7 @@ def _live_tapes_after(run, refs) -> int:
 def _meeting(epochs):
     config = meeting.MeetingConfig(n_agents=16)
     obs = [meeting.generate_observations(seed=k) for k in range(2)]
-    game = meeting.MeetingGame(config, obs, net_seed=1)
+    game = meeting.MeetingGame(config, obs)
     return train(game, TrainingConfig(epochs=epochs, games_per_epoch=2, seed=1))
 
 
@@ -105,6 +106,27 @@ RUNS = {
 def test_no_tape_outlives_training(tapes, name):
     assert _live_tapes_after(RUNS[name], tapes) == 0
     assert tapes  # the run did record on tapes
+
+
+@pytest.mark.parametrize("name", ["meeting", "elfarol", "sir"])
+def test_a_training_step_records_no_leaf_but_its_networks_parameters(monkeypatch, name):
+    bound, steps = [], []  # the step's bound networks; per step, whether the leaves match
+    bind, backward = nets.MLP.bind, autodiff.Tape.backward
+
+    def recording_bind(self, tape):
+        bound.append(bind(self, tape))
+        return bound[-1]
+
+    def checking_backward(self, root):
+        params = {id(n) for b in bound for n in (*b.wnodes, *b.bnodes)}
+        steps.append({id(n) for n in self.nodes if not n.parents} == params)
+        bound.clear()
+        return backward(self, root)
+
+    monkeypatch.setattr(nets.MLP, "bind", recording_bind)
+    monkeypatch.setattr(autodiff.Tape, "backward", checking_backward)
+    RUNS[name]()
+    assert len(steps) == 3 and all(steps)
 
 
 def test_backward_frees_each_adjoint_once_used():
