@@ -14,16 +14,23 @@ bit for bit (a quotient is numpy's quotient), so an expression gives the
 same numbers on the tape and on arrays. Only this module asks whether an
 input is a node; others read a node's array with :func:`plain`.
 
-A fused computation can be one node whose VJP computes every parent's
-adjoint in one call (:func:`fused`). :func:`mlp`, a whole LipSwish network,
-is one: its VJP walks back through the layers with the expressions of an
-affine node and of a LipSwish node, so its adjoints are bit for bit those of
-a node per layer. It runs a stack of ``n`` networks of one input width and
-depth, their weights ``(n, out, in)``, on one input, one ``np.matmul`` per
-layer (the "vmap over networks" ensemble pattern); one network's own
-``(out, in)`` weights run as a stack of one, so one forward pass and one VJP
-serve both. :func:`stack_padded` builds such stacks from each network's own
-nodes, and its VJP hands each network its slice.
+A primitive records its node in one of two ways. An elementwise one (the
+operators, :func:`max0`, :func:`sigmoid`, :func:`square`, :func:`absval`,
+:func:`clip01`, :func:`where`) gives ``_elementwise`` each input's local
+partial, and a parent's VJP is the adjoint times it, summed over the axes
+broadcasting added. Any other gives :func:`fused` one function returning
+every input's adjoint; indexing, ``sum`` and :func:`take_along_axis` are its
+one-input case.
+
+:func:`mlp`, a whole LipSwish network, is one fused node: its VJP walks back
+through the layers with the expressions of an affine node and of a LipSwish
+node, so its adjoints are bit for bit those of a node per layer. It runs a
+stack of ``n`` networks of one input width and depth, their weights
+``(n, out, in)``, on one input, one ``np.matmul`` per layer (the "vmap over
+networks" ensemble pattern); one network's own ``(out, in)`` weights run as
+a stack of one, so one forward pass and one VJP serve both.
+:func:`stack_padded` builds such stacks from each network's own nodes, and
+its VJP hands each network its slice.
 """
 
 from __future__ import annotations
@@ -59,17 +66,6 @@ def _unbroadcast(g, shape):
     return np.sum(g, axis=axes).reshape(shape)
 
 
-def _pass(p):
-    shape = np.shape(p.v)
-    return lambda g: _unbroadcast(g, shape)
-
-
-def _scale(p, d):
-    """VJP of an elementwise op whose local partial is ``d``."""
-    shape = np.shape(p.v)
-    return lambda g: _unbroadcast(g * d, shape)
-
-
 def _check_divisor(d) -> None:
     if np.any(np.asarray(d) == 0.0):
         raise ZeroDivisionError("division by zero")
@@ -89,6 +85,8 @@ class Value:
     __slots__ = ("v", "g", "i", "op", "parents", "tape")
     # numpy defers `ndarray <op> Value` to the reflected methods below
     __array_ufunc__ = None
+    # iterating would record a getitem node per element, and find a 0-d node empty
+    __iter__ = None
     _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
 
     def __init__(self, v, tape, op="leaf", parents=()):
@@ -110,47 +108,35 @@ class Value:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Value):
-            return Value(self.v + other.v, self.tape, "add",
-                         (self, _pass(self), other, _pass(other)))
-        return Value(self.v + other, self.tape, "add", (self, _pass(self)))
+        return _elementwise("add", self.v + plain(other), (self, other), (None, None))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Value):
-            return Value(self.v - other.v, self.tape, "sub",
-                         (self, _pass(self), other, _scale(other, -1.0)))
-        return Value(self.v - other, self.tape, "sub", (self, _pass(self)))
+        return _elementwise("sub", self.v - plain(other), (self, other), (None, -1.0))
 
     def __rsub__(self, other):
-        return Value(other - self.v, self.tape, "sub", (self, _scale(self, -1.0)))
+        return _elementwise("sub", other - self.v, (other, self), (None, -1.0))
 
     def __mul__(self, other):
-        if isinstance(other, Value):
-            return Value(self.v * other.v, self.tape, "mul",
-                         (self, _scale(self, other.v), other, _scale(other, self.v)))
-        return Value(self.v * other, self.tape, "mul", (self, _scale(self, other)))
+        d = plain(other)
+        return _elementwise("mul", self.v * d, (self, other), (d, self.v))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Value):
-            _check_divisor(other.v)
-            inv = 1.0 / other.v
-            return Value(self.v / other.v, self.tape, "div",
-                         (self, _scale(self, inv), other, _scale(other, -self.v * inv * inv)))
-        _check_divisor(other)
-        inv = 1.0 / np.asarray(other, dtype=float)
-        return Value(self.v / other, self.tape, "div", (self, _scale(self, inv)))
+        d = plain(other)
+        _check_divisor(d)
+        inv = 1.0 / np.asarray(d, dtype=float)
+        return _elementwise("div", self.v / d, (self, other), (inv, -self.v * inv * inv))
 
     def __rtruediv__(self, other):
         _check_divisor(self.v)
         inv = 1.0 / self.v
-        return Value(other / self.v, self.tape, "div", (self, _scale(self, -other * inv * inv)))
+        return _elementwise("div", other / self.v, (other, self), (inv, -other * inv * inv))
 
     def __neg__(self):
-        return Value(-self.v, self.tape, "neg", (self, _scale(self, -1.0)))
+        return _elementwise("neg", -self.v, (self,), (-1.0,))
 
     # -- indexing and reductions -------------------------------------------
 
@@ -162,23 +148,22 @@ class Value:
                 raise IndexError(f"basic indices only, got {i!r}; gather with take_along_axis")
         shape = self.shape
 
-        def vjp(g):
+        def vjp_all(g):
             out = np.zeros(shape)
             out[index] = g
-            return out
+            return [out]
 
-        return Value(np.asarray(self.v)[index], self.tape, "getitem", (self, vjp))
+        return fused("getitem", np.asarray(self.v)[index], (self,), vjp_all)
 
     def sum(self, axis=None, keepdims=False) -> "Value":
         shape = self.shape
 
-        def vjp(g):
+        def vjp_all(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape)
+            return [np.broadcast_to(g, shape)]
 
-        return Value(np.sum(self.v, axis=axis, keepdims=keepdims), self.tape, "sum",
-                     (self, vjp))
+        return fused("sum", np.sum(self.v, axis=axis, keepdims=keepdims), (self,), vjp_all)
 
     def mean(self, axis=None, keepdims=False) -> "Value":
         total = self.sum(axis, keepdims)
@@ -280,6 +265,22 @@ def fused(op, value, inputs, vjp_all):
                                          for item in (x, vjp)]))
 
 
+def _elementwise(op, value, inputs, partials):
+    """``value``, computed elementwise from ``inputs``, as one node whose parents
+    are the nodes among them; without one, ``value`` itself. ``partials[k]`` is
+    the local partial of ``inputs[k]``, ``None`` for 1, and that parent's VJP
+    is ``g`` times it, summed over the axes broadcasting added to the parent.
+    """
+    parents = []
+    for x, d in zip(inputs, partials):
+        if isinstance(x, Value):
+            parents += (x, lambda g, d=d, shape=x.shape:
+                        _unbroadcast(g if d is None else g * d, shape))
+    if not parents:
+        return value
+    return Value(value, parents[0].tape, op, tuple(parents))
+
+
 # -- elementwise primitives, generic over Value, float and ndarray ------------
 
 
@@ -297,7 +298,7 @@ def _unary(x, op, value, partial):
     if not isinstance(x, Value):
         return value(x)
     v = value(x.v)
-    return Value(v, x.tape, op, (x, _scale(x, partial(x.v, v))))
+    return _elementwise(op, v, (x,), (partial(x.v, v),))
 
 
 def max0(x):
@@ -316,9 +317,7 @@ def square(x):
 
 def clip01(x):
     """Clamp to [0, 1] with a straight-through local partial of 1."""
-    if not isinstance(x, Value):
-        return np.clip(x, 0.0, 1.0)
-    return Value(np.clip(x.v, 0.0, 1.0), x.tape, "clip01", (x, _pass(x)))
+    return _elementwise("clip01", np.clip(plain(x), 0.0, 1.0), (x,), (None,))
 
 
 def absval(x):
@@ -413,23 +412,21 @@ def stack_padded(xs):
 
 
 def take_along_axis(x, indices, axis):
-    """Gather like ``np.take_along_axis``; repeated indices accumulate their adjoints."""
-    if not isinstance(x, Value):
-        return np.take_along_axis(x, indices, axis)
-    shape = x.shape
+    """Gather like ``np.take_along_axis``, indices and ``x`` broadcasting against
+    each other; repeated indices accumulate their adjoints."""
+    shape = np.shape(plain(x))
 
-    def vjp(g):
+    def vjp_all(g):
         out = np.zeros(shape)
-        grid = list(np.ix_(*(np.arange(n) for n in np.shape(indices))))
+        grid = list(np.ix_(*(np.arange(n) for n in shape)))
         grid[axis] = indices
         np.add.at(out, tuple(grid), g)
-        return out
+        return [out]
 
-    return Value(np.take_along_axis(x.v, indices, axis), x.tape, "take", (x, vjp))
+    return fused("take", np.take_along_axis(plain(x), indices, axis), (x,), vjp_all)
 
 
 def where(mask, a, b):
     """Elementwise ``a`` where ``mask`` holds, else ``b``; each side gets its share."""
-    shapes = np.shape(plain(a)), np.shape(plain(b))
-    return fused("where", np.where(mask, plain(a), plain(b)), (a, b), lambda g: [
-        _unbroadcast(g * m, shape) for m, shape in zip((mask, np.logical_not(mask)), shapes)])
+    return _elementwise("where", np.where(mask, plain(a), plain(b)), (a, b),
+                        (mask, np.logical_not(mask)))

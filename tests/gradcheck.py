@@ -39,11 +39,9 @@ def lipswish(x):
     """x * sigmoid(x) / 1.1 as one node: the activation ``ad.mlp`` applies
     between layers, in the expressions of its forward pass and VJP, so a
     node per layer is the reference its adjoints are pinned against."""
-    if not isinstance(x, ad.Value):
-        return x * ad._sigmoid(x) / 1.1
-    s = ad._sigmoid(x.v)
-    d = (s + x.v * s * (1.0 - s)) / 1.1
-    return ad.Value(x.v * s / 1.1, x.tape, "lipswish", (x, ad._scale(x, d)))
+    v = ad.plain(x)
+    s = ad._sigmoid(v)
+    return ad._elementwise("lipswish", v * s / 1.1, (x,), ((s + v * s * (1.0 - s)) / 1.1,))
 
 
 def _div_safe(a, b):

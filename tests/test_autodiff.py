@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mfgames import autodiff as ad
 from gradcheck import (
@@ -11,10 +13,12 @@ from gradcheck import (
     exp,
     gradcheck_program,
     lipswish,
+    log,
     random_program,
     tanh,
     well_conditioned,
 )
+from test_backward_reference import SHAPES
 
 
 def test_square_via_mul():
@@ -271,6 +275,9 @@ ARRAY_CASES = {
                         [(3, 5)]),
     "take_repeated_index": (lambda x: ad.square(
         ad.take_along_axis(x, np.array([[0, 0, 2]]), axis=1)).sum(), [(1, 4)]),
+    # one row of indices broadcast against every row of x
+    "take_broadcast_index": (lambda x: ad.square(
+        ad.take_along_axis(x, np.array([[1, 3, 1]]), axis=1)).sum(), [(3, 4)]),
     "where_mask": (lambda a, b: ad.square(ad.where(_MASK, a, b * 2.0)).sum(), [(3, 4), (3, 4)]),
     "where_broadcast": (lambda a: tanh(ad.where(_MASK, a, 0.5)).sum(), [(3, 1)]),
     "stack": (lambda a, b: ad.square(ad.stack([a, b, 0.3]) * np.arange(1.0, 4.0)).sum(),
@@ -334,3 +341,75 @@ def test_batched_ops_are_one_node_each():
     x = tape.value(np.ones((10, 64)))
     y = lipswish(x * 2.0 + 1.0).sum()
     assert len(tape) == 5 and y.shape == ()
+
+
+def test_a_node_does_not_iterate():
+    # a (2,) node would record a getitem node per element, and a 0-d node look empty
+    tape = ad.Tape()
+    for x in (tape.value(1.0), tape.value([1.0, 2.0])):
+        with pytest.raises(TypeError):
+            list(x)
+    assert len(tape) == 2
+
+
+# -- each smooth primitive against central differences, over broadcasts --------
+
+# f(a, b, k): k holds the plain operands that stay fixed while the finite
+# differences move a and b (a constant c of b's shape, a mask, gather indices)
+SMOOTH = {
+    "add": lambda a, b, k: a + b,
+    "sub": lambda a, b, k: a - b,
+    "mul": lambda a, b, k: a * b,
+    "div": lambda a, b, k: a / b,
+    "neg": lambda a, b, k: -a,
+    "constant_add": lambda a, b, k: k.c + a,
+    "sub_constant": lambda a, b, k: a - k.c,
+    "constant_sub": lambda a, b, k: k.c - a,
+    "constant_mul": lambda a, b, k: k.c * a,
+    "div_constant": lambda a, b, k: a / k.c,
+    "constant_div": lambda a, b, k: k.c / a,
+    "sigmoid": lambda a, b, k: ad.sigmoid(a),
+    "square": lambda a, b, k: ad.square(a),
+    "exp": lambda a, b, k: exp(a),
+    "log": lambda a, b, k: log(a),
+    # a and b stay at least 0.1 from 1.0, clear of these kinks
+    "max0": lambda a, b, k: ad.max0(a - 1.0),
+    "absval": lambda a, b, k: ad.absval(1.0 - a),
+    # inside [0, 1], where the straight-through partial is the derivative
+    "clip01": lambda a, b, k: ad.clip01(0.5 * a),
+    "where": lambda a, b, k: ad.where(k.mask, a, b),
+    "where_constant": lambda a, b, k: ad.where(k.mask, k.c, a),
+    "take_along_axis": lambda a, b, k: ad.take_along_axis(a, k.indices, axis=-1),
+}
+
+
+class _Fixed:
+    """The plain operands of one example, drawn for leaf shapes ``sa`` and ``sb``."""
+
+    def __init__(self, rng, sa, sb):
+        self.c = rng.uniform(0.5, 1.5, sb)
+        self.mask = rng.random(np.broadcast_shapes(sa, sb)) < 0.5
+        # along every other axis one row of indices, or two rows where a has one
+        shape = [1 if n > 1 else int(rng.integers(1, 3)) for n in sa[:-1]]
+        self.indices = rng.integers(0, sa[-1], (*shape, int(rng.integers(1, 4)))) if sa else None
+
+
+def _weighted_sum(y):
+    """Sum of ``y`` with a distinct weight per element, so no adjoint is all ones."""
+    shape = np.shape(ad.plain(y))
+    return (y * np.linspace(0.5, 1.5, int(np.prod(shape))).reshape(shape)).sum()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SMOOTH)), st.sampled_from(SHAPES), st.sampled_from(SHAPES),
+       st.integers(0, 2**32 - 1))
+def test_each_smooth_primitive_matches_central_differences(name, sa, sb, seed):
+    assume(sa or name != "take_along_axis")
+    rng = np.random.default_rng(seed)
+    k = _Fixed(rng, sa, sb)
+    # in [0.5, 0.9] or [1.1, 1.5]: positive, and 0.1 from the kinks at 1
+    a, b = (1.0 + rng.choice([-1.0, 1.0], s) * rng.uniform(0.1, 0.5, s) for s in (sa, sb))
+    f = SMOOTH[name]
+    grads, fds = array_gradcheck(lambda a, b: _weighted_sum(f(a, b, k)), [a, b])
+    for g, fd in zip(grads, fds):
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)

@@ -65,7 +65,7 @@ def test_fresh_net_maps_zero_to_zero():
     assert np.allclose(out, 0.0)
     tape = ad.Tape()
     nodes = net.bind(tape).forward([0.0, 0.0, 0.0])
-    assert all(abs(n.v) < 1e-15 for n in nodes)
+    assert all(abs(nodes[k].v) < 1e-15 for k in range(nodes.shape[0]))
 
 
 def test_identity_single_layer():
@@ -84,7 +84,7 @@ def test_forward_matches_numpy_path():
     tape = ad.Tape()
     nodes = net.bind(tape).forward(list(x))
     np_out = mlp_forward_np(net, x)
-    assert [n.v for n in nodes] == pytest.approx(list(np_out), rel=1e-12)
+    assert [nodes[k].v for k in range(nodes.shape[0])] == pytest.approx(list(np_out), rel=1e-12)
 
 
 def test_weight_gradients_match_finite_differences():
