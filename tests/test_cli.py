@@ -529,6 +529,14 @@ HASH_CASES["dice-standard-20-players-200-rounds"] = (
     "dice", "--mode", "standard", "--seed", "5", "--players", "20", "--rounds", "200")
 HASH_CASES["dice-neural-10-players-40-rounds"] = (
     "dice", "--mode", "neural", "--seed", "5", "--players", "10", "--rounds", "40")
+# the CLI's 30 x 15 table over 300 rounds runs the binomial term recurrence;
+# 300 players of 20 dice leave 5,980 unseen dice, where (5/6)**5980 == 0.0
+# and the log-space tail runs
+HASH_CASES["dice-standard-300-rounds"] = (
+    "dice", "--mode", "standard", "--seed", "5", "--rounds", "300")
+HASH_CASES["dice-standard-300-players"] = (
+    "dice", "--mode", "standard", "--seed", "5", "--players", "300", "--dice", "20",
+    "--rounds", "20")
 HASH_CASES["meeting-standard-500-agents"] = (
     "meeting", "--mode", "standard", "--seed", "5", "--agents", "500")
 HASH_CASES["elfarol-standard-500-agents"] = (
