@@ -141,9 +141,10 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
                     theta_hat: np.ndarray, others_count: int) -> float:
     """P[total occurrences >= quantity]; unseen dice ~ Binomial(others, belief).
 
-    Exact binomial tail from the term recurrence of :func:`_binomial_terms`,
-    so no special functions are required: the tail terms summed in order of
-    k, divided by that sum plus the running sum of the terms below ``need``.
+    The rows may be arrays or lists. Exact binomial tail from the term
+    recurrence of :func:`_binomial_terms`, so no special functions are
+    required: the tail terms summed in order of k, divided by that sum plus
+    the running sum of the terms below ``need``.
     """
     need = quantity - int(own_counts[face - 1])
     if need <= 0:
@@ -155,11 +156,22 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
         return 0.0
     if p >= 1.0:
         return 1.0
-    terms = _binomial_terms(others_count, p)
+    return _binomial_tail(need, others_count, p)
+
+
+@functools.lru_cache(maxsize=4096)  # a float and its key: under a MiB when full
+def _binomial_tail(need: int, n: int, p: float) -> float:
+    """P[X >= need] for X ~ Binomial(n, p), 1 <= need <= n and 0 < p < 1.
+
+    From the terms of :func:`_binomial_terms`, or in log space once they
+    underflow. Memoised: standard players share one belief, so within a
+    round and across games they ask the same tails again.
+    """
+    terms = _binomial_terms(n, p)
     if terms is None:
-        return _binomial_tail_log_space(need, others_count, p)
+        return _binomial_tail_log_space(need, n, p)
     terms, running = terms
-    total = float(terms[need:].cumsum()[-1])
+    total = float(np.add.accumulate(terms[need:])[-1])
     norm = total + float(running[need - 1])
     return total / norm if norm > 0 else 0.0
 
@@ -168,22 +180,35 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
 def _binomial_terms(n: int, p: float):
     """The n + 1 terms of Binomial(n, p) and their running sums, or None.
 
-    term 0 is q**n and term k + 1 is term k times (n - k) / (k + 1) * (p / q).
-    Both come from sequential ``cumprod``/``cumsum`` (not pairwise sums), so
-    they equal a loop that multiplies and adds one term at a time, bit for
-    bit. None when q**n underflows to zero. Within a round every player
-    asks about the same few (n, p); the cache is bounded because neural
-    players each hold their own beliefs.
+    term 0 is q**n and term k + 1 is term k times (n - k) / (k + 1) * (p / q),
+    the ratios coming from :func:`_term_ratios` and the product evaluated
+    left to right. Both come from the sequential ``multiply.accumulate`` and
+    ``add.accumulate`` that ``cumprod`` and ``cumsum`` run (not pairwise
+    sums), so they equal a loop that multiplies and adds one term at a time,
+    bit for bit. None when q**n underflows to zero. The cache is
+    bounded because neural players each hold their own beliefs; standard
+    players share theirs, and :func:`_binomial_tail` memoises their tails.
     """
     q = 1.0 - p
     first = q**n
     if first == 0.0:
         return None
-    k = np.arange(n)
-    terms = np.cumprod(np.concatenate(([first], (n - k) / (k + 1.0) * (p / q))))
-    running = np.cumsum(terms)
+    steps = np.empty(n + 1)
+    steps[0] = first
+    np.multiply(_term_ratios(n), p / q, out=steps[1:])
+    terms = np.multiply.accumulate(steps)
+    running = np.add.accumulate(terms)
     terms.flags.writeable = running.flags.writeable = False  # shared by every caller
     return terms, running
+
+
+@functools.lru_cache(maxsize=16)
+def _term_ratios(n: int) -> np.ndarray:
+    """(n - k) / (k + 1) for k = 0 .. n - 1; a table has one unseen-dice count."""
+    k = np.arange(n)
+    ratios = (n - k) / (k + 1.0)
+    ratios.flags.writeable = False
+    return ratios
 
 
 def _binomial_tail_log_space(need: int, n: int, p: float) -> float:
@@ -210,22 +235,22 @@ def player_turn(dice: np.ndarray, theta_hat: np.ndarray, lam: float, prev_bid: B
     is too unlikely; otherwise inflate the quantity by a Poisson bluff. A
     minimum raise of one keeps the bid a legal successor when the face stayed
     and the bluff draw was zero. ``dice``, ``theta_hat`` and ``lam`` are the
-    player's rows of the dealt counts and of the population's arrays.
+    player's rows of the dealt counts and of the population's beliefs (arrays
+    or lists) and its bluff rate.
     """
+    prev_face, quantity = prev_bid.face, prev_bid.quantity
     others = config.total_dice - config.dice_per_player
-    est = estimate_occurrences(prev_bid.face, dice, theta_hat, others)
-    face = prev_bid.face
-    if prev_bid.quantity > est:
+    face = prev_face
+    if quantity > estimate_occurrences(face, dice, theta_hat, others):
         face += 1
         if face > config.n_faces:
             return CHALLENGE
-    quantity = prev_bid.quantity
     if bid_probability(face, quantity, dice, theta_hat, others) < config.likelihood:
         return CHALLENGE
-    quantity += int(rng.poisson(lam))
-    if face == prev_bid.face and quantity == prev_bid.quantity:
-        quantity += 1
-    return Bid(face, quantity)
+    bluff = int(rng.poisson(lam))
+    if bluff == 0 and face == prev_face:
+        bluff = 1
+    return Bid(face, quantity + bluff)
 
 
 def deal(n_players: int, config: DiceConfig, rng) -> np.ndarray:
@@ -233,12 +258,27 @@ def deal(n_players: int, config: DiceConfig, rng) -> np.ndarray:
 
     One ``rng.random((players, dice))`` draw mapped through the face CDF: the
     same dice, and the same generator state afterwards, as one
-    ``rng.choice(faces, dice, p=theta)`` call per player in turn.
+    ``rng.choice(faces, dice, p=theta)`` call per player in turn. Each
+    player's draws are sorted before the CDF lookup, which then follows the
+    keys instead of searching afresh (the counts do not depend on the order),
+    and player i's faces are offset by i * faces, so one ``bincount`` counts
+    every row.
     """
-    cdf = np.asarray(config.theta, dtype=float).cumsum()
+    nf = config.n_faces
+    draws = rng.random((n_players, config.dice_per_player))
+    draws.sort(axis=1)
+    faces = _face_cdf(tuple(config.theta)).searchsorted(draws, side="right")
+    faces += np.arange(0, n_players * nf, nf)[:, None]
+    return np.bincount(faces.ravel(), minlength=n_players * nf).reshape(n_players, nf)
+
+
+@functools.lru_cache(maxsize=16)
+def _face_cdf(theta: tuple) -> np.ndarray:
+    """The face CDF of ``theta``, its last entry exactly 1."""
+    cdf = np.asarray(theta, dtype=float).cumsum()
     cdf /= cdf[-1]
-    faces = cdf.searchsorted(rng.random((n_players, config.dice_per_player)), side="right")
-    return (faces[..., None] == np.arange(config.n_faces)).sum(axis=1)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def play_round(counts: np.ndarray, theta_hat: np.ndarray, lam: np.ndarray,
@@ -247,20 +287,24 @@ def play_round(counts: np.ndarray, theta_hat: np.ndarray, lam: np.ndarray,
 
     ``counts`` are the dealt dice (see :func:`deal`), ``theta_hat`` and
     ``lam`` the population's beliefs and bluff rates; player i plays row i.
+    The turns read them as Python lists, converted once per round, since a
+    turn indexes a few of their cells and a list cell is cheaper to read
+    than an array's.
     """
     n_players = len(counts)
     if n_players < 2:
         raise ValueError("a round needs at least two players")
     revealed = counts.sum(axis=0)
+    dealt, beliefs, rates = counts.tolist(), theta_hat.tolist(), lam.tolist()
 
     others = config.total_dice - config.dice_per_player
-    est = estimate_occurrences(1, counts[0], theta_hat[0], others)
+    est = estimate_occurrences(1, dealt[0], beliefs[0], others)
     opening = Bid(1, max(1, int(round(est))))
     turns: list = [(0, opening)]
     prev_bid = opening
     i = 1 % n_players
     while True:
-        action = player_turn(counts[i], theta_hat[i], lam[i], prev_bid, config, rng)
+        action = player_turn(dealt[i], beliefs[i], rates[i], prev_bid, config, rng)
         turns.append((i, action))
         if isinstance(action, Challenge):
             actual = int(revealed[prev_bid.face - 1])
@@ -277,9 +321,10 @@ def kl_divergence(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     mask = p > 0
-    if np.any(q[mask] <= 0):
+    p, q = p[mask], q[mask]
+    if (q <= 0).any():
         return float("inf")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    return float((p * np.log(p / q)).sum())
 
 
 @dataclass
@@ -361,6 +406,7 @@ class DiceGame(GameInstance):
 
     def steps(self, training: TrainingConfig):
         config = self.config
+        theta = np.asarray(config.theta, dtype=float)
         records = []
         for g in range(self.games):
             rng = np.random.default_rng(np.asarray((training.seed, g), dtype=np.uint64))
@@ -372,14 +418,14 @@ class DiceGame(GameInstance):
                 counts = deal(config.n_players, config, rng)
                 outcome = play_round(counts, theta_hat, lam, config, rng)
                 pooled += outcome.revealed
-                dice_seen += int(outcome.revealed.sum())
+                dice_seen += config.total_dice  # every die in play is revealed
                 target = _pooled_target(pooled, config)
                 if self.neural:
                     theta_hat, lam = yield partial(_round_loss, theta_hat, lam, counts,
                                                    target, outcome, config)
                 else:
                     theta_hat = _mfg_belief_update(theta_hat, target)
-                kl = kl_divergence(config.theta, theta_hat.mean(axis=0))
+                kl = kl_divergence(theta, theta_hat.mean(axis=0))
                 records.append(RoundRecord(g, r, outcome, float(lam.mean()), kl, dice_seen))
         return records
 
