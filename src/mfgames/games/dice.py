@@ -159,7 +159,7 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
     return _binomial_tail(need, others_count, p)
 
 
-@functools.lru_cache(maxsize=4096)  # a float and its key: under a MiB when full
+@functools.lru_cache(maxsize=2048)  # a float and its key: about 0.5 MiB when full
 def _binomial_tail(need: int, n: int, p: float) -> float:
     """P[X >= need] for X ~ Binomial(n, p), 1 <= need <= n and 0 < p < 1.
 

@@ -12,7 +12,7 @@ import math
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
 
 
 ABORT_THRESHOLD = 1e6  # a step whose loss exceeds it diverges (see train_step)
+CSV_CHUNK_ROWS = 2048  # rows joined into one string per write (see write_csv)
 
 
 class TrainingDivergence(RuntimeError):
@@ -183,8 +184,10 @@ def write_csv(path, header, blocks) -> None:
     """Write a CSV file: the header row, then each block of rows in order.
 
     A block is an iterable of rows, each a sequence of cell strings; it is
-    joined into one string and written with one ``write``, so a file is held
-    in memory one block (one turn, one round) at a time, never whole.
+    written ``CSV_CHUNK_ROWS`` rows at a time, each chunk joined into one
+    string and written with one ``write``, so a file is held in memory one
+    chunk at a time, never whole, and a lazy block (one turn of 20,000
+    agents) is never held whole either.
 
     The bytes are those ``csv.writer`` writes in its default dialect: cells
     joined by ``,``, every row ended by ``\\r\\n``, nothing quoted. Cells are
@@ -209,7 +212,9 @@ def write_csvs(files, blocks) -> None:
             fh.write(",".join(header) + "\r\n")
         for item in blocks:
             for fh, block in zip(handles, item):
-                fh.write("\r\n".join([*map(",".join, block), ""]))
+                rows = map(",".join, block)
+                while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+                    fh.write("\r\n".join([*chunk, ""]))
 
 
 def write_history_csv(path, history: list[HistoryRow]) -> None:

@@ -1,8 +1,11 @@
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import central_diff
 from mfgames import autodiff as ad
@@ -155,6 +158,7 @@ def test_batched_deal_matches_per_player_choice(theta, seed):
 
 def test_memoised_bid_probability_equals_reference_loop():
     dice._binomial_terms.cache_clear()
+    dice._binomial_tail.cache_clear()
     own = np.array([2, 0, 1, 0, 3, 0])
     checked = 0
     for n in (1, 2, 29, 435, 1000, 4100, 6000):
@@ -164,23 +168,30 @@ def test_memoised_bid_probability_equals_reference_loop():
             for need in sorted({1, 2, int(n * p), int(n * p) + 1, n // 2, n - 1, n, n + 1}):
                 for face in (3, 1):
                     quantity = need + int(own[face - 1])
-                    got = bid_probability(face, quantity, own, theta, n)
                     want = _reference_bid_probability(face, quantity, own, theta, n)
-                    assert got == want, (n, p, need, face)
-                    assert type(got) is float
-                    checked += 1
+                    for _asked in range(2):  # computed, then memoised
+                        got = bid_probability(face, quantity, own, theta, n)
+                        assert got == want, (n, p, need, face)
+                        assert type(got) is float
+                        checked += 1
     assert (5.0 / 6.0) ** 4100 == 0.0  # the log-space fallback is in the grid
-    assert dice._binomial_terms.cache_info().hits > 0 and checked > 500
+    assert dice._binomial_terms.cache_info().hits > 0 and checked > 1000
+    assert dice._binomial_tail.cache_info().hits > 0
 
 
 def test_tail_cache_stays_bounded_over_neural_training():
-    dice._binomial_terms.cache_clear()
+    caches = {name: f for name, f in vars(dice).items() if hasattr(f, "cache_info")}
+    assert {"_binomial_terms", "_binomial_tail", "_term_ratios", "_face_cdf"} <= set(caches)
+    for f in caches.values():
+        f.cache_clear()
     config = DiceConfig(n_players=20, dice_per_player=8, bluff0=0.5)
     dice.train_dice(config, TrainingConfig(epochs=1, seed=4, lr=0.05), games=10,
                     rounds_per_game=10, neural=True)
     info = dice._binomial_terms.cache_info()
     assert info.misses > info.maxsize  # every neural player holds its own beliefs
-    assert info.currsize <= info.maxsize
+    for name, f in caches.items():
+        info = f.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, name
 
 
 @pytest.mark.parametrize("faces", [6, 11])
@@ -302,3 +313,46 @@ def test_round_loss_gradient_matches_finite_differences(monkeypatch):
         assert central_diff(along, [0.0], 0, h) == pytest.approx(want, rel=1e-6)
     # no max0 argument and no floored belief came within the difference step of its kink
     assert len(margins) == 3 * 7 and min(margins) > 1e3 * h
+
+
+@st.composite
+def dice_tables(draw):
+    """A DiceConfig of 2-40 players, 1-20 dice, 2-8 faces; faces may have odds 0."""
+    n_faces = draw(st.integers(2, 8))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n_faces, max_size=n_faces)
+                   .filter(any))
+    return DiceConfig(n_players=draw(st.integers(2, 40)),
+                      dice_per_player=draw(st.integers(1, 20)), n_faces=n_faces,
+                      theta=tuple(w / sum(weights) for w in weights),
+                      bluff0=draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dice_tables(), st.integers(0, 2**32 - 1))
+def test_random_tables_play_legal_bids_on_simplex_beliefs(config, seed):
+    rounds = []  # each round's (counts, theta_hat, outcome), as the game played it
+    play = dice.play_round
+
+    def recording_round(counts, theta_hat, lam, config, rng):
+        rounds.append((counts, theta_hat, play(counts, theta_hat, lam, config, rng)))
+        return rounds[-1][-1]
+
+    with mock.patch.object(dice, "play_round", recording_round):
+        dice.train_dice(config, TrainingConfig(epochs=1, seed=seed), games=1,
+                        rounds_per_game=4, neural=False)
+    others = config.total_dice - config.dice_per_player
+    for counts, theta_hat, outcome in rounds:
+        assert np.all(theta_hat >= 0.0)
+        assert np.all(np.abs(theta_hat.sum(axis=1) - 1.0) <= 1e-12)
+        bids = outcome.bids
+        assert all(1 <= b.face <= config.n_faces for b in bids)
+        assert all(is_legal_successor(a, b) for a, b in zip(bids, bids[1:]))
+        # each bid asked of every player's rows, on arrays and on lists
+        for bid in bids:
+            for own, belief in zip(counts, theta_hat):
+                dice._binomial_tail.cache_clear()
+                on_arrays = bid_probability(bid.face, bid.quantity, own, belief, others)
+                dice._binomial_tail.cache_clear()
+                on_lists = bid_probability(bid.face, bid.quantity, own.tolist(),
+                                           belief.tolist(), others)
+                assert on_lists == on_arrays

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfgames import autodiff as ad
+from mfgames import mfg
 from mfgames.mfg import (
     GameInstance,
     TrainingConfig,
@@ -211,3 +212,18 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
     bulk = (tmp_path / "bulk.csv").read_bytes()
     assert bulk == (tmp_path / "rows.csv").read_bytes()
     assert bulk.count(b"\r\n") == 10 and b"np.float64" not in bulk
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4])
+def test_write_csv_in_chunks_keeps_the_bytes(tmp_path, monkeypatch, chunk):
+    # blocks of 0, 3 and 7 rows, lazy as the games' turn blocks are
+    def blocks():
+        for turn, n in enumerate((7, 0, 3)):
+            yield ((str(turn), str(i), repr(i / 7)) for i in range(n))
+
+    write_csv(tmp_path / "whole.csv", ["turn", "agent", "value"], blocks())
+    monkeypatch.setattr(mfg, "CSV_CHUNK_ROWS", chunk)
+    write_csv(tmp_path / "chunked.csv", ["turn", "agent", "value"], blocks())
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "chunked.csv").read_bytes() == whole
+    assert whole.count(b"\r\n") == 11
