@@ -6,15 +6,17 @@
 Runs are fully determined by (game, mode, seed, parameters): outputs are CSV
 trajectories, loss histories, network checkpoints, histogram-ready plot data,
 and a manifest carrying the echoed configuration plus a content hash of every
-emitted byte. Meeting and El Farol manifests also carry ``exploitability``,
-the final turn's mean gain of the agents' best responses, outside the hash;
+emitted byte. Meeting and El Farol return a trajectory of named per-turn
+columns, which the CLI hands to the game's ``write_history`` as it is; their
+manifests also carry ``exploitability`` of the final turn of the game's
+``VALUE`` column, the agents' mean gain from best responses, outside the hash;
 SIR manifests carry ``rate_fit_window``, the days each window of the rate fit
 spans, and ``rate_fit_unconverged``, the dates whose fit did not converge.
 Exit codes: 0 ok, 2 configuration (including game parameters out of range,
 numbers that are not finite, a config file that does not parse or is not
-UTF-8, and an ``out`` that cannot be made a directory), 3 data (including a
-data file that cannot be read or decoded), 4 training divergence or a
-non-finite integration step.
+UTF-8, an ``out`` that cannot be made a directory, and an output file that
+cannot be written), 3 data (including a data file that cannot be read or
+decoded), 4 training divergence or a non-finite integration step.
 
 A config file is a flat INI file. Its [run] section takes mode, seed, out,
 epochs (not dice) and data (sir only), and optionally the game the file is
@@ -200,38 +202,35 @@ def _write_checkpoints(out: Path, nets: dict) -> list[Path]:
 
 
 # The agent games, meeting and El Farol: per game its module, its config
-# class, its observations from the seed, and the field of a state whose
-# final value the exploitability reads.
+# class and its observations from the seed.
 _AGENT_GAMES = {
     "meeting": (
         meeting_mod,
         meeting_mod.MeetingConfig,
         lambda seed: [meeting_mod.generate_observations(seed=seed * 1000 + k) for k in range(10)],
-        "tau_tilde",
     ),
     "elfarol": (
         elfarol_mod,
         elfarol_mod.BarConfig,
         lambda seed: elfarol_mod.generate_attendance_observations(seed=seed),
-        "p",
     ),
 }
 
 
 def _run_agents(game: str, p: dict, out: Path, manifest: dict) -> list[Path]:
-    module, config_cls, observations, final = _AGENT_GAMES[game]
+    module, config_cls, observations = _AGENT_GAMES[game]
     config = _config(config_cls, p)
     training = _config(TrainingConfig, p)
     written = []
     if p["mode"] == "standard":
-        states = module.run_standard(config, seed=p["seed"])
+        trajectory = module.run_standard(config, seed=p["seed"])
     else:
         nets, history = module.run_neural(config, observations(p["seed"]), training)
-        states = module.simulate_neural(config, nets, seed=p["seed"])
+        trajectory = module.simulate_neural(config, nets, seed=p["seed"])
         written = [out / "loss_history.csv", *_write_checkpoints(out, nets)]
         write_history_csv(written[0], history)
-    manifest["exploitability"] = module.exploitability(getattr(states[-1], final), config)
-    module.write_history(out / "trajectory.csv", states, emit_histogram(out / "plotdata.csv"))
+    manifest["exploitability"] = module.exploitability(trajectory[module.VALUE][-1], config)
+    module.write_history(out / "trajectory.csv", trajectory, emit_histogram(out / "plotdata.csv"))
     return written + [out / "trajectory.csv", out / "plotdata.csv"]
 
 
@@ -340,17 +339,19 @@ def run_experiment(args: argparse.Namespace) -> int:
         "outputs": {},
     }
 
-    written = _RUNNERS[game](p, out, manifest)
-
-    hasher = hashlib.sha256()
-    for path in sorted(written):
-        digest = _sha256(path)
-        manifest["outputs"][path.name] = digest
-        hasher.update(path.name.encode())
-        hasher.update(digest.encode())
-    manifest["content_hash"] = hasher.hexdigest()
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    try:  # SIR's data read raises DataError, so an OSError here is an output's
+        written = _RUNNERS[game](p, out, manifest)
+        hasher = hashlib.sha256()
+        for path in sorted(written):
+            digest = _sha256(path)
+            manifest["outputs"][path.name] = digest
+            hasher.update(path.name.encode())
+            hasher.update(digest.encode())
+        manifest["content_hash"] = hasher.hexdigest()
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+    except OSError as err:  # an output path that is a directory, a full disk
+        raise ConfigError(f"cannot write {err.filename or out}: {err.strerror or err}") from None
     return 0
 
 

@@ -6,23 +6,24 @@ evening costs non-attendees, crowding costs attendees, and peer pressure
 (p - a)^2 applies to everyone. The standard game relaxes p towards the
 crowding threshold; the neural variant trains a drift residual against
 observed attendance-rate series and develops more heterogeneous strategies.
+Both return a trajectory of named columns, ``p`` and ``went`` (the attendance
+bits), each a list of per-turn (agents,) arrays; the histogram and
+exploitability read the column named by ``VALUE``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
 from ..autodiff import clip01, max0, plain, square, stack
-from ..mfg import GameInstance, TrainingConfig, check_finite, float_cells, train, write_csvs
+from ..mfg import GameInstance, TrainingConfig, check_finite, train, write_trajectory
 from ..nets import MLP, MLPConfig, mlp_forward_np
 
 __all__ = [
     "BarConfig",
-    "BarState",
     "bar_cost",
     "expected_bar_cost",
     "best_response_drift",
@@ -38,6 +39,7 @@ __all__ = [
 
 
 INIT_HIGH = 0.1  # initial intentions p ~ uniform on [0, INIT_HIGH)
+VALUE = "p"  # the trajectory column the histogram and exploitability read
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,6 @@ class BarConfig:
             raise ValueError("need at least one agent")
         if self.turns < 2:
             raise ValueError("need at least two turns")
-
-
-@dataclass
-class BarState:
-    """Population snapshot: intentions p, attendance bits, realized fraction a."""
-
-    p: np.ndarray
-    went: np.ndarray
-    a: float
 
 
 def bar_cost(p_i, a, c: float, went):
@@ -169,16 +162,16 @@ def _rollout(config: BarConfig, p0, rngs, drift=None) -> list[tuple]:
     return turns
 
 
-def _states(turns) -> list[BarState]:
-    """Per-turn snapshots of a single-episode rollout (each p is a fresh array)."""
-    return [BarState(p[0], went[0], float(a[0, 0])) for p, went, a, _m in turns]
-
-
-def run_standard(config: BarConfig, seed: int = 0) -> list[BarState]:
-    """Deterministic dynamics (no Brownian term); one snapshot per turn."""
+def _play(config: BarConfig, seed: int, drift=None) -> dict[str, list]:
+    """One episode's trajectory, from the seed."""
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.0, INIT_HIGH, (1, config.n_agents))
-    return _states(_rollout(config, p, [rng]))
+    turns = _rollout(config, rng.uniform(0.0, INIT_HIGH, (1, config.n_agents)), [rng], drift)
+    return {"p": [p[0] for p, *_ in turns], "went": [went[0] for _p, went, *_ in turns]}
+
+
+def run_standard(config: BarConfig, seed: int = 0) -> dict[str, list]:
+    """Deterministic dynamics (no Brownian term)."""
+    return _play(config, seed)
 
 
 def exploitability(p, config: BarConfig) -> float:
@@ -240,30 +233,12 @@ def run_neural(config: BarConfig, observations: np.ndarray, training: TrainingCo
 
 
 def simulate_neural(config: BarConfig, nets: dict[str, MLP],
-                    seed: int = 0) -> list[BarState]:
+                    seed: int = 0) -> dict[str, list]:
     """Roll the trained dynamics forward on plain arrays (no tape)."""
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(0.0, INIT_HIGH, (1, config.n_agents))
-    return _states(_rollout(config, p, [rng], partial(mlp_forward_np, nets["drift"])))
+    return _play(config, seed, partial(mlp_forward_np, nets["drift"]))
 
 
-def write_history(path, states: list[BarState], histogram) -> None:
-    """CSV ``turn,agent,p,went`` with turns numbered from 1.
-
-    ``p`` is a ``repr`` float, ``went`` is 0 or 1, and rows end in
-    ``\\r\\n``; see :func:`mfgames.mfg.write_csv`. ``histogram`` is a
-    ``(path, header, block)`` file of ``p`` (see
-    :func:`mfgames.cli.emit_histogram`), written in step from the same
-    cells, so each value is formatted once; the files are written one turn
-    at a time.
-    """
-    hist_path, hist_header, hist_block = histogram
-
-    def blocks():
-        for turn, st in enumerate(states, start=1):
-            cells = float_cells(st.p)
-            yield (zip(repeat(str(turn)), map(str, range(len(st.p))), cells,
-                       map(str, np.asarray(st.went, dtype=int).tolist())),
-                   hist_block(turn, cells))
-
-    write_csvs([(path, ["turn", "agent", "p", "went"]), (hist_path, hist_header)], blocks())
+def write_history(path, trajectory: dict[str, list], histogram) -> None:
+    """CSV ``turn,agent,p,went`` and the histogram of ``p``; see
+    :func:`mfgames.mfg.write_trajectory`."""
+    write_trajectory(path, trajectory, VALUE, histogram)

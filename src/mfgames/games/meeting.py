@@ -7,7 +7,9 @@ statistic of actual arrivals. Terminal costs penalize lateness relative to s,
 lateness relative to the actual start, and waiting time. The standard game
 relaxes the population to the fixed point; the neural variant adds a learned
 drift residual and a learned diffusion and trains against observed arrival
-samples.
+samples. Both return a trajectory of named columns, ``tau`` and ``tau_tilde``,
+each a list of per-turn (agents,) arrays; the histogram and exploitability
+read the column named by ``VALUE``.
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
 from ..autodiff import absval, max0, plain, sigmoid, square, stack, take_along_axis, where
-from ..mfg import GameInstance, TrainingConfig, check_finite, float_cells, train, write_csvs
+from ..mfg import GameInstance, TrainingConfig, check_finite, train, write_trajectory
 from ..nets import MLP, MLPConfig, mlp_forward_np
 from ..sde import TimeGrid, integrate
 
 __all__ = [
     "MeetingConfig",
-    "ArrivalState",
     "actual_start",
     "terminal_cost",
     "best_response_drift",
@@ -41,6 +41,7 @@ __all__ = [
 
 
 INIT_STD = 1.0  # spread of the initial intended arrivals around init_mean
+VALUE = "tau_tilde"  # the trajectory column the histogram and exploitability read
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,6 @@ class MeetingConfig:
             raise ValueError("need at least two turns")
         if not all(x >= 0.0 for x in (self.noise_std, self.sigma, self.smoothing)):
             raise ValueError("noise_std, sigma and smoothing must be nonnegative")
-
-
-@dataclass
-class ArrivalState:
-    """Intended and actual arrival times of the population at one turn."""
-
-    tau: np.ndarray
-    tau_tilde: np.ndarray
 
 
 def actual_start(tau_tilde, s: float, quorum: float):
@@ -166,13 +159,16 @@ def _rollout(config: MeetingConfig, tau0, eps, dB, nets=None) -> list:
     return integrate(coefficients, tau0, _grid(c), dB)
 
 
-def _states(trajectory, eps) -> list[ArrivalState]:
-    # every state of a rollout is a fresh array, so it is kept, not copied
-    return [ArrivalState(x, x + eps) for x in trajectory]
+def _draw(config: MeetingConfig, rng):
+    """An episode's initial intended arrivals, arrival offsets and Brownian increments."""
+    n, grid = config.n_agents, _grid(config)
+    return (rng.normal(config.init_mean, INIT_STD, n), rng.normal(0.0, config.noise_std, n),
+            rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n)))
 
 
-def run_standard(config: MeetingConfig, seed: int = 0) -> list[ArrivalState]:
-    """Simulate the predefined game; one snapshot per turn."""
+def run_standard(config: MeetingConfig, seed: int = 0) -> dict[str, list]:
+    """Simulate the predefined game; unlike :func:`_draw`, draw no offsets at
+    ``noise_std = 0`` and no increments at ``sigma = 0``."""
     rng = np.random.default_rng(seed)
     n = config.n_agents
     tau = rng.normal(config.init_mean, INIT_STD, n)
@@ -180,7 +176,8 @@ def run_standard(config: MeetingConfig, seed: int = 0) -> list[ArrivalState]:
     grid = _grid(config)
     dB = (rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))
           if config.sigma > 0 else None)
-    return _states(_rollout(config, tau, eps, dB), eps)
+    trajectory = _rollout(config, tau, eps, dB)
+    return {"tau": trajectory, "tau_tilde": [x + eps for x in trajectory]}
 
 
 def exploitability(tau_tilde, config: MeetingConfig) -> float:
@@ -220,14 +217,8 @@ class MeetingGame(GameInstance):
     def episode_losses(self, bound, episode_seeds):
         """Roll all episodes as one (games, agents) batch; losses averaged over both."""
         c = self.config
-        n = c.n_agents
-        grid = _grid(c)
-        tau0, eps, dB = [], [], []
-        for seed in episode_seeds:
-            rng = np.random.default_rng(np.asarray(seed, dtype=np.uint64))
-            tau0.append(rng.normal(c.init_mean, INIT_STD, n))
-            eps.append(rng.normal(0.0, c.noise_std, n))
-            dB.append(rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n)))
+        tau0, eps, dB = zip(*(_draw(c, np.random.default_rng(np.asarray(seed, dtype=np.uint64)))
+                              for seed in episode_seeds))
         eps = np.array(eps)
         dB = np.stack(dB, axis=1)  # (steps, games, agents)
         nets = {name: b.forward for name, b in bound.items()}
@@ -248,35 +239,15 @@ def run_neural(config: MeetingConfig, observations, training: TrainingConfig):
 
 
 def simulate_neural(config: MeetingConfig, nets: dict[str, MLP],
-                    seed: int = 0) -> list[ArrivalState]:
+                    seed: int = 0) -> dict[str, list]:
     """Roll the trained dynamics forward on plain arrays (no tape)."""
-    rng = np.random.default_rng(seed)
-    n = config.n_agents
-    tau = rng.normal(config.init_mean, INIT_STD, n)
-    eps = rng.normal(0.0, config.noise_std, n)
-    grid = _grid(config)
-    dB = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.n_steps, n))
+    tau, eps, dB = _draw(config, np.random.default_rng(seed))
     forward = {name: partial(mlp_forward_np, net) for name, net in nets.items()}
-    return _states(_rollout(config, tau, eps, dB, forward), eps)
+    trajectory = _rollout(config, tau, eps, dB, forward)
+    return {"tau": trajectory, "tau_tilde": [x + eps for x in trajectory]}
 
 
-def write_history(path, states: list[ArrivalState], histogram) -> None:
-    """CSV ``turn,agent,tau,tau_tilde`` with turns numbered from 1.
-
-    Times are ``repr`` floats and rows end in ``\\r\\n``; see
-    :func:`mfgames.mfg.write_csv`. ``histogram`` is a ``(path, header,
-    block)`` file of ``tau_tilde`` (see :func:`mfgames.cli.emit_histogram`),
-    written in step from the same cells, so each value is formatted once;
-    the files are written one turn at a time.
-    """
-    hist_path, hist_header, hist_block = histogram
-    agents = list(map(str, range(len(states[0].tau)))) if states else []
-
-    def blocks():
-        for turn, st in enumerate(states, start=1):
-            tt = float_cells(st.tau_tilde)
-            yield (zip(repeat(str(turn)), agents, float_cells(st.tau), tt),
-                   hist_block(turn, tt))
-
-    write_csvs([(path, ["turn", "agent", "tau", "tau_tilde"]), (hist_path, hist_header)],
-               blocks())
+def write_history(path, trajectory: dict[str, list], histogram) -> None:
+    """CSV ``turn,agent,tau,tau_tilde`` and the histogram of ``tau_tilde``;
+    see :func:`mfgames.mfg.write_trajectory`."""
+    write_trajectory(path, trajectory, VALUE, histogram)

@@ -4,6 +4,8 @@ One loop, :func:`train`, trains every game. A game declares the shapes of its
 shared networks (one per role, never per agent), which :func:`train` builds,
 and yields each step's loss on them; :func:`train_step` owns the step's tape,
 checks for divergence, backpropagates and applies one AdaBelief update.
+Every CSV goes through :func:`write_csvs`; an agent game's trajectory, named
+columns of per-turn arrays, through :func:`write_trajectory`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "write_history_csv",
     "write_csv",
     "write_csvs",
+    "write_trajectory",
     "float_cells",
 ]
 
@@ -215,6 +218,29 @@ def write_csvs(files, blocks) -> None:
                 rows = map(",".join, block)
                 while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
                     fh.write("\r\n".join([*chunk, ""]))
+
+
+def write_trajectory(path, trajectory: dict, value: str, histogram) -> None:
+    """CSV ``turn,agent,<columns>`` of an agent game, turns numbered from 1.
+
+    ``trajectory`` maps each column's name to its per-turn ``(agents,)``
+    arrays; floats are written as :func:`float_cells` writes them, bools as
+    0 or 1. ``histogram`` is a ``(path, header, block)`` file of the column
+    ``value`` (see :func:`mfgames.cli.emit_histogram`), written in step from
+    the same cells, so each value is formatted once; both files are written
+    one turn at a time (see :func:`write_csvs`).
+    """
+    hist_path, hist_header, hist_block = histogram
+    agents = list(map(str, range(len(trajectory[value][0]))))
+
+    def blocks():
+        for turn, arrays in enumerate(zip(*trajectory.values()), start=1):
+            cells = {name: (list(map(str, a.astype(int).tolist())) if a.dtype == bool
+                            else float_cells(a)) for name, a in zip(trajectory, arrays)}
+            yield (zip(repeat(str(turn)), agents, *cells.values()),
+                   hist_block(turn, cells[value]))
+
+    write_csvs([(path, ["turn", "agent", *trajectory]), (hist_path, hist_header)], blocks())
 
 
 def write_history_csv(path, history: list[HistoryRow]) -> None:

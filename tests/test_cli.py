@@ -209,6 +209,24 @@ def test_exit_codes(inputs, capsys, code, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("trajectory.csv", ("meeting", "--config", "{config}")),
+    ("plotdata.csv", ("elfarol", "--config", "{config}")),
+    ("checkpoint_drift.json", ("meeting", "--mode", "neural", "--epochs", "1",
+                               "--config", "{config}")),
+    ("rates.csv", ("sir", "--data", "{data}", "--config", "{config}")),
+    ("history.csv", ("dice", "--config", "{config}")),
+    ("manifest.json", ("dice", "--config", "{config}")),
+])
+def test_an_output_that_cannot_be_written_exits_2(inputs, capsys, name, argv):
+    # a directory where the run writes the file; it raised IsADirectoryError
+    blocked = inputs["tmp"] / "out" / name
+    blocked.mkdir(parents=True)
+    assert _run(inputs, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {blocked}:" in err and "Traceback" not in err
+
+
 def test_sha256_of_a_file_longer_than_one_chunk(tmp_path):
     data = np.random.default_rng(0).bytes(3 * (1 << 20) + 7)
     path = tmp_path / "big.bin"

@@ -60,11 +60,12 @@ def test_intentions_stay_in_unit_interval_through_training_and_simulation(loud):
     nets, history = train(game, TrainingConfig(epochs=2, games_per_epoch=2, seed=1))
     assert len(history) == 2 and all(np.isfinite(h.total) for h in history)
     for seed in range(3):
-        for st in simulate_neural(game.config, nets, seed=seed):
-            assert np.all((st.p >= 0.0) & (st.p <= 1.0))
-            assert 0.0 <= st.a <= 1.0
-    for st in run_standard(BarConfig(n_agents=16), seed=1):
-        assert np.all((st.p >= 0.0) & (st.p <= 1.0))
+        trajectory = simulate_neural(game.config, nets, seed=seed)
+        for p, went in zip(trajectory["p"], trajectory["went"]):
+            assert np.all((p >= 0.0) & (p <= 1.0))
+            assert 0.0 <= went.mean() <= 1.0
+    for p in run_standard(BarConfig(n_agents=16), seed=1)["p"]:
+        assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_bar_cost_elementwise_matches_per_agent_branches():
@@ -129,7 +130,7 @@ def test_exploitability_approaches_the_exact_probe_as_n_grows():
     errors = []
     for n in (40, 160, 640):
         config = BarConfig(n_agents=n)
-        p = run_standard(config, seed=2)[0].p
+        p = run_standard(config, seed=2)["p"][0]
         assert config.threshold - p.mean() > 1.0 / n  # the bar stays quiet
         cost = probe_cost(config)
         probed = [nash_gap(cost, p, i, candidates) for i in agents]
@@ -168,8 +169,8 @@ def test_exploitability_of_nan_intentions_is_nan():
 def test_exploitability_shrinks_over_the_standard_game():
     # measured at 40 agents: 0.406 at the first turn, 1.8e-5 at the last
     config = BarConfig(n_agents=40)
-    states = run_standard(config, seed=2)
-    first, last = (exploitability(st.p, config) for st in (states[0], states[-1]))
+    p = run_standard(config, seed=2)["p"]
+    first, last = (exploitability(p_t, config) for p_t in (p[0], p[-1]))
     assert 0.0 < last < first
 
 

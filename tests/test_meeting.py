@@ -4,7 +4,6 @@ import pytest
 from gradcheck import epoch_directional_derivatives, initial_nets
 from mfgames.games import meeting
 from mfgames.games.meeting import (
-    ArrivalState,
     MeetingConfig,
     MeetingGame,
     actual_start,
@@ -102,8 +101,8 @@ def test_config_rejects_a_number_that_is_not_finite(field, value):
 def test_standard_start_never_before_schedule():
     cfg = MeetingConfig(n_agents=50, init_mean=15.0)
     for seed in range(3):
-        for st in run_standard(cfg, seed=seed):
-            assert actual_start(st.tau_tilde, cfg.scheduled, cfg.quorum) >= cfg.scheduled
+        for tau_tilde in run_standard(cfg, seed=seed)["tau_tilde"]:
+            assert actual_start(tau_tilde, cfg.scheduled, cfg.quorum) >= cfg.scheduled
 
 
 def test_standard_degenerate_population_stays_degenerate():
@@ -116,14 +115,15 @@ def test_standard_degenerate_population_stays_degenerate():
         assert np.ptp(tau) == 0.0
     assert abs(states[-1][0] - cfg.scheduled) < abs(states[0][0] - cfg.scheduled)
     # with no arrival noise the standard game's actual arrivals are the intended ones
-    assert all(np.array_equal(st.tau, st.tau_tilde) for st in run_standard(cfg, seed=0))
+    trajectory = run_standard(cfg, seed=0)
+    assert all(map(np.array_equal, trajectory["tau"], trajectory["tau_tilde"]))
 
 
 def test_standard_distribution_narrows():
     ratios = []
     for seed in range(5):
-        states = run_standard(MeetingConfig(n_agents=200), seed=seed)
-        ratios.append(np.std(states[-1].tau_tilde) / np.std(states[0].tau_tilde))
+        tau_tilde = run_standard(MeetingConfig(n_agents=200), seed=seed)["tau_tilde"]
+        ratios.append(np.std(tau_tilde[-1]) / np.std(tau_tilde[0]))
     assert np.mean(ratios) < 0.25
 
 
@@ -133,8 +133,8 @@ def test_start_time_varies_across_seeds_with_diffusion():
     cfg = MeetingConfig(n_agents=100, init_mean=15.0, sigma=0.3)
     starts = []
     for seed in range(6):
-        st = run_standard(cfg, seed=seed)[2]
-        starts.append(actual_start(st.tau_tilde, cfg.scheduled, cfg.quorum))
+        tau_tilde = run_standard(cfg, seed=seed)["tau_tilde"][2]
+        starts.append(actual_start(tau_tilde, cfg.scheduled, cfg.quorum))
     assert np.var(starts) > 0.0
 
 
@@ -152,9 +152,10 @@ def test_neural_zeroed_nets_is_bitwise_standard():
             p[:] = 0.0
     neural = simulate_neural(cfg, nets, seed=9)
     standard = run_standard(cfg, seed=9)
-    for a, b in zip(neural, standard):
-        assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.tau_tilde, b.tau_tilde)
+    assert list(neural) == list(standard) == ["tau", "tau_tilde"]
+    for name in neural:
+        assert len(neural[name]) == len(standard[name]) == cfg.turns
+        assert all(map(np.array_equal, neural[name], standard[name]))
 
 
 def test_neural_training_decreases_loss():
@@ -176,7 +177,7 @@ def test_neural_zero_weight_stays_near_standard():
     nets, _ = run_neural(cfg, obs, training)
     neural = simulate_neural(cfg, nets, seed=5)
     standard = run_standard(cfg, seed=5)
-    assert abs(neural[-1].tau.mean() - standard[-1].tau.mean()) < 1.0
+    assert abs(neural["tau"][-1].mean() - standard["tau"][-1].mean()) < 1.0
 
 
 def test_nash_gap_shrinks_after_convergence():
@@ -184,12 +185,12 @@ def test_nash_gap_shrinks_after_convergence():
     cfg = MeetingConfig(n_agents=40)
     candidates = list(np.linspace(11.0, 17.0, 13))
     cost = meeting_cost(cfg)
-    states = run_standard(cfg, seed=2)
-    gap_init = max(nash_gap(cost, states[0].tau_tilde, i, candidates) for i in range(5))
-    gap_final = max(nash_gap(cost, states[-1].tau_tilde, i, candidates) for i in range(5))
+    tau_tilde = run_standard(cfg, seed=2)["tau_tilde"]
+    gap_init = max(nash_gap(cost, tau_tilde[0], i, candidates) for i in range(5))
+    gap_final = max(nash_gap(cost, tau_tilde[-1], i, candidates) for i in range(5))
     assert gap_final <= gap_init
     assert gap_init > 0.0
-    first, last = (exploitability(st.tau_tilde, cfg) for st in (states[0], states[-1]))
+    first, last = (exploitability(tt, cfg) for tt in (tau_tilde[0], tau_tilde[-1]))
     assert 0.0 < last < first
 
 
@@ -202,12 +203,12 @@ def test_exploitability_matches_the_exact_probe(n_agents):
     cost = meeting_cost(cfg)
     candidates = cfg.scheduled + np.linspace(-4.0, 4.0, 401)
     agents = [0, 1, 2, 3]
-    states = run_standard(cfg, seed=2)
-    for st in (states[0], states[-1]):
-        assert actual_start(st.tau_tilde, cfg.scheduled, cfg.quorum)[0] == cfg.scheduled
-        value = exploitability(st.tau_tilde, cfg)
-        probed = [nash_gap(cost, st.tau_tilde, i, candidates) for i in agents]
-        closed = closed_form_gaps(cost, st.tau_tilde, agents, value)
+    tau_tilde = run_standard(cfg, seed=2)["tau_tilde"]
+    for tt in (tau_tilde[0], tau_tilde[-1]):
+        assert actual_start(tt, cfg.scheduled, cfg.quorum)[0] == cfg.scheduled
+        value = exploitability(tt, cfg)
+        probed = [nash_gap(cost, tt, i, candidates) for i in agents]
+        closed = closed_form_gaps(cost, tt, agents, value)
         np.testing.assert_allclose(probed, closed, rtol=0.0, atol=1e-12)
         assert max(probed) > 0.0
 

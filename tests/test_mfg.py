@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfgames import autodiff as ad
-from mfgames import mfg
+from mfgames import cli, mfg
 from mfgames.mfg import (
     GameInstance,
     TrainingConfig,
@@ -14,6 +14,7 @@ from mfgames.mfg import (
     train,
     write_csv,
     write_history_csv,
+    write_trajectory,
 )
 from mfgames.nets import AdaBelief, MLPConfig, mlp_forward_np, mlp_init
 from gradcheck import log
@@ -227,3 +228,33 @@ def test_write_csv_in_chunks_keeps_the_bytes(tmp_path, monkeypatch, chunk):
     whole = (tmp_path / "whole.csv").read_bytes()
     assert (tmp_path / "chunked.csv").read_bytes() == whole
     assert whole.count(b"\r\n") == 11
+
+
+# an agent game's trajectory: a float column and a bool column over 2 turns
+# of 5 agents, floats as in the csv.writer test above
+TRAJECTORY = {
+    "p": [np.array([0.1, -0.0, 1e-300, np.nan, 12.000000000000002]),
+          np.array([3.0, -2.5e16, np.inf, 0.5, 1.0])],
+    "went": [np.array([True, False, False, True, True]), np.zeros(5, dtype=bool)],
+}
+
+
+@pytest.mark.parametrize("chunk", [2, mfg.CSV_CHUNK_ROWS])  # 2 rows split a turn of 5
+def test_write_trajectory_bytes_match_csv_writer(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(mfg, "CSV_CHUNK_ROWS", chunk)
+    write_trajectory(tmp_path / "trajectory.csv", TRAJECTORY, "p",
+                     cli.emit_histogram(tmp_path / "plotdata.csv"))
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["turn", "agent", "p", "went"])
+        for turn, (p, went) in enumerate(zip(*TRAJECTORY.values()), start=1):
+            for i, (value, bit) in enumerate(zip(p, went)):
+                writer.writerow([turn, i, repr(float(value)), int(bit)])
+    trajectory = (tmp_path / "trajectory.csv").read_bytes()
+    assert trajectory == (tmp_path / "rows.csv").read_bytes()
+    assert trajectory.count(b"\r\n") == 11
+    with open(tmp_path / "plotdata.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["turn", "value", "weight"]
+    assert rows[1:] == [list(row) for turn, p in enumerate(TRAJECTORY["p"], start=1)
+                        for row in cli._histogram_block(turn, [repr(float(v)) for v in p])]

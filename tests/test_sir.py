@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import array_gradcheck, epoch_directional_derivatives, initial_nets
 from mfgames import autodiff as ad
@@ -788,6 +790,43 @@ def test_a_training_step_records_about_7_nodes_a_day(days, monkeypatch):
     game.episode_losses(bound, [(0, 0, g) for g in range(5)])
     assert len(calls) == days - 1
     assert len(tape) <= 8 * days + 60
+
+
+@st.composite
+def rollout_inputs(draw):
+    """Days, a batch of initial states on the simplex, and per day rates in
+    [0, 2] and a measure row of levels 0-2."""
+    days, batch = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rates = draw(st.lists(st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+                          min_size=days, max_size=days))
+    measures = draw(st.lists(st.lists(st.integers(0, 2), min_size=7, max_size=7),
+                             min_size=days, max_size=days))
+    return days, batch, np.array(rates), np.array(measures)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rollout_inputs(), st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_training_rollout_stays_on_the_simplex(inputs, scale, seed):
+    # the noisy tape rollout of training, through stacked networks whose
+    # weights are scaled up to 10x: residuals and noise push rows off the
+    # simplex, and the clamp must put every one back, sums within 1e-12
+    days, batch, rates, measures = inputs
+    rng = np.random.default_rng(seed)
+    nets = [mlp_init(MLPConfig(13, 6, 1, 8, seed=seed)),
+            mlp_init(MLPConfig(13, 3, 1, 8, seed=seed + 1))]
+    for net in nets:
+        for w in net.weights:
+            w *= scale
+    tape = ad.Tape()
+    stacked = stack_nets([net.bind(tape) for net in nets])
+    m0 = rng.dirichlet(np.ones(3), size=batch)
+    dB = rng.normal(size=(batch, days, 3))
+    states = [m.v for m in _rollout(m0, rates, measures, days, stacked.forward, dB)]
+    assert len(states) == days
+    for m in states:
+        assert m.shape == (batch, 3)
+        assert np.all(m >= 0.0)
+        np.testing.assert_allclose(m.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_noisy_copies_are_built_when_an_epoch_first_reads_them():
