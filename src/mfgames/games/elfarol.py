@@ -6,8 +6,10 @@ evening costs non-attendees, crowding costs attendees, and peer pressure
 (p - a)^2 applies to everyone. The standard game relaxes p towards the
 crowding threshold; the neural variant trains a drift residual against
 observed attendance-rate series and develops more heterogeneous strategies.
-Both return a trajectory of named columns, ``p`` and ``went`` (the attendance
-bits), each a list of per-turn (agents,) arrays; the histogram and
+Every episode starts in :func:`_rollout`, from its seed. Training rolls a
+batch of episodes on the tape; :func:`run_standard` and :func:`simulate_neural`
+roll one on arrays and return its columns ``p`` and ``went`` (the attendance
+bits), each a list of per-turn (agents,) arrays. The histogram and
 exploitability read the column named by ``VALUE``.
 """
 
@@ -27,7 +29,6 @@ __all__ = [
     "bar_cost",
     "expected_bar_cost",
     "best_response_drift",
-    "sample_attendance",
     "generate_attendance_observations",
     "run_standard",
     "BarGame",
@@ -105,15 +106,6 @@ def best_response_drift(p_i, a: float, c: float, gain: float):
     return (response_target(a, c) - p_i) * gain
 
 
-def sample_attendance(p: np.ndarray, rng) -> tuple[np.ndarray, float]:
-    """Independent Bernoulli(p_i) attendance bits and their mean."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
-    bits = rng.random(p.shape[0]) < p
-    return bits, float(bits.mean())
-
-
 def generate_attendance_observations(seed: int = 0) -> np.ndarray:
     """Observed attendance-rate series, shape (10, 10): 10 series of 10 turns.
 
@@ -134,39 +126,41 @@ def generate_attendance_observations(seed: int = 0) -> np.ndarray:
     return out
 
 
-def _rollout(config: BarConfig, p0, rngs, drift=None) -> list[tuple]:
-    """The intention dynamics from ``p0``; one (p, went, a, mean p) per turn.
+def _rollout(config: BarConfig, seeds, drift=None) -> dict[str, list]:
+    """Episode g from ``seeds[g]``, a tuple of ints; the per-turn columns.
 
-    ``p`` has shape (episodes, agents), one row per generator in ``rngs``, and
-    is an ndarray or a tape Value: training runs this on the tape, inference
-    and the standard game on plain arrays. Each turn samples attendance, then
-    moves p by the best-response drift plus, given a drift network's forward
-    function, its residual on (t, p_i, a, went_i), and clamps to [0, 1]. The
-    realized attendance ``a`` has shape (episodes, 1).
+    Each episode's generator draws the initial intentions p ~ uniform on
+    [0, INIT_HIGH), then every turn's attendance bits. Each turn moves p by
+    the best-response drift plus, given a drift network's forward function,
+    its residual on (t, p_i, a, went_i), and clamps to [0, 1]: training runs
+    the network on the tape, so p is a tape Value from the second turn on,
+    and inference and the standard game run on plain arrays. Returns the
+    columns ``p`` and ``went`` (the attendance bits), each (episodes, agents),
+    ``a`` (the realized attendance, (episodes, 1)) and ``mean`` (the mean
+    intention, (episodes,)), each a list with one entry per turn.
     """
     c = config
-    p = p0
-    turns = []
+    rngs = [np.random.default_rng(np.asarray(seed, dtype=np.uint64)) for seed in seeds]
+    p = np.array([rng.uniform(0.0, INIT_HIGH, c.n_agents) for rng in rngs])
+    columns = {"p": [], "went": [], "a": [], "mean": []}
     for turn in range(c.turns):
-        draws = [sample_attendance(row, rng)
-                 for row, rng in zip(plain(p), rngs)]
-        went = np.array([bits for bits, _a in draws])
-        a = np.array([[a_g] for _bits, a_g in draws])
-        turns.append((p, went, a, p.mean(axis=1)))
+        went = np.array([rng.random(c.n_agents) < row for row, rng in zip(plain(p), rngs)])
+        a = went.mean(axis=1, keepdims=True)
+        for column, x in zip(columns.values(), (p, went, a, p.mean(axis=1))):
+            column.append(x)
         if turn == c.turns - 1:
             break
         step = p + best_response_drift(p, a, c.threshold, c.drift_gain)
         if drift is not None:
             step = step + drift(stack([(turn + 1.0) / c.turns, p, a, went * 1.0]))[..., 0]
         p = clip01(step)
-    return turns
+    return columns
 
 
 def _play(config: BarConfig, seed: int, drift=None) -> dict[str, list]:
-    """One episode's trajectory, from the seed."""
-    rng = np.random.default_rng(seed)
-    turns = _rollout(config, rng.uniform(0.0, INIT_HIGH, (1, config.n_agents)), [rng], drift)
-    return {"p": [p[0] for p, *_ in turns], "went": [went[0] for _p, went, *_ in turns]}
+    """One episode's ``p`` and ``went`` columns, from the seed."""
+    columns = _rollout(config, [(seed,)], drift)  # default_rng(seed)'s stream
+    return {name: [x[0] for x in columns[name]] for name in ("p", "went")}
 
 
 def run_standard(config: BarConfig, seed: int = 0) -> dict[str, list]:
@@ -209,20 +203,14 @@ class BarGame(GameInstance):
     def episode_losses(self, bound, episode_seeds):
         """Roll all episodes as one (games, agents) batch; losses averaged over both."""
         c = self.config
-        n = c.n_agents
-        rngs = [np.random.default_rng(np.asarray(seed, dtype=np.uint64))
-                for seed in episode_seeds]
-        series = self.observations[
-            [int(seed[-1]) % self.observations.shape[0] for seed in episode_seeds]
-        ]
-        p0 = np.array([rng.uniform(0.0, INIT_HIGH, n) for rng in rngs])
-        turns = _rollout(c, p0, rngs, bound["drift"].forward)
-        p, went, a, _m = turns[-1]
+        series = self.observations[[int(seed[-1]) % len(self.observations) for seed in episode_seeds]]
+        columns = _rollout(c, episode_seeds, bound["drift"].forward)
+        p, went, a = (columns[name][-1] for name in ("p", "went", "a"))
         game_cost = bar_cost(p, a, c.threshold, went).mean()
         # observed rate series aligned with the final monitored turns, so the
         # data pull and the terminal game cost act on the same stretch
-        k = min(series.shape[1], len(turns))
-        attendance = stack([m for *_rest, m in turns[-k:]])
+        k = min(series.shape[1], c.turns)
+        attendance = stack(columns["mean"][-k:])
         data_loss = square(attendance - series[:, -k:]).mean()
         return game_cost, data_loss
 

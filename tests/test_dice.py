@@ -1,3 +1,4 @@
+import csv
 import math
 from functools import partial
 from unittest import mock
@@ -356,3 +357,68 @@ def test_random_tables_play_legal_bids_on_simplex_beliefs(config, seed):
                 on_lists = bid_probability(bid.face, bid.quantity, own.tolist(),
                                            belief.tolist(), others)
                 assert on_lists == on_arrays
+
+
+def test_standard_game_at_a_thousand_players_stays_legal_and_finite(monkeypatch):
+    # 1,000 players x 10 dice leave 9,990 unseen dice, past the ~3,900 where
+    # q**n underflows at p = 1/6, so every tail asked is a log-space tail
+    config = DiceConfig(n_players=1000, dice_per_player=10)
+    asked, log_space = [], []
+    ask, tail = dice.bid_probability, dice._binomial_tail_log_space
+
+    def recording_ask(*args):
+        asked.append(ask(*args))
+        return asked[-1]
+
+    def recording_tail(need, n, p):
+        log_space.append((need, n, p))
+        return tail(need, n, p)
+
+    monkeypatch.setattr(dice, "bid_probability", recording_ask)
+    monkeypatch.setattr(dice, "_binomial_tail_log_space", recording_tail)
+    dice._binomial_tail.cache_clear()  # so each distinct tail is computed here
+    _nets, records = dice.train_dice(config, TrainingConfig(seed=0), games=1,
+                                     rounds_per_game=10, neural=False)
+    assert len(records) == 10
+    for rec in records:
+        bids = rec.outcome.bids
+        assert all(1 <= b.face <= config.n_faces for b in bids)
+        assert all(is_legal_successor(a, b) for a, b in zip(bids, bids[1:]))
+        assert math.isfinite(rec.kl)
+    assert asked and all(0.0 <= x <= 1.0 for x in asked)  # NaN fails both
+    # every tail computed, each a miss of the cleared memo, was a log-space tail
+    assert 0 < len(log_space) == dice._binomial_tail.cache_info().misses
+    assert all(n == 9990 for _need, n, _p in log_space)
+
+
+def test_round_history_and_analysis_bytes_match_csv_writer(tmp_path):
+    _nets, records = dice.train_dice(DiceConfig(n_players=4, dice_per_player=3),
+                                     TrainingConfig(seed=1), games=2, rounds_per_game=3,
+                                     neural=False)
+    summary = dice.analyze(records)
+    dice.write_round_history(tmp_path / "rounds.csv", records)
+    dice.write_analysis_csv(tmp_path / "analysis.csv", summary)
+    with open(tmp_path / "rounds_ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "player", "turn", "face", "quantity", "action"])
+        for idx, rec in enumerate(records):
+            for turn, (player, action) in enumerate(rec.outcome.turns):
+                if isinstance(action, Bid):
+                    writer.writerow([idx, player, turn, action.face, action.quantity, "bid"])
+                else:
+                    writer.writerow([idx, player, turn, "", "", "challenge"])
+    with open(tmp_path / "analysis_ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["metric", "key", "mean", "std"])
+        writer.writerow(["game_length", "", summary["game_length_mean"],
+                         summary["game_length_std"]])
+        writer.writerow(["challenge_correct_ratio", "", summary["challenge_correct_ratio"], 0.0])
+        writer.writerow(["lambda_final", "", summary["lam_final_mean"], summary["lam_final_std"]])
+        for dice_seen, (mean, std) in summary["kl_by_dice"].items():
+            writer.writerow(["kl_at_dice", dice_seen, mean, std])
+    rounds = (tmp_path / "rounds.csv").read_bytes()
+    assert rounds == (tmp_path / "rounds_ref.csv").read_bytes()
+    assert rounds.count(b",,challenge\r\n") == len(records)  # one challenge ends each round
+    analysis = (tmp_path / "analysis.csv").read_bytes()
+    assert analysis == (tmp_path / "analysis_ref.csv").read_bytes()
+    assert analysis.count(b"\r\n") == 4 + len(summary["kl_by_dice"])

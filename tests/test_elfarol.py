@@ -45,7 +45,7 @@ def test_intentions_stay_in_unit_interval_in_training_rollout(loud):
     game = _game()
     tape = ad.Tape()
     bound = {k: net.bind(tape) for k, net in initial_nets(game).items()}
-    # sample_attendance rejects intentions outside [0, 1] at every turn
+    # every turn after the first clamps the intentions to [0, 1]
     game.episode_losses(bound, [(0, 0, g) for g in range(3)])
     clipped = [n.v for n in tape.nodes if n.op == "clip01"]
     assert len(clipped) == game.config.turns - 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradcheck import initial_nets
+from mfgames import autodiff as ad
 from mfgames.autodiff import Tape
 from mfgames.games import elfarol, meeting, sir
 from mfgames.mfg import TrainingConfig
@@ -21,10 +22,6 @@ def _forwards(nets):
     on_tape = {name: net.bind(tape).forward for name, net in nets.items()}
     on_arrays = {name: partial(mlp_forward_np, net) for name, net in nets.items()}
     return tape, on_tape, on_arrays
-
-
-def _rngs(n):
-    return [np.random.default_rng(seed) for seed in range(n)]
 
 
 @pytest.mark.parametrize("smoothing", [0.0, 0.6])
@@ -49,14 +46,21 @@ def test_meeting_rollout_on_tape_equals_rollout_on_arrays(neural, smoothing):
 def test_elfarol_rollout_on_tape_equals_rollout_on_arrays():
     cfg = elfarol.BarConfig(n_agents=30, turns=8)
     game = elfarol.BarGame(cfg, elfarol.generate_attendance_observations(seed=2))
-    p0 = np.random.default_rng(1).uniform(0.0, 0.5, (3, cfg.n_agents))
+    seeds = [(1, 0, g) for g in range(3)]
     tape, on_tape, on_arrays = _forwards(initial_nets(game, TrainingConfig(seed=4)))
-    taped = elfarol._rollout(cfg, tape.value(p0), _rngs(3), on_tape["drift"])
-    plain = elfarol._rollout(cfg, p0, _rngs(3), on_arrays["drift"])
-    assert len(taped) == len(plain) == cfg.turns
-    for (p_tape, went_tape, a_tape, _m), (p, went, a, _m2) in zip(taped, plain):
-        assert np.array_equal(p_tape.v, p)
-        assert np.array_equal(went_tape, went) and np.array_equal(a_tape, a)
+    taped = elfarol._rollout(cfg, seeds, on_tape["drift"])
+    arrays = elfarol._rollout(cfg, seeds, on_arrays["drift"])
+    assert list(taped) == list(arrays) == ["p", "went", "a", "mean"]
+    assert isinstance(taped["p"][-1], ad.Value)  # the drift network ran on the tape
+    for name in arrays:
+        assert len(taped[name]) == len(arrays[name]) == cfg.turns
+    for name in ("p", "went", "a"):
+        for x_tape, x in zip(taped[name], arrays[name]):
+            assert np.array_equal(ad.plain(x_tape), x)
+    # a node's mean is its sum times 1/n where numpy divides the sum by n, so
+    # the tape's mean intention may differ from numpy's in the last bit
+    for m_tape, m in zip(taped["mean"], arrays["mean"]):
+        np.testing.assert_array_max_ulp(ad.plain(m_tape), m, maxulp=1)
 
 
 def test_sir_drift_on_tape_matches_drift_on_arrays():
