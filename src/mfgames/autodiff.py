@@ -287,7 +287,7 @@ def _elementwise(op, value, inputs, partials):
 def _sigmoid(x):
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0, e) / d
+    return np.maximum(e, x >= 0) / d  # max(e, 1) = 1 for x >= 0, as e <= 1; else e
 
 
 def _unary(x, op, value, partial):
@@ -428,5 +428,7 @@ def take_along_axis(x, indices, axis):
 
 def where(mask, a, b):
     """Elementwise ``a`` where ``mask`` holds, else ``b``; each side gets its share."""
+    if not (isinstance(a, Value) or isinstance(b, Value)):
+        return np.where(mask, a, b)  # no node: no complement of the mask
     return _elementwise("where", np.where(mask, plain(a), plain(b)), (a, b),
                         (mask, np.logical_not(mask)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 
@@ -144,7 +145,7 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
     The rows may be arrays or lists. Exact binomial tail from the term
     recurrence of :func:`_binomial_terms`, so no special functions are
     required: the tail terms summed in order of k, divided by that sum plus
-    the running sum of the terms below ``need``.
+    the terms below ``need``, summed in the same order.
     """
     need = quantity - int(own_counts[face - 1])
     if need <= 0:
@@ -159,36 +160,59 @@ def bid_probability(face: int, quantity: int, own_counts: np.ndarray,
     return _binomial_tail(need, others_count, p)
 
 
-@functools.lru_cache(maxsize=2048)  # a float and its key: about 0.5 MiB when full
+@functools.lru_cache(maxsize=16384)  # a float and its key: about 4 MiB when full
 def _binomial_tail(need: int, n: int, p: float) -> float:
     """P[X >= need] for X ~ Binomial(n, p), 1 <= need <= n and 0 < p < 1.
 
-    From the terms of :func:`_binomial_terms`, or in log space once they
-    underflow. Memoised: standard players share one belief, so within a
-    round and across games they ask the same tails again.
+    From the terms of :func:`_binomial_terms`, each side of ``need`` summed
+    in order of k, or in log space once they underflow. Memoised: standard
+    players share one belief, so across a run they ask the same tails again.
     """
     terms = _binomial_terms(n, p)
     if terms is None:
         return _binomial_tail_log_space(need, n, p)
-    terms, running = terms
     total = float(np.add.accumulate(terms[need:])[-1])
-    norm = total + float(running[need - 1])
+    norm = total + float(np.add.accumulate(terms[:need])[-1])
     return total / norm if norm > 0 else 0.0
 
 
-@functools.lru_cache(maxsize=256)
+TERMS_CACHE_BYTES = 6 * 2**20  # a 3,000-round standard run reuses 4.5-4.8 MiB
+
+
+class _TermsMemo(OrderedDict):
+    """(n, p) -> terms, least recently used first; the oldest go once the
+    ``nbytes`` of the terms held pass ``TERMS_CACHE_BYTES``."""
+
+    nbytes = 0
+
+    def put(self, key, terms: np.ndarray) -> None:
+        self[key] = terms
+        self.nbytes += terms.nbytes
+        while self.nbytes > TERMS_CACHE_BYTES:
+            self.nbytes -= self.popitem(last=False)[1].nbytes
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
+_terms_memo = _TermsMemo()
+
+
 def _binomial_terms(n: int, p: float):
-    """The n + 1 terms of Binomial(n, p) and their running sums, or None.
+    """The n + 1 terms of Binomial(n, p), read-only, or None.
 
     term 0 is q**n and term k + 1 is term k times (n - k) / (k + 1) * (p / q),
     the ratios coming from :func:`_term_ratios` and the product evaluated
-    left to right. Both come from the sequential ``multiply.accumulate`` and
-    ``add.accumulate`` that ``cumprod`` and ``cumsum`` run (not pairwise
-    sums), so they equal a loop that multiplies and adds one term at a time,
-    bit for bit. None when q**n underflows to zero. The cache is
-    bounded because neural players each hold their own beliefs; standard
-    players share theirs, and :func:`_binomial_tail` memoises their tails.
+    left to right by the sequential ``multiply.accumulate`` that ``cumprod``
+    runs, so the terms equal a loop that multiplies one at a time, bit for
+    bit. None when q**n underflows to zero. ``_terms_memo`` keeps them,
+    bounded in bytes since neural players each hold their own beliefs.
     """
+    terms = _terms_memo.get((n, p))
+    if terms is not None:
+        _terms_memo.move_to_end((n, p))
+        return terms
     q = 1.0 - p
     first = q**n
     if first == 0.0:
@@ -197,9 +221,9 @@ def _binomial_terms(n: int, p: float):
     steps[0] = first
     np.multiply(_term_ratios(n), p / q, out=steps[1:])
     terms = np.multiply.accumulate(steps)
-    running = np.add.accumulate(terms)
-    terms.flags.writeable = running.flags.writeable = False  # shared by every caller
-    return terms, running
+    terms.flags.writeable = False  # shared by every caller
+    _terms_memo.put((n, p), terms)
+    return terms
 
 
 @functools.lru_cache(maxsize=16)
@@ -232,11 +256,11 @@ def player_turn(dice: np.ndarray, theta_hat: np.ndarray, lam: float, prev_bid: B
 
     Raise the face when the previous quantity exceeds the occurrence estimate
     (challenging past the top face); challenge when the candidate bid itself
-    is too unlikely; otherwise inflate the quantity by a Poisson bluff. A
-    minimum raise of one keeps the bid a legal successor when the face stayed
-    and the bluff draw was zero. ``dice``, ``theta_hat`` and ``lam`` are the
-    player's rows of the dealt counts and of the population's beliefs (arrays
-    or lists) and its bluff rate.
+    is too unlikely; otherwise inflate the quantity by a Poisson bluff (no
+    draw at rate 0, where numpy's is 0 and leaves the generator unchanged),
+    at least 1 if the face stayed, so the bid is a legal successor. ``dice``,
+    ``theta_hat`` and ``lam`` are the player's rows of the dealt counts and
+    of the population's beliefs (arrays or lists) and its bluff rate.
     """
     prev_face, quantity = prev_bid.face, prev_bid.quantity
     others = config.total_dice - config.dice_per_player
@@ -247,7 +271,7 @@ def player_turn(dice: np.ndarray, theta_hat: np.ndarray, lam: float, prev_bid: B
             return CHALLENGE
     if bid_probability(face, quantity, dice, theta_hat, others) < config.likelihood:
         return CHALLENGE
-    bluff = int(rng.poisson(lam))
+    bluff = 0 if lam == 0 else int(rng.poisson(lam))
     if bluff == 0 and face == prev_face:
         bluff = 1
     return Bid(face, quantity + bluff)
@@ -294,7 +318,7 @@ def play_round(counts: np.ndarray, theta_hat: np.ndarray, lam: np.ndarray,
     n_players = len(counts)
     if n_players < 2:
         raise ValueError("a round needs at least two players")
-    revealed = counts.sum(axis=0)
+    revealed = np.add.reduce(counts, 0)
     dealt, beliefs, rates = counts.tolist(), theta_hat.tolist(), lam.tolist()
 
     others = config.total_dice - config.dice_per_player
@@ -425,8 +449,9 @@ class DiceGame(GameInstance):
                                                    target, outcome, config)
                 else:
                     theta_hat = _mfg_belief_update(theta_hat, target)
-                kl = kl_divergence(theta, theta_hat.mean(axis=0))
-                records.append(RoundRecord(g, r, outcome, float(lam.mean()), kl, dice_seen))
+                kl = kl_divergence(theta, np.add.reduce(theta_hat, 0) / config.n_players)
+                lam_mean = float(np.add.reduce(lam) / config.n_players)
+                records.append(RoundRecord(g, r, outcome, lam_mean, kl, dice_seen))
         return records
 
 

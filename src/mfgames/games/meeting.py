@@ -195,6 +195,19 @@ def exploitability(tau_tilde, config: MeetingConfig) -> float:
     return max(float(np.mean(terminal_cost(tau_tilde, s, ts) - (ts - s))), 0.0)
 
 
+def _quantiles(values, levels):
+    """``np.quantile(values, levels)`` of sorted finite ``values`` by its default
+    ``linear`` method, bit for bit but for the sign of a zero among 0.0s and
+    -0.0s, and without ``np.quantile``'s import of ``numpy.ma``."""
+    index = levels * (len(values) - 1)
+    lo = np.floor(index).astype(np.intp)
+    hi, top = lo + 1, index >= len(values) - 1
+    lo[top] = hi[top] = -1  # the last value, as numpy takes it
+    t, diff = index - lo, values[hi] - values[lo]
+    out = values[lo] + diff * t
+    return np.subtract(values[hi], diff * (1 - t), out=out, where=t >= 0.5)
+
+
 class MeetingGame(GameInstance):
     """Neural variant: drift residual and learned diffusion on (t, tau, start).
 
@@ -209,7 +222,7 @@ class MeetingGame(GameInstance):
         self.observations = [np.sort(np.asarray(o, dtype=float)) for o in observations]
         # quantile-matched targets of the ranked arrivals, one per observation set
         levels = (np.arange(config.n_agents) + 0.5) / config.n_agents
-        self._targets = [np.quantile(obs, levels) for obs in self.observations]
+        self._targets = [_quantiles(obs, levels) for obs in self.observations]
 
     def net_configs(self) -> dict[str, MLPConfig]:
         return {"drift": MLPConfig(3, 1), "diffusion": MLPConfig(3, 1)}

@@ -38,6 +38,22 @@ def test_sigmoid_at_zero():
     assert x.g == 0.25
 
 
+def test_sigmoid_value_equals_the_select_form_bit_for_bit():
+    def selected(x):  # the form the branch-free maximum replaced
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 2.2e-308, -2.2e-308,
+               745.2, -745.2, 36.7, -36.7, 1.0, -1.0]
+    rng = np.random.default_rng(5)
+    x = np.concatenate([special, rng.normal(0.0, 30.0, 20000), rng.normal(0.0, 1e-3, 2000)])
+    assert np.array_equal(ad._sigmoid(x).view(np.int64), selected(x).view(np.int64))
+    for v in special:  # a float in, a numpy float out, as before
+        got, want = ad._sigmoid(v), selected(v)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
 def test_max0_flat_region():
     tape = ad.Tape()
     x = tape.value(-2.0)

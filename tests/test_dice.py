@@ -157,11 +157,12 @@ def test_batched_deal_matches_per_player_choice(theta, seed):
     assert np.all(counts.sum(axis=1) == config.dice_per_player)
 
 
-def test_memoised_bid_probability_equals_reference_loop():
-    dice._binomial_terms.cache_clear()
+def test_memoised_bid_probability_equals_reference_loop(monkeypatch):
+    dice._terms_memo.clear()
     dice._binomial_tail.cache_clear()
+    held = _terms_bytes_held(monkeypatch)
     own = np.array([2, 0, 1, 0, 3, 0])
-    checked = 0
+    cases = []
     for n in (1, 2, 29, 435, 1000, 4100, 6000):
         for p in (1e-3, 0.1, 1 / 6, 0.3, 0.5, 0.9):
             theta = np.full(6, (1.0 - p) / 5.0)
@@ -170,29 +171,100 @@ def test_memoised_bid_probability_equals_reference_loop():
                 for face in (3, 1):
                     quantity = need + int(own[face - 1])
                     want = _reference_bid_probability(face, quantity, own, theta, n)
+                    cases.append(((face, quantity, own, theta, n), want))
                     for _asked in range(2):  # computed, then memoised
                         got = bid_probability(face, quantity, own, theta, n)
                         assert got == want, (n, p, need, face)
                         assert type(got) is float
-                        checked += 1
     assert (5.0 / 6.0) ** 4100 == 0.0  # the log-space fallback is in the grid
-    assert dice._binomial_terms.cache_info().hits > 0 and checked > 1000
-    assert dice._binomial_tail.cache_info().hits > 0
+    assert dice._binomial_tail.cache_info().hits > 0 and len(cases) > 500
+    # with the tails forgotten, every one is computed again from kept terms:
+    # the memo answers each (n, p) and builds none anew
+    built = len(held)
+    assert 0 < built < dice._binomial_tail.cache_info().misses
+    dice._binomial_tail.cache_clear()
+    for args, want in cases:
+        assert bid_probability(*args) == want
+    assert len(held) == built < dice._binomial_tail.cache_info().misses
 
 
-def test_tail_cache_stays_bounded_over_neural_training():
+def _terms_bytes_held(monkeypatch):
+    """The list of the memo's bytes held after each put: one entry a terms array built."""
+    held, put = [], dice._TermsMemo.put
+
+    def recording_put(memo, key, terms):
+        put(memo, key, terms)
+        held.append(memo.nbytes)
+        assert memo.nbytes == sum(t.nbytes for t in memo.values())
+
+    monkeypatch.setattr(dice._TermsMemo, "put", recording_put)
+    return held
+
+
+def test_tail_cache_stays_bounded_over_neural_training(monkeypatch):
     caches = {name: f for name, f in vars(dice).items() if hasattr(f, "cache_info")}
-    assert {"_binomial_terms", "_binomial_tail", "_term_ratios", "_face_cdf"} <= set(caches)
+    assert {"_binomial_tail", "_term_ratios", "_face_cdf"} <= set(caches)
     for f in caches.values():
         f.cache_clear()
+    dice._terms_memo.clear()
+    # 153 terms a table of 20 x 8 dice, 1,224 bytes: the bound holds 13 of them
+    bound = 16 * 1024
+    monkeypatch.setattr(dice, "TERMS_CACHE_BYTES", bound)
+    held = _terms_bytes_held(monkeypatch)
     config = DiceConfig(n_players=20, dice_per_player=8, bluff0=0.5)
     dice.train_dice(config, TrainingConfig(epochs=1, seed=4, lr=0.05), games=10,
                     rounds_per_game=10, neural=True)
-    info = dice._binomial_terms.cache_info()
-    assert info.misses > info.maxsize  # every neural player holds its own beliefs
+    memo = dice._terms_memo
+    # every neural player holds its own beliefs: far more (n, p) than fit
+    assert len(held) > 10 * len(memo)
+    assert max(held) <= bound and sum(t.nbytes for t in memo.values()) == memo.nbytes
     for name, f in caches.items():
         info = f.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, name
+
+
+def _standard_records(config, seed):
+    """A standard run's records as plain values, played with cold caches."""
+    dice._terms_memo.clear()
+    dice._binomial_tail.cache_clear()
+    _nets, records = dice.train_dice(config, TrainingConfig(seed=seed), games=20,
+                                     rounds_per_game=10, neural=False)
+    return [(r.game, r.round_index, repr(r.outcome.turns), r.outcome.challenge_correct,
+             r.outcome.revealed.tolist(), r.lam_mean, r.kl, r.dice_seen) for r in records]
+
+
+def test_standard_game_is_the_same_when_the_terms_memo_holds_one_entry(monkeypatch):
+    config = DiceConfig()
+    held = _terms_bytes_held(monkeypatch)
+    at_default = _standard_records(config, seed=3)
+    distinct = len(held)
+    assert distinct == len(dice._terms_memo)  # nothing evicted
+    one_entry = (config.total_dice - config.dice_per_player + 1) * 8  # 3,488 bytes
+    monkeypatch.setattr(dice, "TERMS_CACHE_BYTES", one_entry + 100)
+    held.clear()
+    assert _standard_records(config, seed=3) == at_default
+    assert len(dice._terms_memo) == 1 and max(held) <= one_entry + 100
+    assert len(held) > distinct  # some (n, p) built again after their eviction
+
+
+def test_player_turn_draws_no_bluff_at_rate_zero():
+    config = DiceConfig()
+    own, belief = np.array([3, 2, 3, 2, 3, 2]), np.full(6, 1.0 / 6.0)
+    moved = {}
+    for rate in (0.0, 2.5):
+        rng = np.random.default_rng(11)
+        before = rng.bit_generator.state
+        bid = dice.player_turn(own, belief, rate, Bid(1, 5), config, rng)
+        assert isinstance(bid, Bid) and bid.face == 1
+        moved[rate] = rng.bit_generator.state != before
+    assert moved == {0.0: False, 2.5: True}
+    # no draw at rate 0, and the face stayed, so the bid rises by one
+    assert dice.player_turn(own, belief, 0.0, Bid(1, 5), config, rng) == Bid(1, 6)
+    # the skipped draw is numpy's own answer, with its generator left as it was
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    assert all(rng.poisson(0.0) == 0 for _ in range(1000))
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("faces", [6, 11])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -263,3 +268,28 @@ def test_final_mean_arrival_concentrates_as_the_population_grows():
     # the means measured 14.58173 and 14.58127: a gap of 0.00046, where three
     # standard errors of the N = 250 mean allow 0.0030
     assert abs(small.mean() - large.mean()) <= 3.0 * small.std(ddof=1) / np.sqrt(len(small))
+
+
+def test_quantile_targets_equal_numpys_quantile_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for k in range(400):
+        n = int(rng.integers(1, 300))
+        values = np.sort(rng.normal(14.0, 10.0 ** rng.integers(-3, 3), n))
+        if k % 4 == 0:  # ties, which interpolate between equal neighbours
+            values = np.sort(rng.integers(-3, 4, n).astype(float) + 0.5)
+        m = int(rng.integers(1, 400))
+        levels = (np.arange(m) + 0.5) / m if k % 3 else np.append(rng.random(m), [0.0, 1.0])
+        got, want = meeting._quantiles(values, levels), np.quantile(values, levels)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, m)
+
+
+def test_neural_meeting_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.quantile imports numpy.ma on its first call, about 9 ms of a run
+    src = str(Path(meeting.__file__).resolve().parents[2])
+    code = ("import sys; from mfgames import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    argv = ["meeting", "--mode", "neural", "--epochs", "0", "--agents", "8",
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "0 False"
